@@ -216,13 +216,6 @@ def nb_pmf(k: int, p: float, x: int) -> float:
     return float(np.exp(_nb_logpmf(float(k), p, np.asarray(float(x)))))
 
 
-def nb_pmf_block(k: int, p: float, x_hi: int) -> np.ndarray:
-    """Vector of nb_pmf(k, p, x) for x = 0..x_hi (inclusive)."""
-    _check_nb_args(k, p)
-    x = np.arange(x_hi + 1, dtype=float)
-    return np.exp(_nb_logpmf(float(k), p, x))
-
-
 def nb_cdf(k: int, p: float, x: int) -> float:
     """P(NegBin(k, p) <= x), via the regularized incomplete beta function."""
     _check_nb_args(k, p)

@@ -14,16 +14,17 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   draws, with a sample standard error.
 
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
-raw grid sum survives only inside the equilibrium-weight normalization.
-Everything is memoized per (mixing law, grid settings), so sweeping u is
-cheap after the first call.
+raw grid sum survives only inside the equilibrium-weight normalization,
+taken once per law.  They come from the renewal solver in `renewal`, whose
+table per (mixing law, grid settings) is extended in place as u grows, so
+sweeping u is cheap after the first call.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -36,6 +37,7 @@ from .distributions import (
     _nb_logpmf,
 )
 from .recursion import RuinQuery, psi_recursion
+from .renewal import RenewalSolver, TableCache
 
 __all__ = [
     "MpApproxConfig",
@@ -95,28 +97,38 @@ class MpApproxConfig:
 class MpCoefficientSeq:
     """Grid coefficients for one mixing law at one refinement.
 
-    ``cbar_n[k]`` is Cbar_{k,n}; ``f_ne`` and ``fbar_ne`` are the grid
-    equilibrium weights and their tails; ``grid_sum`` is the raw survival sum
-    sum_j Fbar(j/n) over the stored grid.
+    ``cbar_n[k]`` is Cbar_{k,n}, a read-only view of the law's renewal
+    table; ``grid_sum`` is the raw survival sum sum_j Fbar(j/n) over the
+    stored grid.  The grid equilibrium weights ``f_ne`` and their tails
+    ``fbar_ne`` are computed on access, over the grid support only: both
+    vanish beyond it.
     """
 
     source: MixingDistribution
     n: int
     cbar_n: np.ndarray
     c0: float
-    f_ne: np.ndarray
-    fbar_ne: np.ndarray
     grid_sum: float
     grid_points: int
     grid_residual_sf: float
+    renewal: RenewalSolver = field(repr=False)
+
+    @property
+    def f_ne(self) -> np.ndarray:
+        """f_Ne(i) = Fbar((i-1)/n) / grid_sum at ``f_ne[i-1]``, i = 1..J."""
+        return self.renewal.lags(1, self.grid_points + 1)
+
+    @property
+    def fbar_ne(self) -> np.ndarray:
+        """P(Ne > k) for k = 0..J; the last entry is 0."""
+        return self.renewal.survival(0, self.grid_points + 1)
 
 
 # -- grid survival values, cached per (mix, n, tolerance, cap) ---------------
 
 _grid_lock = threading.Lock()
 _grid_cache: dict[tuple, np.ndarray] = {}
-_coeff_lock = threading.Lock()
-_coeff_cache: dict[tuple, MpCoefficientSeq] = {}
+_coeff_cache = TableCache()
 
 
 def _grid_survival(mix: MixingDistribution, cfg: MpApproxConfig) -> np.ndarray:
@@ -162,66 +174,48 @@ def _grid_survival(mix: MixingDistribution, cfg: MpApproxConfig) -> np.ndarray:
     return grid
 
 
-def _build_coefficients(
-    mix: MixingDistribution, cfg: MpApproxConfig, k_max: int
-) -> MpCoefficientSeq:
+def _table(mix: MixingDistribution, cfg: MpApproxConfig):
+    """Renewal solver for the law's grid coefficients, and the wrapper of its views.
+
+    The equilibrium weights are the grid normalized by its sum, which the
+    solver takes once in extended precision: the coefficient identity is
+    checked downstream to 1e-12 and double accumulation over ~1e6 grid
+    points would eat most of that budget.
+    """
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
     grid = _grid_survival(mix, cfg)
-    j_max = grid.size - 1
+    solver = RenewalSolver(elam, grid, normalize=True)
 
-    # All tail sums in extended precision: the coefficient identity is
-    # checked downstream to 1e-12 and double accumulation over ~1e6 grid
-    # points would eat most of that budget.
-    grid_ld = grid.astype(np.longdouble)
-    gsum = grid_ld.sum()
+    def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
+        return MpCoefficientSeq(
+            source=mix,
+            n=cfg.n,
+            cbar_n=cbar,
+            c0=elam,
+            grid_sum=solver.total,
+            grid_points=grid.size,
+            grid_residual_sf=float(grid[-1]),
+            renewal=solver,
+        )
 
-    kw = min(k_max, j_max + 1)  # stored equilibrium weights f_Ne(1..kw)
-    f_ne = np.asarray(grid_ld[:kw] / gsum, dtype=float)
-
-    fbar_ne = np.zeros(k_max + 1)
-    top = min(k_max, j_max)
-    # suffix[j] = sum_{l >= j} grid[l]; fbar_ne[k] = suffix[k]/gsum for k <= j_max
-    suffix = np.cumsum(grid_ld[: top + 1][::-1])[::-1]
-    suffix += grid_ld[top + 1 :].sum()
-    fbar_ne[: top + 1] = np.asarray(suffix / gsum, dtype=float)
-
-    cbar = np.empty(k_max + 1)
-    cbar[0] = elam
-    for k in range(1, k_max + 1):
-        idx = min(k, kw)
-        conv = float(np.dot(f_ne[:idx], cbar[k - idx:k][::-1]))
-        cbar[k] = elam * (conv + fbar_ne[k])
-    return MpCoefficientSeq(
-        source=mix,
-        n=cfg.n,
-        cbar_n=cbar,
-        c0=elam,
-        f_ne=f_ne,
-        fbar_ne=fbar_ne,
-        grid_sum=float(gsum),
-        grid_points=grid.size,
-        grid_residual_sf=float(grid[-1]),
-    )
+    return solver, wrap
 
 
 def mp_coefficients(
     mix: MixingDistribution, cfg: MpApproxConfig, k_max: int
 ) -> MpCoefficientSeq:
-    """Coefficients Cbar_{0..k_max, n}, memoized and regrown geometrically."""
+    """Coefficients Cbar_{0..k_max, n}, memoized and extended in place.
+
+    The table of each (mixing law, grid settings) grows geometrically from
+    64 terms; a request within it is a cached read that no other law's
+    extension blocks.
+    """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     key = (mix, cfg.n, cfg.grid_tol, cfg.grid_cap)
-    with _coeff_lock:
-        seq = _coeff_cache.get(key)
-        if seq is None or seq.cbar_n.size <= k_max:
-            size = max(64, seq.cbar_n.size if seq is not None else 64)
-            while size <= k_max:
-                size *= 2
-            seq = _build_coefficients(mix, cfg, size - 1)
-            _coeff_cache[key] = seq
-        return seq
+    return _coeff_cache.get(key, k_max, lambda: _table(mix, cfg))
 
 
 # -- method 1: truncated series ----------------------------------------------

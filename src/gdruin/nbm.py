@@ -5,29 +5,30 @@ representation: with Z_u ~ NegBin(u, 1-p),
 
     psi(u) = sum_{k>=0} Cbar_k nb(u, 1-p)(k) = E[ Cbar_{Z_u} ],   u >= 1,
 
-where the coefficients follow the one-pass convolution recursion
+where the coefficients solve the renewal equation
 
     Cbar_0 = E(N) (1-p)/p
     Cbar_k = Cbar_0 [ sum_{i=1}^{k} f_Ne(i) Cbar_{k-i} + Fbar_Ne(k) ]
 
-driven by the equilibrium weights f_Ne(i) = Fbar_N(i-1)/E(N).  The sequence
-equals (1-rho) Fbar_{N*}(k) for a compound truncated-geometric N*, which is
-exposed separately as a cross-check.
+driven by the equilibrium weights f_Ne(i) = Fbar_N(i-1)/E(N), which the
+semi-relaxed solver in `renewal` computes in O(K log^2 K) for K terms.  The
+sequence equals (1-rho) Fbar_{N*}(k) for a compound truncated-geometric N*,
+which is exposed separately as a cross-check (built by a direct Panjer loop).
 
-Coefficient sequences are cached per spec and regrown geometrically, so
-repeated psi queries at different surpluses share one table.
+Coefficient tables are cached per spec and extended in place, geometrically,
+so repeated psi queries at different surpluses share one table.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import NbmSpec, nb_sf, nbm_equilibrium, _nb_logpmf
+from .renewal import RenewalSolver, TableCache
 
 __all__ = [
     "CoefficientSeq",
@@ -57,30 +58,31 @@ class CoefficientSeq:
         return float(self.cbar[0])
 
 
-def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
-    """Coefficients Cbar_0..Cbar_k_max for the given mixture.
-
-    Requires the net profit condition E(N)(1-p)/p < 1.
-    """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+def _table(spec: NbmSpec):
+    """Renewal solver for the spec's coefficients, and the wrapper of its views."""
     c0 = spec.claim_mean
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
     eq = nbm_equilibrium(spec)
     f_ne = np.asarray(eq.weights)  # f_ne[i-1] is the weight on i
-    fbar = eq.weight_survival()  # fbar[k] = P(Ne > k), k = 0..len(f_ne)
-    kw = f_ne.size
+    solver = RenewalSolver(c0, f_ne, eq.residual)
+    fbar = solver.survival(0, f_ne.size + 1)  # fbar[k] = P(Ne > k), k = 0..len(f_ne)
 
-    cbar = np.empty(k_max + 1)
-    cbar[0] = c0
-    for k in range(1, k_max + 1):
-        idx = min(k, kw)
-        conv = float(np.dot(f_ne[:idx], cbar[k - idx:k][::-1]))
-        cbar[k] = c0 * (conv + float(fbar[min(k, kw)]))
-    return CoefficientSeq(
-        source=spec, cbar=cbar, rho=1.0 - c0, f_ne=f_ne, fbar_ne=fbar
-    )
+    def wrap(cbar: np.ndarray) -> CoefficientSeq:
+        return CoefficientSeq(source=spec, cbar=cbar, rho=1.0 - c0, f_ne=f_ne, fbar_ne=fbar)
+
+    return solver, wrap
+
+
+def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
+    """Coefficients Cbar_0..Cbar_k_max for the given mixture, as a read-only array.
+
+    Requires the net profit condition E(N)(1-p)/p < 1.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be nonnegative")
+    solver, wrap = _table(spec)
+    return wrap(solver.extend(k_max + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +131,11 @@ def compound_geo_zero_mass(pi: Sequence[float], p: float, rho: float) -> float:
 
 # -- cached psi evaluation ---------------------------------------------------
 
-_cache_lock = threading.Lock()
-_coeff_cache: dict[NbmSpec, CoefficientSeq] = {}
+_coeff_cache = TableCache()
 
 
 def _coefficients(spec: NbmSpec, k_max: int) -> CoefficientSeq:
-    with _cache_lock:
-        seq = _coeff_cache.get(spec)
-        if seq is None or seq.cbar.size <= k_max:
-            target = max(k_max + 1, 64)
-            size = seq.cbar.size if seq is not None else 64
-            while size < target:
-                size *= 2
-            seq = cbar_sequence(spec, size - 1)
-            _coeff_cache[spec] = seq
-        return seq
+    return _coeff_cache.get(spec, k_max, lambda: _table(spec))
 
 
 def _series_k_hi(u: int, p: float) -> int:

@@ -1,0 +1,245 @@
+"""Online solver for the renewal equation behind the Cbar coefficients.
+
+Both coefficient tables of the package, the NBM series in `nbm` and its
+mixed Poisson grid limit in `mixed_poisson`, solve
+
+    x_0 = c0,    x_k = c0 ( sum_{i=1}^{min(k, W)} f_i x_{k-i} + Fbar(k) ),   k >= 1,
+
+for a possibly defective law f_1..f_W with survival Fbar(k) = sum_{i>k} f_i + r,
+r being the mass beyond W.  The direct loop costs O(K min(K, W)) for K terms,
+in K Python-level calls.  `RenewalSolver` costs O(K log^2 K) in O(K / B)
+numpy calls and extends its table in place:
+
+* lags below the block size B = 256 are dense nonnegative products: one
+  B x B inverse-Toeplitz gemv per block of B terms, plus one gemv for the
+  lags that reach back into the previous block;
+* lags in [s, 2s), for each level s = B 2^m <= W, form one FFT product of the
+  finished source block x[e-s, e) with f_s..f_{2s-1}.  It is made when block
+  e starts (e a multiple of s) and added to the pending terms x[e, e+2s-1),
+  which the buffer holds beyond the finished prefix, so the working memory
+  beyond the table is the overhang of the largest pending product.
+
+FFT rounding error is absolute, while x falls by hundreds of decades, so each
+far product is tilted locally: source terms by e^{t (j-e)}, lags by e^{t i}
+and outputs by e^{-t (k-e)}, with t solving c0 sum_{i<2s} f_i e^{t i} = 1
+over the level's own lags.  A tilted lag never exceeds 1/c0, and where x
+decays geometrically the tilted source block is level, so the error stays
+relative to each term.  A single tilt e^{t k} over the whole table would
+overflow once x stops decaying, as it does when r > 0.
+
+Block size, tilts and FFT lengths depend on the law alone, never on how far
+the table has been grown, so every prefix is bit-identical whatever the
+order of the requests.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+
+__all__ = ["RenewalSolver", "TableCache"]
+
+# Block size of the dense near-lag products; a power of two.
+_B = 256
+# Weights are summed in extended precision this many at a time.
+_CHUNK = 1 << 16
+
+
+class RenewalSolver:
+    """Terms x_0, x_1, ... of the renewal equation above, grown on request.
+
+    f_i = weights[i-1] / total and Fbar(k) = sum_{l>=k} weights[l] / total +
+    residual.  ``total`` is 1, or with ``normalize`` the sum of the weights,
+    taken once in extended precision like every tail sum.  ``weights`` is
+    kept by reference and must not change.  ``extend`` is not thread-safe;
+    ``lags`` and ``survival`` read only what the constructor set.
+    """
+
+    def __init__(
+        self, c0: float, weights: np.ndarray, residual: float = 0.0, normalize: bool = False
+    ):
+        w = np.asarray(weights, dtype=float)
+        self.c0 = float(c0)
+        self._width = w.size
+        self._w = w
+        # tails[m] = sum of weights[l] for l >= m B
+        sums = np.zeros(-(-w.size // _B) + 1, dtype=np.longdouble)
+        for lo in range(0, w.size, _CHUNK):
+            chunk = w[lo : lo + _CHUNK].astype(np.longdouble)
+            chunk = np.pad(chunk, (0, -chunk.size % _B))
+            sums[lo // _B : lo // _B + chunk.size // _B] = chunk.reshape(-1, _B).sum(axis=1)
+        self._tails = np.cumsum(sums[::-1])[::-1]
+        self._total = self._tails[0] if normalize else np.longdouble(1.0)
+        self.total = float(self._total)
+        self._residual = float(residual)
+        # largest level s = B 2^m with lags in [s, 2s) inside the support
+        self._s_max = _B << (self._width // _B).bit_length() - 1 if self._width >= _B else 0
+        self._near_f = self.lags(0, 2 * _B)
+        tau = np.empty(_B)  # first B terms of c0 / (1 - c0 F(z))
+        tau[0] = self.c0
+        for t in range(1, _B):
+            tau[t] = self.c0 * np.dot(self._near_f[1 : t + 1], tau[t - 1 :: -1])
+        self._tau = tau
+        self._tilts: dict[int, float] = {}
+        self._x = np.zeros(0)
+        self._done = 0
+
+    def lags(self, lo: int, hi: int) -> np.ndarray:
+        """f_i for i in [lo, hi); f_0 and lags beyond the support are 0."""
+        out = np.zeros(hi - lo)
+        a, b = max(lo, 1), min(hi, self._width + 1)
+        if b > a:
+            out[a - lo : b - lo] = self._w[a - 1 : b - 1] / self._total
+        return out
+
+    def survival(self, lo: int, hi: int) -> np.ndarray:
+        """Fbar(k) for k in [lo, hi)."""
+        out = np.full(hi - lo, self._residual)
+        top = min(hi, self._width)
+        if top > lo:
+            m = -(-top // _B)  # first checkpoint at or after top
+            seg = self._w[lo : min(m * _B, self._width)].astype(np.longdouble)
+            suffix = np.cumsum(seg[::-1])[::-1] + self._tails[m]
+            out[: top - lo] += suffix[: top - lo] / self._total
+        return out
+
+    def extend(self, n: int) -> np.ndarray:
+        """Read-only view of x_0..x_{n-1}, computing the missing blocks in place."""
+        end = -(-n // _B) * _B
+        if end > self._done:
+            self._reserve(end)
+            d = np.subtract.outer(np.arange(_B), np.arange(_B))  # row minus column
+            near = np.where(d >= 0, self._tau[np.maximum(d, 0)], 0.0)
+            prev = np.where(d < 0, self._near_f[_B + np.minimum(d, 0)], 0.0)
+            spectra: dict[int, tuple] = {}
+            try:
+                for pos in range(self._done, end, _B):
+                    self._step(pos, near, prev, spectra)
+                    self._done = pos + _B
+            except BaseException:
+                # a step may stop with its pending terms half added
+                self._x, self._done = np.zeros(0), 0
+                raise
+        view = self._x[:n]
+        view.flags.writeable = False
+        return view
+
+    def _reserve(self, end: int) -> None:
+        # the buffer must hold every pending term the steps up to end create
+        need = end
+        for pos in range(max(self._done, _B), end, _B):
+            s = min(pos & -pos, self._s_max)
+            if s:
+                need = max(need, pos + min(2 * s - 1, self._width))
+        if need > self._x.size:
+            grown = np.zeros(need)
+            grown[: self._x.size] = self._x
+            self._x = grown
+
+    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray, spectra: dict) -> None:
+        x = self._x
+        if pos == 0:
+            x[0] = self.c0
+            rhs = self._near_f[1:_B] * self.c0 + self.survival(1, _B)
+            x[1:_B] = near[:-1, :-1] @ rhs
+            return
+        s = _B
+        while s <= self._s_max and pos % s == 0:
+            self._fire(pos, s, spectra)
+            s *= 2
+        rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + self.survival(pos, pos + _B)
+        x[pos : pos + _B] = near @ rhs
+
+    def _fire(self, e: int, s: int, spectra: dict) -> None:
+        # lags [s, 2s) from the source block x[e-s, e), tilted by e^t
+        level = spectra.get(s)
+        if level is None:
+            level = spectra[s] = self._level(s)
+        spectrum, powers, size = level
+        x = self._x
+        src = x[e - s : e] * powers[s:0:-1]
+        out = np.fft.irfft(np.fft.rfft(src, 2 * s) * spectrum, 2 * s)
+        x[e : e + size] += out[:size] * powers[:size]
+
+    def _level(self, s: int) -> tuple[np.ndarray, np.ndarray, int]:
+        top = min(2 * s - 1, self._width)  # last lag of the level
+        f = self.lags(1, top + 1)
+        t = self._tilts.get(s)
+        if t is None:
+            t = self._tilts[s] = _tilt(self.c0, f)
+        with np.errstate(divide="ignore"):
+            tilted = np.exp(np.log(f[s - 1 :]) + t * np.arange(s, top + 1))
+        return np.fft.rfft(tilted, 2 * s), np.exp(-t * np.arange(2 * s)), top
+
+
+def _tilt(c0: float, f: np.ndarray) -> float:
+    """t >= 0 with c0 sum_i f_i e^{t i} = 1 (f[i-1] = f_i), by Newton from above."""
+    live = f > 0.0
+    if not live.any():
+        return 0.0
+    i = np.flatnonzero(live) + 1.0
+    logs = np.log(c0 * f[live])
+    t = float(np.min(-logs / i))  # one term alone reaches 1 here
+    for _ in range(100):
+        e = logs + t * i
+        top = float(e.max())
+        w = np.exp(e - top)
+        mass = float(w.sum())
+        excess = top + math.log(mass)
+        if excess <= 0.0:
+            break
+        step = excess * mass / float((w * i).sum())
+        t -= step
+        if step <= 1e-13 * t:
+            break
+    return max(t, 0.0)
+
+
+class _Entry:
+    __slots__ = ("lock", "solver", "wrap", "table")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.solver = None
+        self.wrap = None
+        self.table = None  # (size, object handed out), replaced as one
+
+
+class TableCache:
+    """Renewal tables keyed by law, each grown in place under its own lock.
+
+    The cache lock guards only the lookup and insert of a key's entry, so
+    growing one law's table never blocks a read of another's.  Tables come
+    in sizes 64 * 2^m.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: dict = {}
+
+    def get(self, key, k_max: int, start):
+        """The table for ``key`` covering index ``k_max``.
+
+        ``start()`` runs once per key, under the key's lock, and returns
+        ``(solver, wrap)``; ``wrap(view)`` turns a read-only view of the
+        solver's terms into the object handed out.  If it raises, the next
+        request runs it again.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = _Entry()
+        table = entry.table
+        if table is not None and table[0] > k_max:
+            return table[1]
+        with entry.lock:
+            if entry.solver is None:
+                entry.solver, entry.wrap = start()
+            size = entry.table[0] if entry.table is not None else 64
+            while size <= k_max:
+                size *= 2
+            if entry.table is None or size > entry.table[0]:
+                entry.table = (size, entry.wrap(entry.solver.extend(size)))
+            return entry.table[1]

@@ -28,6 +28,8 @@ from gdruin import (
     psi_pk,
     psi_recursion,
 )
+from gdruin import mixed_poisson
+from gdruin.renewal import TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
 PARETO = MixingDistribution.pareto(3.0, 1.0)
@@ -109,6 +111,30 @@ def test_coefficients_match_plain_python_rebuild():
         tail = math.fsum(grid[k:]) / gsum if k < len(grid) else 0.0
         cbar.append(elam * (conv + tail))
     np.testing.assert_allclose(seq.cbar_n[: k_max + 1], cbar, rtol=1e-11, atol=1e-15)
+
+
+@pytest.mark.parametrize("mix", [ERLANG, PARETO], ids=["erlang", "pareto"])
+def test_coefficient_regrowth_is_deterministic(mix, monkeypatch):
+    cfg = MpApproxConfig(n=500)
+    top = 1 << 16
+
+    def fresh_cache():
+        monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+
+    fresh_cache()
+    at_once = mp_coefficients(mix, cfg, top - 1).cbar_n
+    assert at_once.size == top
+    fresh_cache()
+    doubling = [mp_coefficients(mix, cfg, size - 1).cbar_n for size in 64 * 2 ** np.arange(11)]
+    fresh_cache()
+    sizes = [int(s) for s in np.random.default_rng(3).permutation(64 * 2 ** np.arange(11))]
+    shuffled = [mp_coefficients(mix, cfg, size - 1).cbar_n for size in sizes]
+    for cbar in doubling + shuffled:
+        np.testing.assert_array_equal(cbar, at_once[: cbar.size])
+    # cached evaluation stays stable when the table grows behind it
+    before = psi_mp_method1(mix, 2, cfg)
+    psi_mp_method1(mix, 200, cfg)
+    assert psi_mp_method1(mix, 2, cfg) == before
 
 
 # -- method 1 -----------------------------------------------------------------------
