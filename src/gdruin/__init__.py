@@ -9,12 +9,10 @@ independent Monte Carlo oracle for everything.
 
 from .distributions import (
     DiscretePmf,
-    DiscretizationSpec,
     GridBudgetError,
     MixingDistribution,
     NbmSpec,
     QuadratureError,
-    discretize_mixing,
     equilibrium,
     erlangm_to_nbm,
     geometric_pmf,
@@ -70,7 +68,6 @@ __all__ = [
     "DiscretePmf",
     "NbmSpec",
     "MixingDistribution",
-    "DiscretizationSpec",
     "QuadratureError",
     "GridBudgetError",
     "nb_pmf",
@@ -81,7 +78,6 @@ __all__ = [
     "nbm_equilibrium",
     "mp_pmf",
     "erlangm_to_nbm",
-    "discretize_mixing",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",

@@ -28,7 +28,6 @@ __all__ = [
     "DiscretePmf",
     "MixingDistribution",
     "NbmSpec",
-    "DiscretizationSpec",
     "QuadratureError",
     "GridBudgetError",
     "nb_pmf",
@@ -38,7 +37,6 @@ __all__ = [
     "nbm_equilibrium",
     "mp_pmf",
     "erlangm_to_nbm",
-    "discretize_mixing",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",
@@ -282,13 +280,7 @@ def nbm_pmf(spec: NbmSpec, x: int) -> float:
     if x < 0:
         return 0.0
     k = np.arange(1, len(spec.weights) + 1, dtype=float)
-    logs = (
-        special.gammaln(k + x)
-        - special.gammaln(k)
-        - special.gammaln(x + 1.0)
-        + k * math.log(spec.p)
-        + x * math.log1p(-spec.p)
-    )
+    logs = _nb_logpmf(k, spec.p, float(x))
     return float(np.dot(np.asarray(spec.weights), np.exp(logs)))
 
 
@@ -652,70 +644,3 @@ def _as_claims(vals: np.ndarray, mean: float) -> DiscretePmf:
         vals = vals / total
         total = math.fsum(vals.tolist())
     return DiscretePmf(vals, tail_mass=max(0.0, 1.0 - total), mean=mean)
-
-
-# ---------------------------------------------------------------------------
-# Grid discretization of a mixing law
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DiscretizationSpec:
-    """Weights q(k, n) = F(k/n) - F((k-1)/n) of a mixing law on the grid k/n.
-
-    ``weights[k-1]`` holds q(k, n) for k = 1..K_max; ``residual`` is the
-    survival beyond the last grid point.  ``p_n`` = n/(n+1) is the matching
-    negative binomial parameter.
-    """
-
-    n: int
-    p_n: float
-    weights: np.ndarray
-    residual: float
-    source: MixingDistribution
-
-    def to_nbm(self) -> NbmSpec:
-        return NbmSpec(tuple(self.weights), self.p_n, residual=self.residual)
-
-
-def discretize_mixing(
-    mix: MixingDistribution,
-    n: int,
-    mass_tol: float = 1e-12,
-    cap: int = 2_000_000,
-) -> DiscretizationSpec:
-    """Project a mixing law onto the lattice {k/n : k >= 1}.
-
-    The grid stops at the smallest K with survival(K/n) < ``mass_tol``;
-    heavier tails than ``cap`` grid points raise :class:`GridBudgetError`.
-    """
-    if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
-    if not 0.0 < mass_tol < 1.0:
-        raise ValueError("mass_tol must lie in (0, 1)")
-    n = int(n)
-
-    f0 = float(mix.cdf(0.0))
-    if f0 > 0.0:
-        raise ValueError("mixing law puts mass at rate 0; grid weights would not sum to 1")
-    block = 4096
-    cdf_vals = [f0]
-    k_hi = 0
-    while True:
-        ks = np.arange(k_hi + 1, min(k_hi + block, cap) + 1, dtype=float)
-        if ks.size == 0:
-            raise GridBudgetError(f"mixing grid exceeds {cap} points at n={n}")
-        vals = np.asarray(mix.cdf(ks / n), dtype=float)
-        cdf_vals.extend(vals.tolist())
-        k_hi = int(ks[-1])
-        if 1.0 - cdf_vals[-1] < mass_tol:
-            break
-        if k_hi >= cap:
-            raise GridBudgetError(f"mixing grid exceeds {cap} points at n={n}")
-    cdf_arr = np.asarray(cdf_vals)
-    weights = np.diff(cdf_arr)
-    weights = np.maximum(weights, 0.0)  # guard monotone round-off
-    residual = max(0.0, 1.0 - float(cdf_arr[-1]))
-    return DiscretizationSpec(
-        n=n, p_n=n / (n + 1.0), weights=weights, residual=residual, source=mix
-    )

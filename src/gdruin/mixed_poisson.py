@@ -17,13 +17,14 @@ The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
 table per (mixing law, grid settings) is extended in place as u grows, so
-sweeping u is cheap after the first call.
+sweeping u is cheap after the first call.  The grid is streamed into the
+solver rather than stored: a heavy-tailed law's two million grid points are
+evaluated in chunks, and only the prefix the table reads is kept.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from .distributions import (
     _nb_logpmf,
 )
 from .recursion import RuinQuery, psi_recursion
-from .renewal import RenewalSolver, TableCache
+from .renewal import RenewalSolver, TableCache, Weights, block_sums
 
 __all__ = [
     "MpApproxConfig",
@@ -116,7 +117,7 @@ class MpCoefficientSeq:
     @property
     def f_ne(self) -> np.ndarray:
         """f_Ne(i) = Fbar((i-1)/n) / grid_sum at ``f_ne[i-1]``, i = 1..J."""
-        return self.renewal.lags(1, self.grid_points + 1)
+        return self.renewal.weights.read(0, self.grid_points) / self.grid_sum
 
     @property
     def fbar_ne(self) -> np.ndarray:
@@ -124,54 +125,75 @@ class MpCoefficientSeq:
         return self.renewal.survival(0, self.grid_points + 1)
 
 
-# -- grid survival values, cached per (mix, n, tolerance, cap) ---------------
+# -- the mixing grid, streamed into the renewal solver -------------------------
 
-_grid_lock = threading.Lock()
-_grid_cache: dict[tuple, np.ndarray] = {}
 _coeff_cache = TableCache()
+# Grid points evaluated per call of the mixing survival function.
+_GRID_CHUNK = 1 << 16
 
 
-def _grid_survival(mix: MixingDistribution, cfg: MpApproxConfig) -> np.ndarray:
-    """Fbar(j/n) for j = 0..J, stopping at grid_tol or the cap.
+class _Grid(Weights):
+    """Fbar(j/n) for j = 0..J, stopping at grid_tol or the cap, as solver weights.
 
-    At the cap the last stored survival must be below 1e-9, a pointwise
+    One pass over chunks of 2^16 points finds J, records the last value, and
+    folds each chunk into the block sums as it is made; it keeps only the
+    first chunk.  A read past the kept prefix evaluates the same chunk
+    extents again, so every read is bit-identical to the first pass, and
+    ``keep`` grows the prefix to what the solver's table reads: memory per
+    law is O(min(J, max(2K, 2^16)) + J/256) for a table of K terms.
+
+    At the cap the last survival value must be below 1e-9, a pointwise
     certificate that the discarded tail cannot move the normalizing sum at
     the accuracy the approximations work to.
     """
-    key = (mix, cfg.n, cfg.grid_tol, cfg.grid_cap)
-    with _grid_lock:
-        cached = _grid_cache.get(key)
-    if cached is not None:
-        return cached
 
-    n = cfg.n
-    block = 1 << 16
-    chunks: list[np.ndarray] = []
-    j0 = 0
-    while True:
-        hi = min(j0 + block, cfg.grid_cap + 1)
-        js = np.arange(j0, hi, dtype=float)
-        vals = np.asarray(mix.sf(js / n), dtype=float)
-        keep = np.nonzero(vals < cfg.grid_tol)[0]
-        if keep.size:
-            chunks.append(vals[: keep[0]])
-            break
-        chunks.append(vals)
-        j0 = hi
-        if j0 > cfg.grid_cap:
-            last = chunks[-1][-1] if chunks[-1].size else 1.0
-            if last > _CAP_SF_TOL:
+    def __init__(self, mix: MixingDistribution, cfg: MpApproxConfig):
+        self._mix, self._n = mix, cfg.n
+        # chunk extents end at the cap; the size is the cap until J is known
+        self._end = self.size = cfg.grid_cap + 1
+        sums = []
+        j0 = 0
+        while j0 < self._end:
+            vals = self._chunk(j0)
+            below = np.flatnonzero(vals < cfg.grid_tol)
+            if below.size:
+                vals = vals[: below[0]].copy()  # no view pinning the whole chunk
+            if j0 == 0:
+                self._kept = vals
+            if vals.size:
+                sums.append(block_sums(vals))
+                self.last = float(vals[-1])
+            j0 += vals.size
+            if below.size:
+                break
+        else:
+            if self.last > _CAP_SF_TOL:
                 raise GridBudgetError(
-                    f"mixing survival still {last:.2e} after {cfg.grid_cap} grid "
-                    f"points at n={n}; tail too heavy for this budget"
+                    f"mixing survival still {self.last:.2e} after {cfg.grid_cap} grid "
+                    f"points at n={cfg.n}; tail too heavy for this budget"
                 )
-            break
-    grid = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    if grid.size == 0:
-        raise ValueError("mixing law has no mass above 0")
-    with _grid_lock:
-        _grid_cache[key] = grid
-    return grid
+        self.size = j0
+        if self.size == 0:
+            raise ValueError("mixing law has no mass above 0")
+        self.sums = np.concatenate(sums)
+
+    def _chunk(self, j0: int) -> np.ndarray:
+        js = np.arange(j0, min(j0 + _GRID_CHUNK, self._end), dtype=float)
+        return np.asarray(self._mix.sf(js / self._n), dtype=float)[: self.size - j0]
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        kept = self._kept  # one snapshot: keep() may replace it meanwhile
+        if hi <= kept.size:
+            return kept[lo:hi]
+        # kept.size < J here, so it is a chunk boundary
+        start = max(kept.size, lo - lo % _GRID_CHUNK)
+        parts = [kept[lo:]] + [self._chunk(j0) for j0 in range(start, hi, _GRID_CHUNK)]
+        skip = max(lo - start, 0)
+        return np.concatenate(parts)[skip : skip + hi - lo]
+
+    def keep(self, hi: int) -> None:
+        if hi > self._kept.size:
+            self._kept = self.read(0, min(-(-hi // _GRID_CHUNK) * _GRID_CHUNK, self.size))
 
 
 def _table(mix: MixingDistribution, cfg: MpApproxConfig):
@@ -185,7 +207,7 @@ def _table(mix: MixingDistribution, cfg: MpApproxConfig):
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
-    grid = _grid_survival(mix, cfg)
+    grid = _Grid(mix, cfg)
     solver = RenewalSolver(elam, grid, normalize=True)
 
     def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
@@ -196,7 +218,7 @@ def _table(mix: MixingDistribution, cfg: MpApproxConfig):
             c0=elam,
             grid_sum=solver.total,
             grid_points=grid.size,
-            grid_residual_sf=float(grid[-1]),
+            grid_residual_sf=grid.last,
             renewal=solver,
         )
 

@@ -29,7 +29,10 @@ overflow once x stops decaying, as it does when r > 0.
 
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
-order of the requests.
+order of the requests.  The solver reads the weights through `Weights`, so
+a sequence too long to store, like a heavy-tailed mixing grid, can be
+streamed: the table needs weights only up to about twice its length, and
+beyond that only their block sums.
 """
 
 from __future__ import annotations
@@ -39,37 +42,73 @@ import threading
 
 import numpy as np
 
-__all__ = ["RenewalSolver", "TableCache"]
+__all__ = ["RenewalSolver", "TableCache", "Weights", "block_sums"]
 
 # Block size of the dense near-lag products; a power of two.
 _B = 256
-# Weights are summed in extended precision this many at a time.
-_CHUNK = 1 << 16
+
+
+def block_sums(w: np.ndarray) -> np.ndarray:
+    """Extended-precision sums of w over consecutive blocks of B, the last one zero-padded.
+
+    Each block sum depends on its own block alone, so the sums of a long
+    sequence can be taken piece by piece over pieces of whole blocks.
+    """
+    w = np.asarray(w).astype(np.longdouble)
+    # pad only a partial block: a needless copy of each 2^16-point grid chunk
+    # made the heap shrink and fault back in per chunk, doubling grid time
+    if w.size % _B:
+        w = np.pad(w, (0, -w.size % _B))
+    return w.reshape(-1, _B).sum(axis=1)
+
+
+class Weights:
+    """The weights w_0..w_{size-1} a solver reads, held in one array.
+
+    A sequence too long to hold, such as a mixing grid of millions of points,
+    stands in for this class by giving the same four members: ``size``, the
+    ``sums`` of `block_sums` over the whole sequence, ``read(lo, hi)`` for
+    w[lo:hi], and ``keep(hi)``, which `RenewalSolver.extend` calls before it
+    reads anything below hi, so that such a sequence can hold just that prefix.
+    """
+
+    def __init__(self, w: np.ndarray):
+        self._w = np.asarray(w, dtype=float)
+        self.size = self._w.size
+        self.sums = block_sums(self._w)
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        return self._w[lo:hi]
+
+    def keep(self, hi: int) -> None:
+        pass
 
 
 class RenewalSolver:
     """Terms x_0, x_1, ... of the renewal equation above, grown on request.
 
-    f_i = weights[i-1] / total and Fbar(k) = sum_{l>=k} weights[l] / total +
-    residual.  ``total`` is 1, or with ``normalize`` the sum of the weights,
-    taken once in extended precision like every tail sum.  ``weights`` is
-    kept by reference and must not change.  ``extend`` is not thread-safe;
-    ``lags`` and ``survival`` read only what the constructor set.
+    f_i = w_{i-1} / total and Fbar(k) = sum_{l>=k} w_l / total + residual,
+    for ``weights`` w given as an array or a `Weights`.  ``total`` is 1, or
+    with ``normalize`` the sum of the weights, taken once in extended
+    precision like every tail sum.  The weights are kept by reference and
+    must not change.  ``extend`` is not thread-safe; ``lags`` and
+    ``survival`` only read the weights, so they may run beside it.
     """
 
     def __init__(
-        self, c0: float, weights: np.ndarray, residual: float = 0.0, normalize: bool = False
+        self,
+        c0: float,
+        weights: np.ndarray | Weights,
+        residual: float = 0.0,
+        normalize: bool = False,
     ):
-        w = np.asarray(weights, dtype=float)
+        if not isinstance(weights, Weights):
+            weights = Weights(weights)
+        self.weights = weights
         self.c0 = float(c0)
-        self._width = w.size
-        self._w = w
-        # tails[m] = sum of weights[l] for l >= m B
-        sums = np.zeros(-(-w.size // _B) + 1, dtype=np.longdouble)
-        for lo in range(0, w.size, _CHUNK):
-            chunk = w[lo : lo + _CHUNK].astype(np.longdouble)
-            chunk = np.pad(chunk, (0, -chunk.size % _B))
-            sums[lo // _B : lo // _B + chunk.size // _B] = chunk.reshape(-1, _B).sum(axis=1)
+        self._width = weights.size
+        # tails[m] = sum of w_l for l >= m B
+        sums = np.append(weights.sums, np.longdouble(0.0))
         self._tails = np.cumsum(sums[::-1])[::-1]
         self._total = self._tails[0] if normalize else np.longdouble(1.0)
         self.total = float(self._total)
@@ -91,7 +130,7 @@ class RenewalSolver:
         out = np.zeros(hi - lo)
         a, b = max(lo, 1), min(hi, self._width + 1)
         if b > a:
-            out[a - lo : b - lo] = self._w[a - 1 : b - 1] / self._total
+            out[a - lo : b - lo] = self.weights.read(a - 1, b - 1) / self._total
         return out
 
     def survival(self, lo: int, hi: int) -> np.ndarray:
@@ -100,7 +139,7 @@ class RenewalSolver:
         top = min(hi, self._width)
         if top > lo:
             m = -(-top // _B)  # first checkpoint at or after top
-            seg = self._w[lo : min(m * _B, self._width)].astype(np.longdouble)
+            seg = self.weights.read(lo, min(m * _B, self._width)).astype(np.longdouble)
             suffix = np.cumsum(seg[::-1])[::-1] + self._tails[m]
             out[: top - lo] += suffix[: top - lo] / self._total
         return out
@@ -127,12 +166,15 @@ class RenewalSolver:
         return view
 
     def _reserve(self, end: int) -> None:
-        # the buffer must hold every pending term the steps up to end create
-        need = end
+        # the buffer must hold every pending term the steps up to end create,
+        # and the weights every lag below 2s of each level s they fire
+        need, lag = end, end
         for pos in range(max(self._done, _B), end, _B):
             s = min(pos & -pos, self._s_max)
             if s:
                 need = max(need, pos + min(2 * s - 1, self._width))
+                lag = max(lag, 2 * s - 1)
+        self.weights.keep(min(lag, self._width))
         if need > self._x.size:
             grown = np.zeros(need)
             grown[: self._x.size] = self._x

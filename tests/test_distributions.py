@@ -19,10 +19,8 @@ from scipy import stats as sps
 
 from gdruin import (
     DiscretePmf,
-    GridBudgetError,
     MixingDistribution,
     NbmSpec,
-    discretize_mixing,
     equilibrium,
     erlangm_to_nbm,
     geometric_pmf,
@@ -245,32 +243,3 @@ def test_mp_claims_pmf_windowed_and_complete():
     assert short.tail_mass == pytest.approx(
         math.fsum(full.pmf[7:].tolist()) + full.tail_mass, rel=1e-9
     )
-
-
-# -- grid discretization -----------------------------------------------------------
-
-
-def test_discretize_matches_cdf_differences():
-    mix = MixingDistribution.erlang(2, 3.0)
-    n = 10
-    d = discretize_mixing(mix, n)
-    assert d.n == n
-    assert d.p_n == pytest.approx(n / (n + 1.0), rel=1e-15)
-    ks = np.arange(1, len(d.weights) + 1, dtype=float)
-    ref = np.asarray(mix.cdf(ks / n)) - np.asarray(mix.cdf((ks - 1) / n))
-    np.testing.assert_allclose(np.asarray(d.weights), ref, rtol=1e-9, atol=1e-16)
-    assert math.fsum(d.weights) + d.residual == pytest.approx(1.0, abs=1e-12)
-
-
-def test_discretize_budget_guard():
-    with pytest.raises(GridBudgetError):
-        discretize_mixing(MixingDistribution.pareto(3.0, 1.0), 500, cap=1000)
-
-
-def test_mass_at_rate_zero_cannot_be_discretized():
-    with pytest.raises(ValueError):
-        discretize_mixing(MixingDistribution.degenerate(0.0), 10)
-    # a point mass away from zero is fine: one grid bucket carries everything
-    d = discretize_mixing(MixingDistribution.degenerate(0.5), 10)
-    assert math.fsum(d.weights) == pytest.approx(1.0, abs=1e-12)
-    assert d.weights[4] == pytest.approx(1.0, abs=1e-12)

@@ -11,6 +11,9 @@ package code.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from gdruin import (
     psi_recursion,
 )
 from gdruin import mixed_poisson
-from gdruin.renewal import TableCache
+from gdruin.renewal import RenewalSolver, TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
 PARETO = MixingDistribution.pareto(3.0, 1.0)
@@ -90,6 +93,129 @@ def test_heavy_tail_grid_certifies_truncation():
     seq = mp_coefficients(PARETO, MpApproxConfig(n=500), 10)
     assert seq.grid_points == 2_000_001
     assert seq.grid_residual_sf < 1e-9
+    assert seq.grid_residual_sf == PARETO.sf(2_000_000 / 500)
+
+
+def test_grid_matches_mixing_survival():
+    mix = ERLANG
+    cfg = MpApproxConfig(n=10)
+    assert cfg.p_n == pytest.approx(10 / 11.0, rel=1e-15)
+    seq = mp_coefficients(mix, cfg, 0)
+    sf = np.asarray(mix.sf(np.arange(seq.grid_points + 1, dtype=float) / cfg.n))
+    # the grid stops at the first survival value below grid_tol
+    assert sf[-1] < cfg.grid_tol <= sf[-2]
+    assert seq.grid_residual_sf == pytest.approx(sf[-2], rel=1e-14)
+    assert seq.grid_sum == pytest.approx(math.fsum(sf[:-1].tolist()), rel=1e-14)
+    np.testing.assert_allclose(seq.f_ne * seq.grid_sum, sf[:-1], rtol=1e-14)
+
+
+def test_grid_budget_guard_past_the_first_chunk():
+    # the cap check runs after the last chunk, not on the first one
+    cfg = MpApproxConfig(n=500, grid_cap=100_000)
+    with pytest.raises(GridBudgetError):
+        mp_coefficients(PARETO, cfg, 0)
+
+
+def test_mass_at_rate_zero_has_no_grid():
+    with pytest.raises(ValueError):
+        mp_coefficients(MixingDistribution.degenerate(0.0), MpApproxConfig(n=10), 0)
+    # a point mass away from zero is fine: the grid is 1 up to the atom
+    seq = mp_coefficients(MixingDistribution.degenerate(0.5), MpApproxConfig(n=10), 0)
+    assert seq.grid_points == 5
+    assert seq.grid_sum == 5.0
+    np.testing.assert_array_equal(seq.f_ne, np.full(5, 0.2))
+
+
+def _full_grid(mix: MixingDistribution, cfg: MpApproxConfig, size: int) -> np.ndarray:
+    """The whole grid, evaluated afresh over the chunk extents the package uses.
+
+    The survival functions are vectorized, so their rounding may depend on
+    the extent of the array they are called on; the same extents give the
+    same bits.
+    """
+    chunk = 1 << 16
+    parts = [
+        np.asarray(mix.sf(np.arange(j0, min(j0 + chunk, cfg.grid_cap + 1), dtype=float) / cfg.n))
+        for j0 in range(0, size, chunk)
+    ]
+    return np.concatenate(parts)[:size]
+
+
+def test_streamed_grid_matches_the_stored_grid(monkeypatch):
+    """Past its first chunk the grid is evaluated again, not stored; the table,
+    grown in steps or at once, equals the one a fully stored grid gives."""
+    cfg = MpApproxConfig(n=500)
+    top = 1 << 17
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    steps = [mp_coefficients(PARETO, cfg, size - 1).cbar_n for size in 64 * 2 ** np.arange(12)]
+    assert steps[-1].size == top
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    seq = mp_coefficients(PARETO, cfg, top - 1)
+    assert seq.cbar_n.size == top
+    for cbar in steps:
+        np.testing.assert_array_equal(cbar, seq.cbar_n[: cbar.size])
+
+    grid = _full_grid(PARETO, cfg, seq.grid_points)
+    stored = RenewalSolver(PARETO.mean, grid, normalize=True)
+    assert stored.total == seq.grid_sum
+    np.testing.assert_array_equal(stored.extend(top), seq.cbar_n)
+    # windows inside, across and past the two chunks the table keeps
+    for lo, hi in [(5, 700), (100_000, 200_000), (300_100, 300_400), (1_999_000, 2_000_002)]:
+        np.testing.assert_array_equal(seq.renewal.lags(lo, hi), stored.lags(lo, hi))
+        np.testing.assert_array_equal(seq.renewal.survival(lo, hi), stored.survival(lo, hi))
+    np.testing.assert_array_equal(seq.f_ne, grid / seq.grid_sum)
+    ld = grid.astype(np.longdouble)
+    suffix = np.append(np.cumsum(ld[::-1])[::-1] / ld.sum(), 0.0).astype(float)
+    assert seq.fbar_ne[-1] == 0.0
+    np.testing.assert_allclose(seq.fbar_ne, suffix, rtol=1e-15, atol=0.0)
+
+
+def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
+    # a 2M-point grid is 16 MB; a table of 2^14 terms reads only its first
+    # chunk, plus one extended-precision sum per 256 points
+    cfg = MpApproxConfig(n=500)
+    laws = [PARETO, MixingDistribution.pareto(3.5, 1.5), MixingDistribution.pareto(2.9, 1.2)]
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    tracemalloc.start()
+    try:
+        seqs = [mp_coefficients(mix, cfg, 1 << 14) for mix in laws]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(seq.grid_points == cfg.grid_cap + 1 for seq in seqs)
+    assert held < 8e6, held
+
+
+def test_grid_reads_during_growth_match_single_thread(monkeypatch):
+    cfg = MpApproxConfig(n=500)
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    seq = mp_coefficients(PARETO, cfg, 64)
+    f_ne, fbar_ne = seq.f_ne, seq.fbar_ne
+    reads, errors = [], []
+    started = threading.Event()
+
+    def grow():
+        try:
+            started.set()
+            mp_coefficients(PARETO, cfg, (1 << 17) - 1)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        grower = threading.Thread(target=grow)
+        grower.start()
+        started.wait(timeout=30)
+        while grower.is_alive() or len(reads) < 2:
+            reads.append((seq.f_ne, seq.fbar_ne))
+        grower.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    for f, fbar in reads:
+        np.testing.assert_array_equal(f, f_ne)
+        np.testing.assert_array_equal(fbar, fbar_ne)
 
 
 def test_coefficients_match_plain_python_rebuild():
