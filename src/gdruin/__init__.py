@@ -41,7 +41,7 @@ from .nbm import (
     nstar_sequence,
     psi_nbm,
 )
-from .pollaczek import ConvolutionTable, psi_pk, severity_at_zero
+from .pollaczek import psi_pk, severity_at_zero
 from .recursion import (
     CompoundBinomialSpec,
     RuinQuery,
@@ -88,7 +88,6 @@ __all__ = [
     "gerber_recursion",
     "convert_cb_to_gd",
     "convert_gd_to_cb",
-    "ConvolutionTable",
     "psi_pk",
     "severity_at_zero",
     "CoefficientSeq",

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,6 @@ from .distributions import (
     MixingDistribution,
     NbmSpec,
     QuadratureError,
-    erlangm_to_nbm,
     mp_claims_pmf,
     nbm_claims_pmf,
 )
@@ -50,7 +49,7 @@ from .nbm import psi_nbm
 from .pollaczek import psi_pk
 from .recursion import CompoundBinomialSpec, RuinQuery, convert_cb_to_gd, psi_recursion
 from .simulate import SimConfig, simulate_paths
-from .tables import ResultTable, reproduce_tables
+from .tables import ResultTable, max_abs_delta, reproduce_tables
 from . import __version__
 
 __all__ = ["JobSpec", "run", "main"]
@@ -71,19 +70,6 @@ _ALL_METHODS = {
     "nbm": ["exact", "pk", "nbm", "simulate"],
     "mp": ["exact", "mp1", "mp2", "simulate"],
 }
-
-_DEFAULTS = {
-    "u_max": 10,
-    "n": 500,
-    "m": 1000,
-    "seed": 0,
-    "floor": 1e-5,
-    "reps": 100_000,
-    "horizon": 100_000,
-    "tail_tol": 1e-12,
-    "format": "csv",
-}
-
 
 @dataclass
 class JobSpec:
@@ -106,6 +92,14 @@ class JobSpec:
 
     def approx_config(self) -> MpApproxConfig:
         return MpApproxConfig(n=self.n, m=self.m, pmf_floor=self.floor, seed=self.seed)
+
+
+# Values for unset flags: JobSpec's own defaults, plus two only the CLI has.
+_DEFAULTS = {
+    **{f.name: f.default for f in fields(JobSpec) if f.default is not MISSING},
+    "u_max": 10,
+    "format": "csv",
+}
 
 
 # -- model construction --------------------------------------------------------
@@ -192,16 +186,7 @@ class _Model:
             if job.mix is None:
                 raise ValueError("model mp needs --mix")
             self.mixing = _parse_mix(job.mix)
-            if self.mixing.kind == "exponential":
-                beta = self.mixing.params[0]
-                self.nbm_spec = NbmSpec((1.0,), beta / (beta + 1.0))
-            elif self.mixing.kind == "erlang":
-                shape, beta = self.mixing.params
-                w = [0.0] * int(shape)
-                w[-1] = 1.0
-                self.nbm_spec = erlangm_to_nbm(w, beta)
-            elif self.mixing.kind == "erlang_mixture":
-                self.nbm_spec = erlangm_to_nbm(self.mixing.weights, self.mixing.params[0])
+            self.nbm_spec = self.mixing.as_nbm()
         elif self.kind == "nbm":
             if job.weights is None or job.p is None:
                 raise ValueError("model nbm needs --weights and --p")
@@ -468,11 +453,10 @@ def main(argv: list[str] | None = None) -> int:
             t0 = time.perf_counter()
             produced = reproduce_tables(out_dir, cfg)
             for name, table in produced.items():
-                worst_e = max(abs(r["E_delta"]) for r in table.rows)
-                worst_n1 = max(abs(r["N1_delta"]) for r in table.rows)
                 print(
                     f"{name}: wrote {out_dir / f'table_{name}.csv'} "
-                    f"(max |E delta| {worst_e:.1e}, max |N1 delta| {worst_n1:.1e})",
+                    f"(max |E delta| {max_abs_delta(table, 'E'):.1e}, "
+                    f"max |N1 delta| {max_abs_delta(table, 'N1'):.1e})",
                     file=sys.stderr,
                 )
             print(f"tables: {time.perf_counter() - t0:.2f}s", file=sys.stderr)

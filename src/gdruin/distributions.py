@@ -496,6 +496,17 @@ class MixingDistribution:
             return float(out)
         return out
 
+    def as_nbm(self) -> NbmSpec | None:
+        """NBM(weights, beta/(beta+1)) for Erlang-family mixing at rate beta; None otherwise."""
+        if self.kind == "exponential":
+            return erlangm_to_nbm((1.0,), self.params[0])
+        if self.kind == "erlang":
+            shape, beta = self.params
+            return erlangm_to_nbm((0.0,) * (int(shape) - 1) + (1.0,), beta)
+        if self.kind == "erlang_mixture":
+            return erlangm_to_nbm(self.weights, self.params[0])
+        return None
+
     def cdf(self, x):
         """P(rate <= x)."""
         out = 1.0 - np.asarray(self.sf(x))
@@ -531,21 +542,16 @@ def _poisson_logpmf(lam: float, x: np.ndarray) -> np.ndarray:
 def mp_pmf(mix: MixingDistribution, x: int) -> float:
     """Mixed Poisson mass P(X = x) = E[ e^{-rate} rate^x / x! ].
 
-    Closed forms are used for Erlang-type and atomic mixing; Pareto and
-    lognormal mixing fall back to certified adaptive quadrature (absolute
-    tolerance 1e-10, :class:`QuadratureError` when the budget is exceeded).
+    Erlang-type mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a
+    closed form; Pareto and lognormal mixing use certified adaptive quadrature
+    (absolute tolerance 1e-10, :class:`QuadratureError` past the budget).
     """
     if x < 0:
         return 0.0
+    spec = mix.as_nbm()
+    if spec is not None:
+        return nbm_pmf(spec, x)
     kind = mix.kind
-    if kind == "exponential":
-        beta = mix.params[0]
-        return nb_pmf(1, beta / (beta + 1.0), x)
-    if kind == "erlang":
-        shape, beta = mix.params
-        return nb_pmf(int(shape), beta / (beta + 1.0), x)
-    if kind == "erlang_mixture":
-        return nbm_pmf(erlangm_to_nbm(mix.weights, mix.params[0]), x)
     if kind == "degenerate":
         lam = mix.params[0]
         if lam == 0.0:

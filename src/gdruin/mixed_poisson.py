@@ -16,10 +16,10 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
-table per (mixing law, grid settings) is extended in place as u grows, so
-sweeping u is cheap after the first call.  The grid is streamed into the
-solver rather than stored: a heavy-tailed law's two million grid points are
-evaluated in chunks, and only the prefix the table reads is kept.
+table per (mixing law, n) is extended in place as u grows, so sweeping u is
+cheap after the first call.  The grid is streamed into the solver rather
+than stored: a heavy-tailed law's two million grid points are evaluated in
+chunks, and only the prefix the table reads is kept.
 """
 
 from __future__ import annotations
@@ -49,9 +49,11 @@ __all__ = [
     "psi_mp_exact_reference",
 ]
 
-# When the grid hits its cap, the last survival value must already be below
-# this for the discarded tail to be ignorable; otherwise the law is too
-# heavy-tailed for the configured budget.
+# The mixing grid stops below a survival of _GRID_TOL or at _GRID_CAP + 1
+# points, where the last survival value must be below _CAP_SF_TOL for the
+# discarded tail to be ignorable; otherwise the law is too heavy-tailed.
+_GRID_TOL = 1e-16
+_GRID_CAP = 2_000_000
 _CAP_SF_TOL = 1e-9
 # Mass certificate for starting the method-1 sum above k = 0.
 _LOWER_MASS_TOL = 1e-9
@@ -62,16 +64,14 @@ class MpApproxConfig:
     """Grid and sampling parameters for the two approximation methods.
 
     ``n`` is the grid refinement, ``m`` the Monte Carlo sample size of
-    method 2, ``pmf_floor`` the series truncation floor, ``grid_tol`` the
-    survival level at which the mixing grid stops, ``grid_cap`` the hard
-    grid budget, and ``seed`` makes method 2 reproducible.
+    method 2, ``pmf_floor`` the series truncation floor, and ``seed`` makes
+    method 2 reproducible.  The mixing grid stops at a fixed survival level
+    of 1e-16 or a fixed cap of two million points.
     """
 
     n: int = 500
     m: int = 1000
     pmf_floor: float = 1e-5
-    grid_tol: float = 1e-16
-    grid_cap: int = 2_000_000
     seed: int | None = None
 
     def __post_init__(self):
@@ -81,13 +81,8 @@ class MpApproxConfig:
             raise ValueError("m must be a positive integer")
         if not self.pmf_floor > 0.0:
             raise ValueError("pmf_floor must be positive")
-        if not 0.0 < self.grid_tol < 1.0:
-            raise ValueError("grid_tol must lie in (0, 1)")
-        if int(self.grid_cap) != self.grid_cap or self.grid_cap < 1:
-            raise ValueError("grid_cap must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "grid_cap", int(self.grid_cap))
 
     @property
     def p_n(self) -> float:
@@ -133,7 +128,7 @@ _GRID_CHUNK = 1 << 16
 
 
 class _Grid(Weights):
-    """Fbar(j/n) for j = 0..J, stopping at grid_tol or the cap, as solver weights.
+    """Fbar(j/n) for j = 0..J, stopping at _GRID_TOL or the cap, as solver weights.
 
     One pass over chunks of 2^16 points finds J, records the last value, and
     folds each chunk into the block sums as it is made; it keeps only the
@@ -147,15 +142,15 @@ class _Grid(Weights):
     the accuracy the approximations work to.
     """
 
-    def __init__(self, mix: MixingDistribution, cfg: MpApproxConfig):
-        self._mix, self._n = mix, cfg.n
+    def __init__(self, mix: MixingDistribution, n: int):
+        self._mix, self._n = mix, n
         # chunk extents end at the cap; the size is the cap until J is known
-        self._end = self.size = cfg.grid_cap + 1
+        self._end = self.size = _GRID_CAP + 1
         sums = []
         j0 = 0
         while j0 < self._end:
             vals = self._chunk(j0)
-            below = np.flatnonzero(vals < cfg.grid_tol)
+            below = np.flatnonzero(vals < _GRID_TOL)
             if below.size:
                 vals = vals[: below[0]].copy()  # no view pinning the whole chunk
             if j0 == 0:
@@ -169,8 +164,8 @@ class _Grid(Weights):
         else:
             if self.last > _CAP_SF_TOL:
                 raise GridBudgetError(
-                    f"mixing survival still {self.last:.2e} after {cfg.grid_cap} grid "
-                    f"points at n={cfg.n}; tail too heavy for this budget"
+                    f"mixing survival still {self.last:.2e} after {_GRID_CAP} grid "
+                    f"points at n={n}; tail too heavy for this budget"
                 )
         self.size = j0
         if self.size == 0:
@@ -196,7 +191,7 @@ class _Grid(Weights):
             self._kept = self.read(0, min(-(-hi // _GRID_CHUNK) * _GRID_CHUNK, self.size))
 
 
-def _table(mix: MixingDistribution, cfg: MpApproxConfig):
+def _table(mix: MixingDistribution, n: int):
     """Renewal solver for the law's grid coefficients, and the wrapper of its views.
 
     The equilibrium weights are the grid normalized by its sum, which the
@@ -207,13 +202,13 @@ def _table(mix: MixingDistribution, cfg: MpApproxConfig):
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
-    grid = _Grid(mix, cfg)
+    grid = _Grid(mix, n)
     solver = RenewalSolver(elam, grid, normalize=True)
 
     def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
         return MpCoefficientSeq(
             source=mix,
-            n=cfg.n,
+            n=n,
             cbar_n=cbar,
             c0=elam,
             grid_sum=solver.total,
@@ -230,14 +225,13 @@ def mp_coefficients(
 ) -> MpCoefficientSeq:
     """Coefficients Cbar_{0..k_max, n}, memoized and extended in place.
 
-    The table of each (mixing law, grid settings) grows geometrically from
+    The table of each (mixing law, n) grows geometrically from
     64 terms; a request within it is a cached read that no other law's
     extension blocks.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    key = (mix, cfg.n, cfg.grid_tol, cfg.grid_cap)
-    return _coeff_cache.get(key, k_max, lambda: _table(mix, cfg))
+    return _coeff_cache.get((mix, cfg.n), k_max, lambda: _table(mix, cfg.n))
 
 
 # -- method 1: truncated series ----------------------------------------------

@@ -15,38 +15,12 @@ remainder below mu^(k_cut+1)/(1-mu), which is pushed under ``tail_tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscretePmf, equilibrium
 
-__all__ = ["ConvolutionTable", "psi_pk", "severity_at_zero"]
-
-
-@dataclass(frozen=True, eq=False)
-class ConvolutionTable:
-    """Cdf values of the k-fold ladder height sums on a fixed window.
-
-    ``powers[k - 1][x]`` is P(Y*_1 + ... + Y*_k <= x) for x = 0..width-1.
-    """
-
-    base: DiscretePmf
-    powers: np.ndarray
-    k_cut: int
-
-
-def _ladder_cdf_powers(fe: DiscretePmf, width: int, k_cut: int) -> np.ndarray:
-    pmf_win = fe.pmf[:width].copy()
-    if pmf_win.size < width:
-        pmf_win = np.pad(pmf_win, (0, width - pmf_win.size))
-    powers = np.empty((k_cut, width))
-    conv = pmf_win.copy()
-    powers[0] = np.cumsum(conv)
-    for k in range(1, k_cut):
-        conv = np.convolve(conv, pmf_win)[:width]
-        powers[k] = np.cumsum(conv)
-    return powers
+__all__ = ["psi_pk", "severity_at_zero"]
 
 
 def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
@@ -73,13 +47,16 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
 
     # mu^(k_cut+1)/(1-mu) < tail_tol
     k_cut = max(1, math.ceil(math.log(tail_tol * (1.0 - mu)) / math.log(mu)))
-    fe = equilibrium(claims)
-    table = ConvolutionTable(
-        base=fe, powers=_ladder_cdf_powers(fe, width=u, k_cut=k_cut), k_cut=k_cut
-    )
-    terms = [
-        mu ** k * (1.0 - table.powers[k - 1][u - 1]) for k in range(1, k_cut + 1)
-    ]
+    # the ladder-height pmf on the window 0..u-1, zero-padded to width u
+    head = equilibrium(claims).pmf[:u]
+    step = np.pad(head, (0, u - head.size))
+    conv = step
+    terms = []
+    for k in range(1, k_cut + 1):
+        if k > 1:
+            conv = np.convolve(conv, step)[:u]  # the k-fold sum's pmf on the window
+        # its cdf at u - 1: a running sum, whose rounding differs from a pairwise sum
+        terms.append(mu ** k * (1.0 - np.cumsum(conv)[-1]))
     return (1.0 - mu) * math.fsum(terms)
 
 

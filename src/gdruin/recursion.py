@@ -101,20 +101,29 @@ def psi_recursion(query: RuinQuery) -> np.ndarray:
     return np.minimum.accumulate(psi)
 
 
-def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> None:
-    """Re-evaluate the defining identity at every step and bound the defect."""
-    pmf = claims.pmf
-    worst = 0.0
-    for u in range(psi.size - 1):
-        y_hi = min(u, claims.support_max)
-        terms = [claims.f(0) * psi[u + 1], -psi[u], claims.sf(u)]
-        terms.extend(pmf[y] * psi[u + 1 - y] for y in range(1, y_hi + 1))
-        worst = max(worst, abs(math.fsum(terms)))
+def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> float:
+    """Bound the defect of the defining identity at every step, in one pass; return the worst.
+
+    The defect at u is f(0) psi(u+1) - psi(u) + P(Y > u) + sum_{y=1}^{min(u, S)}
+    f(y) psi(u+1-y); for u = 1..u_max-1 the sums are one convolution.
+    """
+    u_max = psi.size - 1
+    if u_max == 0:
+        return 0.0
+    sf = np.full(u_max, claims.tail_mass)
+    head = min(u_max, claims.support_max)
+    sf[:head] = claims.survival[:head]
+    defect = claims.pmf[0] * psi[1:] - psi[:-1] + sf
+    if u_max > 1 and claims.support_max > 0:
+        # np.convolve raises on an empty input
+        defect[1:] += np.convolve(claims.pmf[1:u_max], psi[1:u_max])[: u_max - 1]
+    worst = float(np.max(np.abs(defect)))
     if worst > _RESIDUAL_TOL:
         raise RuntimeError(
             f"recursion residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}; "
             "claim law is too extreme for double precision"
         )
+    return worst
 
 
 def psi_geometric_closed(p: float, u: int) -> float:

@@ -50,6 +50,20 @@ def test_nbm_job_reports_the_series_value():
         assert row["NBM"] == pytest.approx(psi_nbm(spec, row["u"]), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "mix, spec",
+    [
+        ("exp:2.4", NbmSpec((1.0,), 2.4 / 3.4)),
+        ("erlang:2,3", NbmSpec((0.0, 1.0), 0.75)),
+        ("erlang_mixture:0.4,0.6;2.5", NbmSpec((0.4, 0.6), 2.5 / 3.5)),
+    ],
+    ids=["exp", "erlang", "erlang_mixture"],
+)
+def test_nbm_job_on_erlang_family_mixing(mix, spec):
+    table = run(JobSpec(method="nbm", model="mp", mix=mix, u_max=5))
+    assert [row["NBM"] for row in table.rows] == [psi_nbm(spec, u) for u in range(6)]
+
+
 def test_all_methods_header_for_mixed_poisson():
     table = run(
         JobSpec(
@@ -194,6 +208,11 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("mix = erlang:2,3\nbogus = 1\n")
     assert main(["exact", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_nbm_on_non_erlang_mixing_exits_2(capsys):
+    assert main(["nbm", "--mix", "pareto:3,1"]) == 2
+    assert "method nbm needs" in capsys.readouterr().err
 
 
 def test_heavy_tail_budget_exits_3(capsys):

@@ -165,6 +165,41 @@ def test_erlang_mixture_to_nbm_identity(beta):
         assert mp_pmf(mix, x) == pytest.approx(nbm_pmf(spec, x), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize(
+    "mix, weights, p",
+    [
+        (MixingDistribution.exponential(2.4), (1.0,), 2.4 / 3.4),
+        (MixingDistribution.erlang(2, 3.0), (0.0, 1.0), 0.75),
+        (MixingDistribution.erlang_mixture((0.4, 0.6), 2.5), (0.4, 0.6), 2.5 / 3.5),
+    ],
+    ids=["exp", "erlang", "erlang_mixture"],
+)
+def test_erlang_family_mixing_is_an_nbm_law(mix, weights, p):
+    spec = mix.as_nbm()
+    assert spec == NbmSpec(weights, p)
+    for x in range(401):
+        assert mp_pmf(mix, x) == nbm_pmf(spec, x)
+    if max(weights) == 1.0:
+        # one component: the single negative binomial kernel, bit for bit
+        shape = weights.index(1.0) + 1
+        for x in range(401):
+            assert nbm_pmf(spec, x) == nb_pmf(shape, p, x)
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        MixingDistribution.pareto(3.0, 1.0),
+        MixingDistribution.lognormal(-1.0, 1.0),
+        MixingDistribution.degenerate(0.5),
+        MixingDistribution.from_cdf_table([0.2, 0.6], [0.5, 1.0]),
+    ],
+    ids=["pareto", "lognormal", "degenerate", "cdf_table"],
+)
+def test_other_mixing_laws_have_no_nbm_form(mix):
+    assert mix.as_nbm() is None
+
+
 # -- mixing laws -----------------------------------------------------------------
 
 

@@ -36,6 +36,8 @@ from gdruin.renewal import RenewalSolver, TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
 PARETO = MixingDistribution.pareto(3.0, 1.0)
+# past the 2M-point grid cap at n = 500 its survival is still 2.7e-8
+HEAVY = MixingDistribution.pareto(2.1, 1.0)
 LOGNORMAL = MixingDistribution.lognormal(-1.0, 1.0)
 
 
@@ -82,13 +84,12 @@ def test_grid_sum_has_riemann_bounds(mix):
 
 
 def test_grid_budget_guard():
-    cfg = MpApproxConfig(n=500, grid_cap=10_000)
     with pytest.raises(GridBudgetError):
-        mp_coefficients(PARETO, cfg, 10)
+        mp_coefficients(HEAVY, MpApproxConfig(n=500), 10)
 
 
 def test_heavy_tail_grid_certifies_truncation():
-    # the default budget cannot resolve the Pareto tail to grid_tol, but the
+    # the grid budget cannot resolve the Pareto tail to 1e-16, but the
     # cap is accepted because the leftover survival is pointwise negligible
     seq = mp_coefficients(PARETO, MpApproxConfig(n=500), 10)
     assert seq.grid_points == 2_000_001
@@ -102,8 +103,8 @@ def test_grid_matches_mixing_survival():
     assert cfg.p_n == pytest.approx(10 / 11.0, rel=1e-15)
     seq = mp_coefficients(mix, cfg, 0)
     sf = np.asarray(mix.sf(np.arange(seq.grid_points + 1, dtype=float) / cfg.n))
-    # the grid stops at the first survival value below grid_tol
-    assert sf[-1] < cfg.grid_tol <= sf[-2]
+    # the grid stops at the first survival value below 1e-16
+    assert sf[-1] < 1e-16 <= sf[-2]
     assert seq.grid_residual_sf == pytest.approx(sf[-2], rel=1e-14)
     assert seq.grid_sum == pytest.approx(math.fsum(sf[:-1].tolist()), rel=1e-14)
     np.testing.assert_allclose(seq.f_ne * seq.grid_sum, sf[:-1], rtol=1e-14)
@@ -111,9 +112,8 @@ def test_grid_matches_mixing_survival():
 
 def test_grid_budget_guard_past_the_first_chunk():
     # the cap check runs after the last chunk, not on the first one
-    cfg = MpApproxConfig(n=500, grid_cap=100_000)
-    with pytest.raises(GridBudgetError):
-        mp_coefficients(PARETO, cfg, 0)
+    with pytest.raises(GridBudgetError, match="after 2000000 grid points"):
+        mp_coefficients(HEAVY, MpApproxConfig(n=500), 0)
 
 
 def test_mass_at_rate_zero_has_no_grid():
@@ -135,7 +135,7 @@ def _full_grid(mix: MixingDistribution, cfg: MpApproxConfig, size: int) -> np.nd
     """
     chunk = 1 << 16
     parts = [
-        np.asarray(mix.sf(np.arange(j0, min(j0 + chunk, cfg.grid_cap + 1), dtype=float) / cfg.n))
+        np.asarray(mix.sf(np.arange(j0, min(j0 + chunk, 2_000_001), dtype=float) / cfg.n))
         for j0 in range(0, size, chunk)
     ]
     return np.concatenate(parts)[:size]
@@ -182,7 +182,7 @@ def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(seq.grid_points == cfg.grid_cap + 1 for seq in seqs)
+    assert all(seq.grid_points == 2_000_001 for seq in seqs)
     assert held < 8e6, held
 
 

@@ -1,0 +1,26 @@
+"""Package surface: every exported name resolves.
+
+A stale string in an ``__all__`` list breaks only ``from gdruin import *``
+at run time; these tests make it fail the suite instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import gdruin
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(gdruin.__path__))
+
+
+def test_package_exports_resolve():
+    assert [name for name in gdruin.__all__ if not hasattr(gdruin, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"gdruin.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gdruin import (
+    DiscretePmf,
     MixingDistribution,
     NbmSpec,
     RuinQuery,
@@ -31,8 +32,9 @@ CLAIM_CASES = [
     nbm_claims_pmf(NbmSpec((0.2, 0.3, 0.5), 0.8), tail_tol=1e-15),
     mp_claims_pmf(MixingDistribution.degenerate(0.5), tail_tol=1e-16),
     mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-16),
+    DiscretePmf([0.5, 0.2, 0.3]),  # u runs far past its support
 ]
-CLAIM_IDS = ["geometric", "nbm-2", "nbm-3", "poisson", "mp-erlang"]
+CLAIM_IDS = ["geometric", "nbm-2", "nbm-3", "poisson", "mp-erlang", "short-support"]
 
 
 @pytest.mark.parametrize("p", [0.55, 0.6, 0.75, 0.9])

@@ -31,6 +31,8 @@ from gdruin import (
     psi_geometric_closed,
     psi_recursion,
 )
+from gdruin import recursion
+from gdruin.recursion import _check_residual
 
 GEO_PS = [0.55, 0.6, 0.75, 0.9]
 
@@ -90,6 +92,50 @@ def test_bernoulli_claims_by_hand():
     psi = psi_recursion(RuinQuery(claims=claims, u_max=6))
     assert psi[0] == 0.5
     np.testing.assert_allclose(psi[1:], 0.0, atol=1e-15)
+
+
+def residual_loop(psi: np.ndarray, claims: DiscretePmf) -> float:
+    """Worst defect of the defining identity, one exact sum per step."""
+    worst = 0.0
+    for u in range(psi.size - 1):
+        terms = [claims.f(0) * psi[u + 1], -psi[u], claims.sf(u)]
+        terms += [claims.f(y) * psi[u + 1 - y] for y in range(1, u + 1)]
+        worst = max(worst, abs(math.fsum(terms)))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [
+        geometric_pmf(0.6, tail_tol=1e-30),
+        DiscretePmf([0.5, 0.2], tail_mass=0.3, mean=0.9),  # the tail is P(Y > u) past x = 1
+        mp_claims_pmf(MixingDistribution.erlang(2, 3.0), x_max=40),
+        DiscretePmf([0.5, 0.2, 0.3]),
+        DiscretePmf([1.0]),
+    ],
+    ids=["geometric", "declared-tail", "mp-erlang", "short-support", "one-point"],
+)
+def test_residual_pass_matches_the_loop(claims, monkeypatch):
+    monkeypatch.setattr(recursion, "_RESIDUAL_TOL", math.inf)
+    psi = 0.9 ** np.arange(41.0)  # no solution: defects are of order 0.1
+    for head in (psi, psi[:2], psi[:1]):
+        assert _check_residual(head, claims) == pytest.approx(residual_loop(head, claims), rel=1e-13)
+
+
+def test_residual_check_passes_the_true_psi_and_catches_a_perturbation():
+    claims = geometric_pmf(0.6, tail_tol=1e-40)
+    psi = np.array([psi_geometric_closed(0.6, u) for u in range(61)])
+    _check_residual(psi, claims)
+    psi[17] += 1e-9
+    with pytest.raises(RuntimeError, match="recursion residual"):
+        _check_residual(psi, claims)
+
+
+@pytest.mark.parametrize("u_max", [0, 1, 5])
+def test_one_point_claim_law_has_no_ruin(u_max):
+    # support_max = 0: the residual check has no claim sizes to convolve
+    psi = psi_recursion(RuinQuery(claims=DiscretePmf([1.0]), u_max=u_max))
+    np.testing.assert_array_equal(psi, np.zeros(u_max + 1))
 
 
 # -- contract checks -------------------------------------------------------------

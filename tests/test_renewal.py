@@ -108,7 +108,7 @@ def test_mp_solver_matches_direct_loop(name):
     k_max = (1 << 15) - 1
     seq = mp_coefficients(mix, cfg, k_max)
     if name == "pareto":
-        assert seq.grid_points == cfg.grid_cap + 1
+        assert seq.grid_points == 2_000_001
     ref = direct_mp_cbar(mix, cfg.n, seq.grid_points, k_max)
     assert_matches_direct(seq.cbar_n[: k_max + 1], ref)
 
