@@ -19,6 +19,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +54,7 @@ class QuadratureError(RuntimeError):
 
 
 class GridBudgetError(RuntimeError):
-    """A tail-driven grid exceeded its configured size cap."""
+    """A claim-support vector exceeded its size cap before its tail was resolved."""
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +444,10 @@ class MixingDistribution:
 
     @property
     def mean(self) -> float:
-        if self.kind == "exponential":
-            return 1.0 / self.params[0]
-        if self.kind == "erlang":
-            return self.params[0] / self.params[1]
-        if self.kind == "erlang_mixture":
-            beta = self.params[0]
-            return math.fsum((i + 1) * q for i, q in enumerate(self.weights)) / beta
+        parts = self._erlang_parts()
+        if parts is not None:
+            weights, beta = parts
+            return math.fsum((i + 1) * q for i, q in enumerate(weights)) / beta
         if self.kind == "pareto":
             alpha, theta = self.params
             return theta / (alpha - 1.0) if alpha > 1.0 else math.inf
@@ -496,16 +494,21 @@ class MixingDistribution:
             return float(out)
         return out
 
-    def as_nbm(self) -> NbmSpec | None:
-        """NBM(weights, beta/(beta+1)) for Erlang-family mixing at rate beta; None otherwise."""
+    def _erlang_parts(self) -> tuple[tuple[float, ...], float] | None:
+        """(weights on Erlang shapes 1, 2, ..., beta) for Erlang-family kinds; None otherwise."""
         if self.kind == "exponential":
-            return erlangm_to_nbm((1.0,), self.params[0])
+            return (1.0,), self.params[0]
         if self.kind == "erlang":
             shape, beta = self.params
-            return erlangm_to_nbm((0.0,) * (int(shape) - 1) + (1.0,), beta)
+            return (0.0,) * (int(shape) - 1) + (1.0,), beta
         if self.kind == "erlang_mixture":
-            return erlangm_to_nbm(self.weights, self.params[0])
+            return self.weights, self.params[0]
         return None
+
+    def as_nbm(self) -> NbmSpec | None:
+        """NBM(weights, beta/(beta+1)) for Erlang-family mixing at rate beta; None otherwise."""
+        parts = self._erlang_parts()
+        return None if parts is None else erlangm_to_nbm(*parts)
 
     def cdf(self, x):
         """P(rate <= x)."""
@@ -515,7 +518,14 @@ class MixingDistribution:
         return out
 
     def _pdf(self, lam: float) -> float:
-        """Density, only defined for the absolutely continuous quadrature kinds."""
+        """Density, only defined for the absolutely continuous kinds."""
+        parts = self._erlang_parts()
+        if parts is not None:
+            weights, beta = parts
+            k = np.arange(1.0, len(weights) + 1.0)
+            y = beta * lam
+            logs = special.xlogy(k - 1.0, y) - y - special.gammaln(k)
+            return beta * float(np.dot(weights, np.exp(logs)))
         if self.kind == "pareto":
             alpha, theta = self.params
             return alpha * theta**alpha / (theta + lam) ** (alpha + 1.0)
@@ -526,6 +536,49 @@ class MixingDistribution:
             z = (math.log(lam) - m) / s
             return math.exp(-0.5 * z * z) / (lam * s * math.sqrt(2.0 * math.pi))
         raise ValueError(f"no density for mixing kind {self.kind!r}")
+
+    def _stop_loss(self, x: float) -> float:
+        """E[(rate - x)+] for x > 0, in closed form for the absolutely continuous kinds."""
+        parts = self._erlang_parts()
+        if parts is not None:
+            weights, beta = parts
+            k = np.arange(1.0, len(weights) + 1.0)
+            y = beta * x
+            terms = k / beta * special.gammaincc(k + 1.0, y) - x * special.gammaincc(k, y)
+            return float(np.dot(weights, terms))
+        if self.kind == "pareto":
+            alpha, theta = self.params
+            return theta * (theta / (theta + x)) ** (alpha - 1.0) / (alpha - 1.0)
+        if self.kind == "lognormal":
+            m, s = self.params
+            d = (m - math.log(x)) / s
+            if d < 0.0:  # past the median the two terms below nearly cancel
+                u = -d / math.sqrt(2.0)
+                gap = special.erfcx(u - s / math.sqrt(2.0)) - special.erfcx(u)
+                return 0.5 * x * math.exp(-0.5 * d * d) * gap
+            return math.exp(m + 0.5 * s * s) * special.ndtr(d + s) - x * special.ndtr(d)
+        raise ValueError(f"no stop-loss transform for mixing kind {self.kind!r}")
+
+    def grid_tail(self, a: int, n: int) -> float:
+        """The grid survival sum sum_{j >= a} sf(j/n), for a >= 1, in closed form.
+
+        Atomic laws (degenerate and cdf-table) give an exact step sum; a
+        cdf table's mass below 1 (at most 1e-9) sits at no finite rate and
+        is left out, as ``mean`` leaves it out.  The continuous kinds use
+        Euler-Maclaurin, n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n),
+        whose first neglected term is pdf''(a/n)/(720 n^3).
+        """
+        if self.kind in ("degenerate", "user_cdf"):
+            xs, cs = self.atoms if self.kind == "user_cdf" else ((self.params[0],), (1.0,))
+            xs = np.asarray(xs)
+            # first grid index j with j/n >= x for each atom x, by the comparison sf makes
+            ends = np.ceil(xs * n)
+            ends = ends - ((ends - 1.0) / n >= xs) + (ends / n < xs)
+            starts = np.maximum(np.concatenate(([0.0], ends[:-1])), a)
+            levels = 1.0 - np.concatenate(([0.0], cs[:-1]))  # sf between atoms
+            return float(np.dot(levels, np.maximum(ends - starts, 0.0)))
+        x = a / n
+        return n * self._stop_loss(x) + self.sf(x) / 2.0 + self._pdf(x) / (12.0 * n)
 
 
 def erlangm_to_nbm(weights: Sequence[float], beta: float) -> NbmSpec:
@@ -618,14 +671,16 @@ def mp_claims_pmf(
     mean = mix.mean
     if not math.isfinite(mean):
         raise ValueError("mixing law must have a finite mean")
+    spec = mix.as_nbm()  # once per law, not once per mass
+    mass = partial(nbm_pmf, spec) if spec is not None else partial(mp_pmf, mix)
     if x_max is not None:
-        vals = np.array([mp_pmf(mix, x) for x in range(x_max + 1)])
+        vals = np.array([mass(x) for x in range(x_max + 1)])
         return _as_claims(vals, mean)
     vals_list: list[float] = []
     acc = 0.0
     x = 0
     while True:
-        v = mp_pmf(mix, x)
+        v = mass(x)
         vals_list.append(v)
         new_acc = acc + v
         # once additions stop moving the accumulator the vector is as

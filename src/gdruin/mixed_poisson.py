@@ -17,9 +17,11 @@ The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
 table per (mixing law, n) is extended in place as u grows, so sweeping u is
-cheap after the first call.  The grid is streamed into the solver rather
-than stored: a heavy-tailed law's two million grid points are evaluated in
-chunks, and only the prefix the table reads is kept.
+cheap after the first call.  The grid is the paper's infinite sum over
+every j >= 0.  A law whose survival drops below 1e-16 within the first 2^16
+points stops there; any other keeps those points and reads values past them
+on demand, with the tail sums past them in closed form
+(`MixingDistribution.grid_tail`), so no law is too heavy-tailed to grid.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from scipy import special
 
 from .distributions import (
     DiscretePmf,
-    GridBudgetError,
     MixingDistribution,
     mp_claims_pmf,
     _nb_logpmf,
 )
 from .recursion import RuinQuery, psi_recursion
-from .renewal import RenewalSolver, TableCache, Weights, block_sums
+from .renewal import RenewalSolver, TableCache, Weights
 
 __all__ = [
     "MpApproxConfig",
@@ -49,12 +50,10 @@ __all__ = [
     "psi_mp_exact_reference",
 ]
 
-# The mixing grid stops below a survival of _GRID_TOL or at _GRID_CAP + 1
-# points, where the last survival value must be below _CAP_SF_TOL for the
-# discarded tail to be ignorable; otherwise the law is too heavy-tailed.
+# The mixing grid stops below a survival of _GRID_TOL if it gets there
+# within its first _HEAD points, which every law stores.
 _GRID_TOL = 1e-16
-_GRID_CAP = 2_000_000
-_CAP_SF_TOL = 1e-9
+_HEAD = 1 << 16
 # Mass certificate for starting the method-1 sum above k = 0.
 _LOWER_MASS_TOL = 1e-9
 
@@ -65,8 +64,9 @@ class MpApproxConfig:
 
     ``n`` is the grid refinement, ``m`` the Monte Carlo sample size of
     method 2, ``pmf_floor`` the series truncation floor, and ``seed`` makes
-    method 2 reproducible.  The mixing grid stops at a fixed survival level
-    of 1e-16 or a fixed cap of two million points.
+    method 2 reproducible.  The mixing grid has no cap: it stops at a
+    survival of 1e-16 within its first 2^16 points, or else runs on to
+    infinity, past those points in closed form.
     """
 
     n: int = 500
@@ -95,9 +95,10 @@ class MpCoefficientSeq:
 
     ``cbar_n[k]`` is Cbar_{k,n}, a read-only view of the law's renewal
     table; ``grid_sum`` is the raw survival sum sum_j Fbar(j/n) over the
-    stored grid.  The grid equilibrium weights ``f_ne`` and their tails
-    ``fbar_ne`` are computed on access, over the grid support only: both
-    vanish beyond it.
+    whole grid, and ``grid_points`` the number of grid values the law
+    stores: J for a grid that stops at J points, else 2^16.  The grid
+    equilibrium weights f_Ne(i) = Fbar((i-1)/n) / grid_sum and their tails
+    are ``renewal.lags`` and ``renewal.survival``.
     """
 
     source: MixingDistribution
@@ -106,89 +107,37 @@ class MpCoefficientSeq:
     c0: float
     grid_sum: float
     grid_points: int
-    grid_residual_sf: float
     renewal: RenewalSolver = field(repr=False)
 
-    @property
-    def f_ne(self) -> np.ndarray:
-        """f_Ne(i) = Fbar((i-1)/n) / grid_sum at ``f_ne[i-1]``, i = 1..J."""
-        return self.renewal.weights.read(0, self.grid_points) / self.grid_sum
 
-    @property
-    def fbar_ne(self) -> np.ndarray:
-        """P(Ne > k) for k = 0..J; the last entry is 0."""
-        return self.renewal.survival(0, self.grid_points + 1)
-
-
-# -- the mixing grid, streamed into the renewal solver -------------------------
+# -- the mixing grid -------------------------------------------------------------
 
 _coeff_cache = TableCache()
-# Grid points evaluated per call of the mixing survival function.
-_GRID_CHUNK = 1 << 16
 
 
 class _Grid(Weights):
-    """Fbar(j/n) for j = 0..J, stopping at _GRID_TOL or the cap, as solver weights.
+    """Fbar(j/n) for every j >= 0, its first values stored, as solver weights.
 
-    One pass over chunks of 2^16 points finds J, records the last value, and
-    folds each chunk into the block sums as it is made; it keeps only the
-    first chunk.  A read past the kept prefix evaluates the same chunk
-    extents again, so every read is bit-identical to the first pass, and
-    ``keep`` grows the prefix to what the solver's table reads: memory per
-    law is O(min(J, max(2K, 2^16)) + J/256) for a table of K terms.
-
-    At the cap the last survival value must be below 1e-9, a pointwise
-    certificate that the discarded tail cannot move the normalizing sum at
-    the accuracy the approximations work to.
+    A value past the stored head is evaluated when read, and the tail sum
+    from a block boundary past it is `MixingDistribution.grid_tail`, so the
+    grid is the whole infinite sum at the memory cost of its head.
     """
 
-    def __init__(self, mix: MixingDistribution, n: int):
-        self._mix, self._n = mix, n
-        # chunk extents end at the cap; the size is the cap until J is known
-        self._end = self.size = _GRID_CAP + 1
-        sums = []
-        j0 = 0
-        while j0 < self._end:
-            vals = self._chunk(j0)
-            below = np.flatnonzero(vals < _GRID_TOL)
-            if below.size:
-                vals = vals[: below[0]].copy()  # no view pinning the whole chunk
-            if j0 == 0:
-                self._kept = vals
-            if vals.size:
-                sums.append(block_sums(vals))
-                self.last = float(vals[-1])
-            j0 += vals.size
-            if below.size:
-                break
-        else:
-            if self.last > _CAP_SF_TOL:
-                raise GridBudgetError(
-                    f"mixing survival still {self.last:.2e} after {_GRID_CAP} grid "
-                    f"points at n={n}; tail too heavy for this budget"
-                )
-        self.size = j0
-        if self.size == 0:
-            raise ValueError("mixing law has no mass above 0")
-        self.sums = np.concatenate(sums)
-
-    def _chunk(self, j0: int) -> np.ndarray:
-        js = np.arange(j0, min(j0 + _GRID_CHUNK, self._end), dtype=float)
-        return np.asarray(self._mix.sf(js / self._n), dtype=float)[: self.size - j0]
+    def __init__(self, mix: MixingDistribution, n: int, head: np.ndarray):
+        super().__init__(head, beyond=mix.grid_tail(head.size, n))
+        self.size = math.inf
+        self._mix, self._n, self._head = mix, n, head.size
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        kept = self._kept  # one snapshot: keep() may replace it meanwhile
-        if hi <= kept.size:
-            return kept[lo:hi]
-        # kept.size < J here, so it is a chunk boundary
-        start = max(kept.size, lo - lo % _GRID_CHUNK)
-        parts = [kept[lo:]] + [self._chunk(j0) for j0 in range(start, hi, _GRID_CHUNK)]
-        skip = max(lo - start, 0)
-        return np.concatenate(parts)[skip : skip + hi - lo]
+        if hi <= self._head:
+            return super().read(lo, hi)
+        far = self._mix.sf(np.arange(max(lo, self._head), hi, dtype=float) / self._n)
+        return np.concatenate((super().read(lo, self._head), far))
 
-    def keep(self, hi: int) -> None:
-        if hi > self._kept.size:
-            self._kept = self.read(0, min(-(-hi // _GRID_CHUNK) * _GRID_CHUNK, self.size))
+    def tail(self, l: int) -> np.longdouble:
+        if l <= self._head:
+            return super().tail(l)
+        return np.longdouble(self._mix.grid_tail(l, self._n))
 
 
 def _table(mix: MixingDistribution, n: int):
@@ -196,14 +145,22 @@ def _table(mix: MixingDistribution, n: int):
 
     The equilibrium weights are the grid normalized by its sum, which the
     solver takes once in extended precision: the coefficient identity is
-    checked downstream to 1e-12 and double accumulation over ~1e6 grid
+    checked downstream to 1e-12 and double accumulation over ~1e5 grid
     points would eat most of that budget.
     """
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
-    grid = _Grid(mix, n)
+    head = np.asarray(mix.sf(np.arange(_HEAD, dtype=float) / n), dtype=float)
+    below = np.flatnonzero(head < _GRID_TOL)
+    if not below.size:
+        grid = _Grid(mix, n, head)
+    elif below[0]:
+        grid = Weights(head[: below[0]].copy())  # no view pinning the whole head
+    else:
+        raise ValueError("mixing law has no mass above 0")
     solver = RenewalSolver(elam, grid, normalize=True)
+    points = min(grid.size, _HEAD)
 
     def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
         return MpCoefficientSeq(
@@ -212,8 +169,7 @@ def _table(mix: MixingDistribution, n: int):
             cbar_n=cbar,
             c0=elam,
             grid_sum=solver.total,
-            grid_points=grid.size,
-            grid_residual_sf=grid.last,
+            grid_points=points,
             renewal=solver,
         )
 

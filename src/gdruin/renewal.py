@@ -30,9 +30,9 @@ overflow once x stops decaying, as it does when r > 0.
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
 order of the requests.  The solver reads the weights through `Weights`, so
-a sequence too long to store, like a heavy-tailed mixing grid, can be
-streamed: the table needs weights only up to about twice its length, and
-beyond that only their block sums.
+the support may be unbounded, like a heavy-tailed mixing grid: the table
+reads single weights only up to about twice its length, and beyond that only
+tail sums from block boundaries.
 """
 
 from __future__ import annotations
@@ -42,46 +42,36 @@ import threading
 
 import numpy as np
 
-__all__ = ["RenewalSolver", "TableCache", "Weights", "block_sums"]
+__all__ = ["RenewalSolver", "TableCache", "Weights"]
 
 # Block size of the dense near-lag products; a power of two.
 _B = 256
 
 
-def block_sums(w: np.ndarray) -> np.ndarray:
-    """Extended-precision sums of w over consecutive blocks of B, the last one zero-padded.
-
-    Each block sum depends on its own block alone, so the sums of a long
-    sequence can be taken piece by piece over pieces of whole blocks.
-    """
-    w = np.asarray(w).astype(np.longdouble)
-    # pad only a partial block: a needless copy of each 2^16-point grid chunk
-    # made the heap shrink and fault back in per chunk, doubling grid time
-    if w.size % _B:
-        w = np.pad(w, (0, -w.size % _B))
-    return w.reshape(-1, _B).sum(axis=1)
-
-
 class Weights:
     """The weights w_0..w_{size-1} a solver reads, held in one array.
 
-    A sequence too long to hold, such as a mixing grid of millions of points,
-    stands in for this class by giving the same four members: ``size``, the
-    ``sums`` of `block_sums` over the whole sequence, ``read(lo, hi)`` for
-    w[lo:hi], and ``keep(hi)``, which `RenewalSolver.extend` calls before it
-    reads anything below hi, so that such a sequence can hold just that prefix.
+    ``read(lo, hi)`` is w[lo:hi], and ``tail(l)``, for l a multiple of the
+    block size, is sum_{j >= l} w_j in extended precision: a cumulative sum
+    of per-block sums, plus ``beyond``, the sum of whatever the sequence
+    holds past the array.  An unbounded sequence, such as a heavy-tailed
+    mixing grid, extends this class with ``size = math.inf`` and answers
+    ``read`` and ``tail`` past the array itself.
     """
 
-    def __init__(self, w: np.ndarray):
+    def __init__(self, w: np.ndarray, beyond: float = 0.0):
         self._w = np.asarray(w, dtype=float)
         self.size = self._w.size
-        self.sums = block_sums(self._w)
+        ld = self._w.astype(np.longdouble)
+        blocks = np.pad(ld, (0, -ld.size % _B)).reshape(-1, _B).sum(axis=1)
+        sums = np.append(blocks, np.longdouble(beyond))
+        self._tails = np.cumsum(sums[::-1])[::-1]
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         return self._w[lo:hi]
 
-    def keep(self, hi: int) -> None:
-        pass
+    def tail(self, l: int) -> np.longdouble:
+        return self._tails[l // _B]
 
 
 class RenewalSolver:
@@ -104,17 +94,12 @@ class RenewalSolver:
     ):
         if not isinstance(weights, Weights):
             weights = Weights(weights)
-        self.weights = weights
+        self._weights = weights
         self.c0 = float(c0)
         self._width = weights.size
-        # tails[m] = sum of w_l for l >= m B
-        sums = np.append(weights.sums, np.longdouble(0.0))
-        self._tails = np.cumsum(sums[::-1])[::-1]
-        self._total = self._tails[0] if normalize else np.longdouble(1.0)
+        self._total = weights.tail(0) if normalize else np.longdouble(1.0)
         self.total = float(self._total)
         self._residual = float(residual)
-        # largest level s = B 2^m with lags in [s, 2s) inside the support
-        self._s_max = _B << (self._width // _B).bit_length() - 1 if self._width >= _B else 0
         self._near_f = self.lags(0, 2 * _B)
         tau = np.empty(_B)  # first B terms of c0 / (1 - c0 F(z))
         tau[0] = self.c0
@@ -130,7 +115,7 @@ class RenewalSolver:
         out = np.zeros(hi - lo)
         a, b = max(lo, 1), min(hi, self._width + 1)
         if b > a:
-            out[a - lo : b - lo] = self.weights.read(a - 1, b - 1) / self._total
+            out[a - lo : b - lo] = self._weights.read(a - 1, b - 1) / self._total
         return out
 
     def survival(self, lo: int, hi: int) -> np.ndarray:
@@ -138,9 +123,9 @@ class RenewalSolver:
         out = np.full(hi - lo, self._residual)
         top = min(hi, self._width)
         if top > lo:
-            m = -(-top // _B)  # first checkpoint at or after top
-            seg = self.weights.read(lo, min(m * _B, self._width)).astype(np.longdouble)
-            suffix = np.cumsum(seg[::-1])[::-1] + self._tails[m]
+            m = -(-top // _B) * _B  # first block boundary at or after top
+            seg = self._weights.read(lo, min(m, self._width)).astype(np.longdouble)
+            suffix = np.cumsum(seg[::-1])[::-1] + self._weights.tail(m)
             out[: top - lo] += suffix[: top - lo] / self._total
         return out
 
@@ -166,15 +151,15 @@ class RenewalSolver:
         return view
 
     def _reserve(self, end: int) -> None:
-        # the buffer must hold every pending term the steps up to end create,
-        # and the weights every lag below 2s of each level s they fire
-        need, lag = end, end
+        # the buffer must hold every pending term the steps up to end create:
+        # the largest level s = B 2^m <= W fired at pos reaches pos + 2s - 1
+        need = end
         for pos in range(max(self._done, _B), end, _B):
-            s = min(pos & -pos, self._s_max)
-            if s:
+            s = pos & -pos
+            while s > self._width:
+                s //= 2
+            if s >= _B:
                 need = max(need, pos + min(2 * s - 1, self._width))
-                lag = max(lag, 2 * s - 1)
-        self.weights.keep(min(lag, self._width))
         if need > self._x.size:
             grown = np.zeros(need)
             grown[: self._x.size] = self._x
@@ -188,7 +173,7 @@ class RenewalSolver:
             x[1:_B] = near[:-1, :-1] @ rhs
             return
         s = _B
-        while s <= self._s_max and pos % s == 0:
+        while s <= self._width and pos % s == 0:
             self._fire(pos, s, spectra)
             s *= 2
         rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + self.survival(pos, pos + _B)

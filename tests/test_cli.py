@@ -215,9 +215,18 @@ def test_nbm_on_non_erlang_mixing_exits_2(capsys):
     assert "method nbm needs" in capsys.readouterr().err
 
 
-def test_heavy_tail_budget_exits_3(capsys):
-    assert main(["mp1", "--mix", "pareto:2.1,1", "--u-max", "2"]) == 3
-    assert "numeric budget" in capsys.readouterr().err
+def test_heavy_tail_mixing_runs(capsys):
+    # no mixing law is too heavy-tailed for the grid, however slowly it decays
+    assert main(["mp1", "--mix", "pareto:2.1,1", "--u-max", "2"]) == 0
+    table = ResultTable.from_csv(capsys.readouterr().out)
+    assert [row["u"] for row in table.rows] == [0, 1, 2]
+    assert table.rows[0]["N1"] == pytest.approx(1.0 / 1.1, abs=5e-6)
+    assert table.rows[0]["N1"] > table.rows[1]["N1"] > table.rows[2]["N1"] > 0.0
+
+
+def test_infinite_mean_mixing_exits_2(capsys):
+    assert main(["mp1", "--mix", "pareto:1,1", "--u-max", "2"]) == 2
+    assert "E(Lambda) < 1" in capsys.readouterr().err
 
 
 # -- benchmark tables --------------------------------------------------------------

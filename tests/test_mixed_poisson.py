@@ -17,9 +17,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gdruin import (
-    GridBudgetError,
     MixingDistribution,
     MpApproxConfig,
     RuinQuery,
@@ -36,7 +36,7 @@ from gdruin.renewal import RenewalSolver, TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
 PARETO = MixingDistribution.pareto(3.0, 1.0)
-# past the 2M-point grid cap at n = 500 its survival is still 2.7e-8
+# two million grid points into the tail at n = 500 its survival is still 2.7e-8
 HEAVY = MixingDistribution.pareto(2.1, 1.0)
 LOGNORMAL = MixingDistribution.lognormal(-1.0, 1.0)
 
@@ -83,18 +83,72 @@ def test_grid_sum_has_riemann_bounds(mix):
     assert lo - 1e-6 <= seq.grid_sum <= lo + 1.0
 
 
-def test_grid_budget_guard():
-    with pytest.raises(GridBudgetError):
-        mp_coefficients(HEAVY, MpApproxConfig(n=500), 10)
+def _direct_tail(mix: MixingDistribution, n: int, a: int, b: int) -> float:
+    """sum_{j >= a} Fbar(j/n): a longdouble sum to b, then n int + Fbar/2 by quadrature."""
+    js = np.arange(a, b, dtype=float)
+    head = np.asarray(mix.sf(js / n)).astype(np.longdouble).sum()
+    integral = integrate.quad(mix.sf, b / n, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return float(head + np.longdouble(n * integral + mix.sf(b / n) / 2.0))
+
+
+# (law, n) pairs whose grid does not stop within its first 2^16 points
+FAR = {
+    "exponential": (MixingDistribution.exponential(2.4), 20_000),
+    "erlang": (MixingDistribution.erlang(2, 3.0), 40_000),
+    "erlang_mixture": (MixingDistribution.erlang_mixture((0.3, 0.3, 0.4), 3.5), 50_000),
+    "pareto": (PARETO, 500),
+    "heavy_pareto": (HEAVY, 500),
+    "lognormal": (LOGNORMAL, 500),
+    "wide_lognormal": (MixingDistribution.lognormal(math.log(0.85) - 0.72, 1.2), 500),
+}
+
+
+@pytest.mark.parametrize("name", list(FAR))
+def test_grid_tail_matches_direct_sum(name):
+    mix, n = FAR[name]
+    for a in (1 << 15, 1 << 16):
+        assert mix.grid_tail(a, n) == pytest.approx(
+            _direct_tail(mix, n, a, 1 << 21), rel=1e-14, abs=0.0
+        )
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [MixingDistribution.degenerate(0.5), MixingDistribution.from_cdf_table((0.1, 0.3, 0.77), (0.2, 0.5, 1.0))],
+    ids=["degenerate", "cdf_table"],
+)
+def test_grid_tail_of_an_atomic_law_is_the_finite_sum(mix):
+    n = 1 << 18  # the grid runs past its first 2^16 points
+    sf = np.asarray(mix.sf(np.arange(n, dtype=float) / n))
+    assert sf[: 1 << 16].min() > 0.0 and sf[-1] == 0.0
+    for a in (1, 100, 1 << 16, 1 << 17, n):
+        assert mix.grid_tail(a, n) == math.fsum(sf[a:].tolist())
+    seq = mp_coefficients(mix, MpApproxConfig(n=n), 0)
+    assert seq.grid_points == 1 << 16
+    assert seq.grid_sum == math.fsum(sf.tolist())
+
+
+def test_heavy_tail_n1_error_halves_per_doubling():
+    # past two million points the grid is summed in closed form, so no law
+    # is too heavy-tailed; N1 keeps its O(1/n) error on the heaviest one
+    exact = psi_mp_exact_reference(HEAVY, 10)
+    for u in (5, 10):
+        errs = [
+            psi_mp_method1(HEAVY, u, MpApproxConfig(n=n, pmf_floor=1e-12)) - exact[u]
+            for n in (250, 500, 1000)
+        ]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.9 < coarse / fine < 2.1, errs
 
 
 def test_heavy_tail_grid_certifies_truncation():
-    # the grid budget cannot resolve the Pareto tail to 1e-16, but the
-    # cap is accepted because the leftover survival is pointwise negligible
+    # the stored head of 2^16 points plus the closed-form sum past it is the
+    # whole grid: two million points summed directly, plus their remainder
     seq = mp_coefficients(PARETO, MpApproxConfig(n=500), 10)
-    assert seq.grid_points == 2_000_001
-    assert seq.grid_residual_sf < 1e-9
-    assert seq.grid_residual_sf == PARETO.sf(2_000_000 / 500)
+    assert seq.grid_points == 1 << 16
+    assert seq.grid_sum == pytest.approx(
+        _direct_tail(PARETO, 500, 0, 2_000_000), rel=1e-15, abs=0.0
+    )
 
 
 def test_grid_matches_mixing_survival():
@@ -102,18 +156,33 @@ def test_grid_matches_mixing_survival():
     cfg = MpApproxConfig(n=10)
     assert cfg.p_n == pytest.approx(10 / 11.0, rel=1e-15)
     seq = mp_coefficients(mix, cfg, 0)
-    sf = np.asarray(mix.sf(np.arange(seq.grid_points + 1, dtype=float) / cfg.n))
+    size = seq.grid_points
+    sf = np.asarray(mix.sf(np.arange(size + 1, dtype=float) / cfg.n))
     # the grid stops at the first survival value below 1e-16
     assert sf[-1] < 1e-16 <= sf[-2]
-    assert seq.grid_residual_sf == pytest.approx(sf[-2], rel=1e-14)
     assert seq.grid_sum == pytest.approx(math.fsum(sf[:-1].tolist()), rel=1e-14)
-    np.testing.assert_allclose(seq.f_ne * seq.grid_sum, sf[:-1], rtol=1e-14)
+    f_ne = seq.renewal.lags(0, size + 3)
+    np.testing.assert_allclose(f_ne[1 : size + 1] * seq.grid_sum, sf[:-1], rtol=1e-14)
+    assert f_ne[0] == f_ne[-2] == f_ne[-1] == 0.0
+    assert seq.renewal.survival(size, size + 2).tolist() == [0.0, 0.0]
 
 
-def test_grid_budget_guard_past_the_first_chunk():
-    # the cap check runs after the last chunk, not on the first one
-    with pytest.raises(GridBudgetError, match="after 2000000 grid points"):
-        mp_coefficients(HEAVY, MpApproxConfig(n=500), 0)
+def test_heavy_tail_grid_reads_past_the_head():
+    # single values past the stored head are the survival function itself,
+    # and tails from there on are the rest of the infinite sum
+    n = 500
+    seq = mp_coefficients(HEAVY, MpApproxConfig(n=n), 0)
+    assert seq.grid_points == 1 << 16
+    total = _direct_tail(HEAVY, n, 0, 1 << 21)
+    assert seq.grid_sum == pytest.approx(total, rel=1e-15, abs=0.0)
+    for lo, hi in [(5, 700), (65_000, 66_000), (300_100, 300_400), (1_999_000, 2_000_002)]:
+        js = np.arange(lo - 1, hi - 1, dtype=float)
+        np.testing.assert_allclose(seq.renewal.lags(lo, hi), HEAVY.sf(js / n) / total, rtol=2e-15)
+        fbar = seq.renewal.survival(lo, hi)
+        assert fbar[0] == pytest.approx(
+            _direct_tail(HEAVY, n, lo, 1 << 22) / total, rel=1e-14, abs=0.0
+        )
+        np.testing.assert_allclose(-np.diff(fbar), seq.renewal.lags(lo + 1, hi), rtol=1e-9)
 
 
 def test_mass_at_rate_zero_has_no_grid():
@@ -123,56 +192,39 @@ def test_mass_at_rate_zero_has_no_grid():
     seq = mp_coefficients(MixingDistribution.degenerate(0.5), MpApproxConfig(n=10), 0)
     assert seq.grid_points == 5
     assert seq.grid_sum == 5.0
-    np.testing.assert_array_equal(seq.f_ne, np.full(5, 0.2))
-
-
-def _full_grid(mix: MixingDistribution, cfg: MpApproxConfig, size: int) -> np.ndarray:
-    """The whole grid, evaluated afresh over the chunk extents the package uses.
-
-    The survival functions are vectorized, so their rounding may depend on
-    the extent of the array they are called on; the same extents give the
-    same bits.
-    """
-    chunk = 1 << 16
-    parts = [
-        np.asarray(mix.sf(np.arange(j0, min(j0 + chunk, 2_000_001), dtype=float) / cfg.n))
-        for j0 in range(0, size, chunk)
-    ]
-    return np.concatenate(parts)[:size]
+    np.testing.assert_array_equal(seq.renewal.lags(1, 7), [0.2] * 5 + [0.0])
 
 
 def test_streamed_grid_matches_the_stored_grid(monkeypatch):
-    """Past its first chunk the grid is evaluated again, not stored; the table,
-    grown in steps or at once, equals the one a fully stored grid gives."""
+    """Past its stored head the grid is evaluated on demand; the table, grown
+    in steps or at once, is the same bit for bit, and so are the reads past
+    the head that tables beyond 2^15 terms make."""
     cfg = MpApproxConfig(n=500)
     top = 1 << 17
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
-    steps = [mp_coefficients(PARETO, cfg, size - 1).cbar_n for size in 64 * 2 ** np.arange(12)]
-    assert steps[-1].size == top
+    grown = [mp_coefficients(PARETO, cfg, size - 1) for size in 64 * 2 ** np.arange(12)]
+    assert grown[-1].cbar_n.size == top
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
     seq = mp_coefficients(PARETO, cfg, top - 1)
     assert seq.cbar_n.size == top
-    for cbar in steps:
-        np.testing.assert_array_equal(cbar, seq.cbar_n[: cbar.size])
-
-    grid = _full_grid(PARETO, cfg, seq.grid_points)
-    stored = RenewalSolver(PARETO.mean, grid, normalize=True)
-    assert stored.total == seq.grid_sum
-    np.testing.assert_array_equal(stored.extend(top), seq.cbar_n)
-    # windows inside, across and past the two chunks the table keeps
-    for lo, hi in [(5, 700), (100_000, 200_000), (300_100, 300_400), (1_999_000, 2_000_002)]:
-        np.testing.assert_array_equal(seq.renewal.lags(lo, hi), stored.lags(lo, hi))
-        np.testing.assert_array_equal(seq.renewal.survival(lo, hi), stored.survival(lo, hi))
-    np.testing.assert_array_equal(seq.f_ne, grid / seq.grid_sum)
-    ld = grid.astype(np.longdouble)
-    suffix = np.append(np.cumsum(ld[::-1])[::-1] / ld.sum(), 0.0).astype(float)
-    assert seq.fbar_ne[-1] == 0.0
-    np.testing.assert_allclose(seq.fbar_ne, suffix, rtol=1e-15, atol=0.0)
+    for step in grown:
+        np.testing.assert_array_equal(step.cbar_n, seq.cbar_n[: step.cbar_n.size])
+    head = 1 << 16
+    assert seq.grid_points == head
+    js = np.arange(2 * top, dtype=float)
+    stored = PARETO.sf(js / cfg.n) / seq.grid_sum
+    for lo, hi in [(5, 700), (head - 300, head + 300), (100_000, 2 * top)]:
+        lags = seq.renewal.lags(lo, hi)
+        np.testing.assert_array_equal(lags, grown[-1].renewal.lags(lo, hi))
+        np.testing.assert_allclose(lags, stored[lo - 1 : hi - 1], rtol=5e-16, atol=0.0)
+        np.testing.assert_array_equal(
+            seq.renewal.survival(lo, hi), grown[-1].renewal.survival(lo, hi)
+        )
 
 
 def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
-    # a 2M-point grid is 16 MB; a table of 2^14 terms reads only its first
-    # chunk, plus one extended-precision sum per 256 points
+    # two million grid points would be 16 MB; a law stores only its first
+    # 2^16, plus one extended-precision tail sum per 256 of them
     cfg = MpApproxConfig(n=500)
     laws = [PARETO, MixingDistribution.pareto(3.5, 1.5), MixingDistribution.pareto(2.9, 1.2)]
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
@@ -182,7 +234,7 @@ def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(seq.grid_points == 2_000_001 for seq in seqs)
+    assert all(seq.grid_points == 1 << 16 for seq in seqs)
     assert held < 8e6, held
 
 
@@ -190,7 +242,11 @@ def test_grid_reads_during_growth_match_single_thread(monkeypatch):
     cfg = MpApproxConfig(n=500)
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
     seq = mp_coefficients(PARETO, cfg, 64)
-    f_ne, fbar_ne = seq.f_ne, seq.fbar_ne
+
+    def read():  # across the stored head
+        return seq.renewal.lags(60_000, 70_000), seq.renewal.survival(60_000, 70_000)
+
+    f_ne, fbar_ne = read()
     reads, errors = [], []
     started = threading.Event()
 
@@ -208,7 +264,7 @@ def test_grid_reads_during_growth_match_single_thread(monkeypatch):
         grower.start()
         started.wait(timeout=30)
         while grower.is_alive() or len(reads) < 2:
-            reads.append((seq.f_ne, seq.fbar_ne))
+            reads.append(read())
         grower.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
@@ -216,6 +272,7 @@ def test_grid_reads_during_growth_match_single_thread(monkeypatch):
     for f, fbar in reads:
         np.testing.assert_array_equal(f, f_ne)
         np.testing.assert_array_equal(fbar, fbar_ne)
+
 
 
 def test_coefficients_match_plain_python_rebuild():
