@@ -229,25 +229,26 @@ class _Model:
 
 
 def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
-    """Simulate each surplus level, deepening the claim tail when the
-    stopping rule cannot certify itself at the requested tolerance."""
+    """SIM column: one simulator pass per claim law, read at every u.
+
+    The paths and the stop rule do not depend on u, so ``psi_at(u)`` of a
+    single pass equals a separate run at each u.  The claim tail is deepened
+    when the stopping rule cannot certify itself at the requested tolerance.
+    """
     tols = [job.tail_tol]
     if model.kind in ("mp", "nbm"):
         tols += [t for t in (1e-18, 1e-24, 1e-30) if t < job.tail_tol]
     last_exc: ValueError | None = None
     for tol in tols:
         try:
-            claims = model.claims(deep=True, tail_tol=tol)
-            out = []
-            for u in us:
-                res = simulate_paths(SimConfig(
-                    claims=claims, u=u, replications=job.reps,
-                    horizon=job.horizon, seed=job.seed,
-                ))
-                out.append(res.psi_hat)
-            return out
+            res = simulate_paths(SimConfig(
+                claims=model.claims(deep=True, tail_tol=tol), u=0,
+                replications=job.reps, horizon=job.horizon, seed=job.seed,
+            ))
         except ValueError as exc:
             last_exc = exc
+            continue
+        return [res.psi_at(u)[0] for u in us]
     raise last_exc  # type: ignore[misc]
 
 

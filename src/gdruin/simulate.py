@@ -8,6 +8,14 @@ number of records is Geometric(1-mu) while the increments are iid with the
 equilibrium law of the claims.  The simulator tracks all of that per path
 and exposes chi-square checks against those laws.
 
+One pass therefore serves every surplus level.  Each path's final running
+maximum (its level when the stop rule or the horizon ends it) goes into
+``SimResult.level_hist``.  Ruin at u >= 1 is a final level of at least u and
+ruin at u = 0 is at least one record, so ``SimResult.psi_at(u)`` reads the
+ruin count at any u from ``level_hist`` or ``k_hist[0]`` and gives the same
+estimate as a run at that u.  The per-u fields (``ruin_count``, ``psi_hat``,
+``ruin_severity_hist``) describe ``SimConfig.u`` alone.
+
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
 the chance of any further record is below 1e-9 (psi computed by the exact
@@ -82,10 +90,33 @@ class SimResult:
     stop_bound: int
     miss_probability: float
     k_hist: np.ndarray
+    level_hist: np.ndarray
     record_severity_hist: np.ndarray
     first_record_severity_hist: np.ndarray
     ruin_severity_hist: np.ndarray
     identity_mismatches: int
+
+    def psi_at(self, u: int) -> tuple[float, float]:
+        """Estimate of psi(u) and its standard error, for any surplus u.
+
+        Ruin at u >= 1 means a final running maximum of at least u; ruin at
+        u = 0 means at least one record.  Both counts come from this pass,
+        so the estimate equals that of a run with ``SimConfig.u = u``.
+        """
+        if int(u) != u or u < 0:
+            raise ValueError("u must be a nonnegative integer")
+        r = self.config.replications
+        if u == 0:
+            count = r - int(self.k_hist[0])
+        else:
+            count = int(self.level_hist[int(u):].sum())
+        return _estimate(count, r)
+
+
+def _estimate(ruin_count: int, r: int) -> tuple[float, float]:
+    """Ruin frequency and its binomial standard error, floored at 1/r."""
+    psi_hat = ruin_count / r
+    return psi_hat, math.sqrt(max(psi_hat * (1.0 - psi_hat), 1.0 / r) / r)
 
 
 @dataclass
@@ -148,6 +179,7 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     censored = 0
     mismatches = 0
     k_hist = np.zeros(1, dtype=np.int64)
+    level_hist = np.zeros(1, dtype=np.int64)
     sev_hist = np.zeros(1, dtype=np.int64)
     first_hist = np.zeros(1, dtype=np.int64)
     ruin_sev_hist = np.zeros(1, dtype=np.int64)
@@ -216,14 +248,13 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
                 if rsev.size:
                     ruin_sev_hist = _grow_add(ruin_sev_hist, np.bincount(rsev))
                 k_hist = _grow_add(k_hist, np.bincount(k[done]))
+                level_hist = _grow_add(level_hist, np.bincount(lvl[done]))
                 mismatches += int((sev_sum[done] != lvl[done]).sum())
                 keep = ~done
                 z, lvl, k = z[keep], lvl[keep], k[keep]
                 sev_sum, fp_sev = sev_sum[keep], fp_sev[keep]
 
-    r = cfg.replications
-    psi_hat = ruin_count / r
-    psi_se = math.sqrt(max(psi_hat * (1.0 - psi_hat), 1.0 / r) / r)
+    psi_hat, psi_se = _estimate(ruin_count, cfg.replications)
     return SimResult(
         config=cfg,
         ruin_count=ruin_count,
@@ -233,6 +264,7 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
         stop_bound=b,
         miss_probability=_STOP_TOL,
         k_hist=k_hist,
+        level_hist=level_hist,
         record_severity_hist=sev_hist,
         first_record_severity_hist=first_hist,
         ruin_severity_hist=ruin_sev_hist,

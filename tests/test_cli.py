@@ -12,11 +12,16 @@ import math
 import numpy as np
 import pytest
 
+import gdruin.cli
 from gdruin import (
     MixingDistribution,
     NbmSpec,
+    SimConfig,
+    mp_claims_pmf,
+    nbm_claims_pmf,
     psi_mp_exact_reference,
     psi_nbm,
+    simulate_paths,
 )
 from gdruin.cli import JobSpec, main, run
 from gdruin.tables import (
@@ -156,6 +161,59 @@ def test_main_simulate_verb(capsys):
     parsed = ResultTable.from_csv(capsys.readouterr().out)
     assert parsed.columns == ["u", "SIM"]
     assert 0.0 <= parsed.rows[2]["SIM"] <= 1.0
+
+
+@pytest.fixture
+def simulator_passes(monkeypatch):
+    """Configs of the simulator passes a job completes.
+
+    A claim law whose tail is too short for the stop rule is refused before
+    any path is drawn, and the job retries with a deeper tail; such refused
+    calls are not passes.
+    """
+    passes = []
+
+    def counted(cfg):
+        res = simulate_paths(cfg)
+        passes.append(cfg)
+        return res
+
+    monkeypatch.setattr(gdruin.cli, "simulate_paths", counted)
+    return passes
+
+
+def _sim_per_u(claims, u_max, reps, seed):
+    return [
+        simulate_paths(
+            SimConfig(claims=claims, u=u, replications=reps, seed=seed)
+        ).psi_hat
+        for u in range(u_max + 1)
+    ]
+
+
+def test_all_job_simulates_once_for_every_u(simulator_passes):
+    table = run(
+        JobSpec(method="all", model="mp", mix="erlang:2,3", u_max=10, reps=2000)
+    )
+    assert len(simulator_passes) == 1
+    mix = MixingDistribution.erlang(2, 3.0)
+    # the default tail 1e-12 cannot certify the stop rule; the job deepens it
+    with pytest.raises(ValueError, match="smaller tail tolerance"):
+        _sim_per_u(mp_claims_pmf(mix, tail_tol=1e-12), 0, 10, 0)
+    claims = mp_claims_pmf(mix, tail_tol=1e-18)
+    assert [row["SIM"] for row in table.rows] == _sim_per_u(claims, 10, 2000, 0)
+
+
+def test_simulate_verb_simulates_once_for_every_u(simulator_passes, capsys):
+    rc = main([
+        "simulate", "--weights", "0.5,0.5", "--p", "0.7",
+        "--u-max", "10", "--reps", "2000", "--seed", "9", "--format", "json",
+    ])
+    assert rc == 0
+    assert len(simulator_passes) == 1
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    claims = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-12)
+    assert [row["SIM"] for row in rows] == _sim_per_u(claims, 10, 2000, 9)
 
 
 def test_main_pmf_file_model(tmp_path, capsys):

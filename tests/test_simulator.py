@@ -13,12 +13,14 @@ import pytest
 
 from gdruin import (
     MixingDistribution,
+    NbmSpec,
     RuinQuery,
     SimConfig,
     check_record_count_law,
     check_severity_law,
     geometric_pmf,
     mp_claims_pmf,
+    nbm_claims_pmf,
     psi_geometric_closed,
     psi_recursion,
     simulate_paths,
@@ -27,6 +29,7 @@ from gdruin import (
 
 GEO_CLAIMS = geometric_pmf(0.6, tail_tol=1e-30)
 MP_CLAIMS = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-24)
+NBM_CLAIMS = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-24)
 REPS = 60_000
 
 
@@ -47,6 +50,47 @@ def test_estimate_brackets_mixed_poisson_reference():
     ref = psi_recursion(RuinQuery(claims=MP_CLAIMS, u_max=1))[1]
     assert abs(res.psi_hat - ref) < 4.0 * res.psi_se
     assert res.identity_mismatches == 0
+
+
+def test_one_pass_brackets_the_recursion_at_every_u():
+    res = simulate_paths(SimConfig(claims=MP_CLAIMS, u=0, replications=REPS, seed=0))
+    ref = psi_recursion(RuinQuery(claims=MP_CLAIMS, u_max=10))
+    for u in range(11):
+        psi_hat, psi_se = res.psi_at(u)
+        assert abs(psi_hat - ref[u]) < 4.0 * psi_se, u
+
+
+# -- one pass, every surplus level ---------------------------------------------------
+
+
+@pytest.mark.parametrize("horizon", [100_000, 64])
+@pytest.mark.parametrize(
+    "claims", [GEO_CLAIMS, MP_CLAIMS, NBM_CLAIMS], ids=["geo", "mp", "nbm"]
+)
+def test_one_pass_equals_a_run_per_u(claims, horizon):
+    # 5000 replications span two chunks; at horizon 64 many paths are censored
+    cfg = SimConfig(claims=claims, u=3, replications=5000, horizon=horizon, seed=5)
+    res = simulate_paths(cfg)
+    if horizon == 64:
+        assert res.censored > 0
+    assert res.level_hist.sum() == cfg.replications
+    assert res.psi_at(cfg.u) == (res.psi_hat, res.psi_se)
+    for u in range(41):
+        single = simulate_paths(
+            SimConfig(claims=claims, u=u, replications=5000, horizon=horizon, seed=5)
+        )
+        assert res.psi_at(u) == (single.psi_hat, single.psi_se), u
+
+
+def test_levels_past_the_deepest_path_read_zero():
+    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, u=0, replications=500, seed=3))
+    deepest = res.level_hist.size - 1
+    assert res.level_hist[deepest] > 0
+    assert res.psi_at(deepest)[0] > 0.0
+    assert res.psi_at(deepest + 1) == (0.0, 1.0 / 500)
+    assert res.psi_at(10**6)[0] == 0.0
+    with pytest.raises(ValueError):
+        res.psi_at(-1)
 
 
 def test_stop_bound_is_the_first_negligible_surplus():
