@@ -1,6 +1,6 @@
 """Ruin probabilities for the discrete-time surplus process with unit premiums.
 
-Exact values come from the forward recursion (`psi_recursion`) or, for
+Exact values come from the ladder-form recursion (`psi_recursion`) or, for
 negative binomial mixture claims, from the coefficient series (`psi_nbm`).
 Mixed Poisson claims get two grid approximations (`psi_mp_method1`,
 `psi_mp_method2`) plus an exact reference, and `simulate_paths` provides an

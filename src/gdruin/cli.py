@@ -191,6 +191,8 @@ class _Model:
             if job.weights is None or job.p is None:
                 raise ValueError("model nbm needs --weights and --p")
             self.nbm_spec = NbmSpec(job.weights, job.p)
+            # NBM(pi, p) is mixed Poisson under Erlang(k, p/(1-p)) mixing
+            self.mixing = MixingDistribution.erlang_mixture(job.weights, job.p / (1.0 - job.p))
         elif self.kind == "cb":
             if job.pmf_file is None or job.p is None:
                 raise ValueError("model cb needs --pmf-file and --p")
@@ -212,17 +214,16 @@ class _Model:
             return f"cb(p={self.job.p}, pmf={self.job.pmf_file})"
         return f"gd(pmf={self.job.pmf_file})"
 
-    def claims(self, deep: bool = False, tail_tol: float | None = None) -> DiscretePmf:
-        """Claim pmf for the recursion or PK window (or deep, for simulation)."""
+    def claims(self, deep: bool = False, x_max: int | None = None) -> DiscretePmf:
+        """Claim pmf for the recursion or PK window, or deep for simulation:
+        to the job's tail tolerance, or through ``x_max``."""
         if self._claims is not None:
             return self._claims
-        tol = self.job.tail_tol if tail_tol is None else tail_tol
-        if self.kind == "nbm":
-            return nbm_claims_pmf(self.nbm_spec, tail_tol=min(tol, 1e-12))
-        assert self.mixing is not None
-        if deep:
-            return mp_claims_pmf(self.mixing, tail_tol=tol)
-        return mp_claims_pmf(self.mixing, x_max=max(self.job.u_max, 1))
+        if self.kind == "nbm" and x_max is None:
+            return nbm_claims_pmf(self.nbm_spec, tail_tol=min(self.job.tail_tol, 1e-12))
+        if not deep:
+            x_max = max(self.job.u_max, 1)
+        return mp_claims_pmf(self.mixing, x_max=x_max, tail_tol=self.job.tail_tol)
 
 
 # -- job execution ---------------------------------------------------------------
@@ -232,24 +233,22 @@ def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
     """SIM column: one simulator pass per claim law, read at every u.
 
     The paths and the stop rule do not depend on u, so ``psi_at(u)`` of a
-    single pass equals a separate run at each u.  The claim tail is deepened
-    when the stopping rule cannot certify itself at the requested tolerance.
+    single pass equals a separate run at each u.  While the stop rule cannot
+    certify itself within the stored claim support, the support doubles,
+    up to the claim builder's cap (GridBudgetError).
     """
-    tols = [job.tail_tol]
-    if model.kind in ("mp", "nbm"):
-        tols += [t for t in (1e-18, 1e-24, 1e-30) if t < job.tail_tol]
-    last_exc: ValueError | None = None
-    for tol in tols:
+    claims = model.claims(deep=True)
+    while True:
+        cfg = SimConfig(claims=claims, u=0, replications=job.reps, horizon=job.horizon,
+                        seed=job.seed)
         try:
-            res = simulate_paths(SimConfig(
-                claims=model.claims(deep=True, tail_tol=tol), u=0,
-                replications=job.reps, horizon=job.horizon, seed=job.seed,
-            ))
-        except ValueError as exc:
-            last_exc = exc
+            res = simulate_paths(cfg)
+        except ValueError:
+            if claims.tail_mass == 0.0:
+                raise
+            claims = model.claims(deep=True, x_max=2 * claims.support_max + 1)
             continue
         return [res.psi_at(u)[0] for u in us]
-    raise last_exc  # type: ignore[misc]
 
 
 def _methods_for(job: JobSpec, model: _Model) -> list[str]:

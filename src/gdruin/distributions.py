@@ -45,8 +45,13 @@ __all__ = [
 
 # Mass-balance tolerance for stored distributions.
 _SUM_TOL = 1e-12
-# Certified absolute tolerance for mixed Poisson quadrature.
+# Certified relative tolerance for mixed Poisson quadrature.
 _QUAD_TOL = 1e-10
+# Longest claim vector the builders make.
+_SUPPORT_CAP = 1_000_000
+# Shortest claim vector built to a tail tolerance: the recursion and the
+# simulator's stop rule can read 65 surplus levels of it at any tolerance.
+_MIN_SUPPORT = 64
 
 
 class QuadratureError(RuntimeError):
@@ -71,16 +76,17 @@ class DiscretePmf:
     pmf : array_like
         ``pmf[x]`` is P(Y = x) for x = 0..len(pmf)-1.
     tail_mass : float, optional
-        Probability beyond ``support_max``.  Stored values plus the tail must
-        account for all mass (within 1e-12).
+        P(Y > support_max).  The builders here declare the law's certified
+        survival, not 1 minus the stored masses, which is rounding once the
+        tail is small.  Masses plus tail must sum to 1 (within 1e-12).
     mean : float, optional
         E(Y).  Required when ``tail_mass`` exceeds 1e-9, because a truncated
         vector no longer determines the mean.
 
     Notes
     -----
-    ``survival[x]`` holds P(Y > x), accumulated from the high end of the
-    support so small tail values keep full relative precision.  Beyond the
+    ``survival[x]`` holds P(Y > x), accumulated from the tail and the high
+    end of the support, so it is as precise as they are.  Beyond the
     stored support :meth:`sf` returns the declared tail mass, which is an
     upper bound on the true survival there; solvers that need exact survival
     values validate that the stored support is long enough.
@@ -168,16 +174,7 @@ def equilibrium(dist: DiscretePmf) -> DiscretePmf:
     if not math.isfinite(mu) or mu <= 0.0:
         raise ValueError("equilibrium transform needs a finite positive mean")
     pmf_e = dist.survival / mu
-    total = math.fsum(pmf_e.tolist())
-    # Certified quadrature noise of ~1e-10 per stored mass can push the
-    # total visibly past 1 on long supports; genuine inconsistencies show
-    # up orders of magnitude larger than this band.
-    if total > 1.0 + 1e-8:
-        raise ValueError("inconsistent survival values: equilibrium mass exceeds 1")
-    if total > 1.0:
-        pmf_e = pmf_e / total
-        total = math.fsum(pmf_e.tolist())
-    return DiscretePmf(pmf_e, tail_mass=max(0.0, 1.0 - total))
+    return DiscretePmf(pmf_e, tail_mass=max(0.0, 1.0 - math.fsum(pmf_e.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -278,48 +275,51 @@ class NbmSpec:
 
 def nbm_pmf(spec: NbmSpec, x: int) -> float:
     """Mixture mass sum_k q_k nb_pmf(k, p, x); the residual is excluded."""
-    if x < 0:
-        return 0.0
-    k = np.arange(1, len(spec.weights) + 1, dtype=float)
-    logs = _nb_logpmf(k, spec.p, float(x))
-    return float(np.dot(np.asarray(spec.weights), np.exp(logs)))
+    return float(_nbm_masses(spec, np.array([x]))[0]) if x >= 0 else 0.0
 
 
-def nbm_pmf_block(spec: NbmSpec, x_hi: int) -> np.ndarray:
-    """Vector of nbm_pmf(spec, x) for x = 0..x_hi."""
-    x = np.arange(x_hi + 1, dtype=float)
-    out = np.zeros(x_hi + 1)
-    for i, q in enumerate(spec.weights):
-        if q > 0.0:
-            out += q * np.exp(_nb_logpmf(float(i + 1), spec.p, x))
-    return out
+def _nbm_masses(spec: NbmSpec, x: np.ndarray) -> np.ndarray:
+    """nbm_pmf at each of the nonnegative integers x, as one vector."""
+    k = np.arange(1.0, len(spec.weights) + 1.0)[:, None]
+    return np.asarray(spec.weights) @ np.exp(_nb_logpmf(k, spec.p, x))
+
+
+def _nbm_sf(spec: NbmSpec, y: int) -> float:
+    """P(Y > y) for the mixture, sum_k q_k P(NegBin(k, p) > y), plus the residual."""
+    k = np.arange(1.0, len(spec.weights) + 1.0)
+    return float(np.dot(spec.weights, special.betainc(y + 1.0, k, 1.0 - spec.p))) + spec.residual
+
+
+def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
+    """Claims on 0..x_max with the certified survival sf(x_max) as declared tail; without
+    ``x_max``, x_max is the first x >= 64 with sf(x) < ``tail_tol``, by doubling and bisection.
+    """
+    if x_max is None:
+        if not 0.0 < tail_tol < 1.0:
+            raise ValueError("tail_tol must lie in (0, 1)")
+        lo, x_max = _MIN_SUPPORT - 1, _MIN_SUPPORT
+        while not sf(x_max) < tail_tol and x_max <= _SUPPORT_CAP:
+            lo, x_max = x_max, 2 * x_max
+        while x_max - lo > 1 and x_max <= _SUPPORT_CAP:  # sf(lo) >= tail_tol > sf(x_max)
+            mid = (lo + x_max) // 2
+            lo, x_max = (lo, mid) if sf(mid) < tail_tol else (mid, x_max)
+    if x_max > _SUPPORT_CAP:
+        raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP:.0e} points")
+    return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)
 
 
 def nbm_claims_pmf(spec: NbmSpec, tail_tol: float = 1e-12) -> DiscretePmf:
     """Materialize the mixture as a DiscretePmf, truncated at ``tail_tol``.
 
-    Intended for specs with modest weight counts; the exact mean
-    E(N)(1-p)/p is stored alongside.  The spec's residual must already sit
-    below ``tail_tol``.
+    The support ends at the first y >= 64 with P(Y > y) < ``tail_tol``, whose
+    closed form is the declared tail; the exact mean E(N)(1-p)/p is stored.
+    The spec's residual must already sit below ``tail_tol``.
     """
     if spec.residual > tail_tol:
         raise ValueError("spec residual exceeds the requested tail tolerance")
-    x_hi = 64
-    while True:
-        pmf = nbm_pmf_block(spec, x_hi)
-        tail = 1.0 - math.fsum(pmf.tolist()) - spec.residual
-        if tail < tail_tol:
-            break
-        if x_hi > 4_000_000:
-            raise GridBudgetError("mixture support exceeds 4e6 points")
-        x_hi *= 2
-    # trim trailing entries the tail bound makes redundant
-    keep = pmf.size
-    while keep > 1 and pmf[keep - 1] == 0.0:
-        keep -= 1
-    pmf = pmf[:keep]
-    tail = max(0.0, 1.0 - math.fsum(pmf.tolist()))
-    return DiscretePmf(pmf, tail_mass=tail, mean=spec.claim_mean)
+    return _claims(
+        partial(_nbm_masses, spec), partial(_nbm_sf, spec), spec.claim_mean, None, tail_tol
+    )
 
 
 def nbm_equilibrium(spec: NbmSpec) -> NbmSpec:
@@ -454,11 +454,8 @@ class MixingDistribution:
         if self.kind == "lognormal":
             m, s = self.params
             return math.exp(m + 0.5 * s * s)
-        if self.kind == "degenerate":
-            return self.params[0]
-        xs, cs = self.atoms  # type: ignore[misc]
-        deltas = np.diff(np.concatenate(([0.0], np.asarray(cs))))
-        return float(np.dot(np.asarray(xs), deltas))
+        rates, masses = _atoms(self)  # type: ignore[misc]
+        return float(np.dot(rates, masses))
 
     def sf(self, x):
         """Survival P(rate > x); accepts scalars or arrays."""
@@ -588,8 +585,8 @@ def erlangm_to_nbm(weights: Sequence[float], beta: float) -> NbmSpec:
     return NbmSpec(tuple(float(q) for q in weights), beta / (beta + 1.0))
 
 
-def _poisson_logpmf(lam: float, x: np.ndarray) -> np.ndarray:
-    return x * math.log(lam) - lam - special.gammaln(x + 1.0)
+def _poisson_logpmf(lam, x: np.ndarray) -> np.ndarray:
+    return special.xlogy(x, lam) - lam - special.gammaln(x + 1.0)
 
 
 def mp_pmf(mix: MixingDistribution, x: int) -> float:
@@ -597,35 +594,37 @@ def mp_pmf(mix: MixingDistribution, x: int) -> float:
 
     Erlang-type mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a
     closed form; Pareto and lognormal mixing use certified adaptive quadrature
-    (absolute tolerance 1e-10, :class:`QuadratureError` past the budget).
+    (relative tolerance 1e-10, :class:`QuadratureError` past the budget).
     """
-    if x < 0:
-        return 0.0
+    return float(_mp_masses(mix, np.array([x]))[0]) if x >= 0 else 0.0
+
+
+def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
+    """mp_pmf at each of the nonnegative integers x, as one vector."""
     spec = mix.as_nbm()
     if spec is not None:
-        return nbm_pmf(spec, x)
-    kind = mix.kind
-    if kind == "degenerate":
-        lam = mix.params[0]
-        if lam == 0.0:
-            return 1.0 if x == 0 else 0.0
-        return float(np.exp(_poisson_logpmf(lam, np.asarray(float(x)))))
-    if kind == "user_cdf":
+        return _nbm_masses(spec, x)
+    atoms = _atoms(mix)
+    if atoms is not None:
+        rates, masses = atoms
+        return masses @ np.exp(_poisson_logpmf(rates[:, None], x))
+    return np.array([_poisson_gamma_quad(mix, int(v), mix._pdf) for v in x])
+
+
+def _atoms(mix: MixingDistribution) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rates, masses) of degenerate and cdf-table mixing; None otherwise."""
+    if mix.kind == "degenerate":
+        return np.array(mix.params), np.ones(1)
+    if mix.kind == "user_cdf":
         xs, cs = mix.atoms  # type: ignore[misc]
-        deltas = np.diff(np.concatenate(([0.0], np.asarray(cs))))
-        total = 0.0
-        for lam, d in zip(xs, deltas):
-            if d <= 0.0:
-                continue
-            if lam == 0.0:
-                total += d if x == 0 else 0.0
-            else:
-                total += d * float(np.exp(_poisson_logpmf(lam, np.asarray(float(x)))))
-        return total
-    return _mp_pmf_quad(mix, x)
+        return np.asarray(xs), np.diff(np.concatenate(([0.0], cs)))
+    return None
 
 
-def _mp_pmf_quad(mix: MixingDistribution, x: int) -> float:
+def _poisson_gamma_quad(mix: MixingDistribution, x: int, h) -> float:
+    """E[ h(rate) rate^x e^{-rate} / x! ] to _QUAD_TOL relative: the mass P(X = x) for
+    h the mixing density, the survival P(X > x) = P(Gamma(x+1) <= rate) for h its survival.
+    """
     # substitute rate = t/(1-t) so the integral runs over (0, 1)
     lgx = special.gammaln(x + 1.0)
 
@@ -638,22 +637,38 @@ def _mp_pmf_quad(mix: MixingDistribution, x: int) -> float:
         logpois = x * math.log(lam) - lam - lgx
         if logpois < -745.0:  # exp underflows; the density cannot rescue it
             return 0.0
-        return math.exp(logpois) * mix._pdf(lam) / ((1.0 - t) * (1.0 - t))
+        return math.exp(logpois) * h(lam) / ((1.0 - t) * (1.0 - t))
 
-    mean = mix.mean
-    pts = sorted({mean / (1.0 + mean), x / (1.0 + x) if x > 0 else 0.5})
+    # break at the mean and around the Poisson peak rate = x, of width ~sqrt(x)
+    w = 8.0 * math.sqrt(x + 1.0)
+    rates = [mix.mean, max(x - w, 0.0), x, x + w] if x > 0 else [mix.mean, 1.0]
+    pts = sorted({r / (1.0 + r) for r in rates} - {0.0})
     with warnings.catch_warnings():
         # the error estimate below is checked against _QUAD_TOL directly;
         # scipy's advisory warning adds nothing the caller can act on
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            integrand, 0.0, 1.0, points=list(pts), epsabs=1e-13, epsrel=1e-11, limit=400
+            integrand, 0.0, 1.0, points=pts, epsabs=0.0, epsrel=1e-12, limit=400
         )
-    if err > _QUAD_TOL:
+    if err > _QUAD_TOL * val:
         raise QuadratureError(
-            f"mixed Poisson mass at x={x}: quadrature error {err:.2e} exceeds {_QUAD_TOL:.0e}"
+            f"mixed Poisson quadrature at x={x}: relative error "
+            f"{err / val if val > 0.0 else math.inf:.2e} exceeds {_QUAD_TOL:.0e}"
         )
     return val
+
+
+def _mp_sf(mix: MixingDistribution, x: int) -> float:
+    """P(X > x), certified to relative accuracy: closed forms for Erlang-type
+    and atomic mixing, a positive Poisson-Gamma integral otherwise."""
+    spec = mix.as_nbm()
+    if spec is not None:
+        return _nbm_sf(spec, x)
+    atoms = _atoms(mix)
+    if atoms is not None:
+        rates, masses = atoms
+        return float(np.dot(masses, special.pdtrc(x, rates)))
+    return _poisson_gamma_quad(mix, x, mix.sf)
 
 
 def mp_claims_pmf(
@@ -663,45 +678,11 @@ def mp_claims_pmf(
 ) -> DiscretePmf:
     """Materialize the mixed Poisson claim law as a DiscretePmf.
 
-    With ``x_max`` given, the vector covers exactly 0..x_max and the remainder
-    is declared tail mass (the exact recursion only reads that far).  Without
-    it, the support grows until the tail drops below ``tail_tol``; note this
-    costs one quadrature per support point for Pareto/lognormal mixing.
+    The vector covers 0..x_max, or without ``x_max`` runs to the first
+    x >= 64 with P(X > x) < ``tail_tol``; the declared tail is the certified
+    P(X > x_max).  Pareto/lognormal mixing costs one quadrature per point.
     """
     mean = mix.mean
     if not math.isfinite(mean):
         raise ValueError("mixing law must have a finite mean")
-    spec = mix.as_nbm()  # once per law, not once per mass
-    mass = partial(nbm_pmf, spec) if spec is not None else partial(mp_pmf, mix)
-    if x_max is not None:
-        vals = np.array([mass(x) for x in range(x_max + 1)])
-        return _as_claims(vals, mean)
-    vals_list: list[float] = []
-    acc = 0.0
-    x = 0
-    while True:
-        v = mass(x)
-        vals_list.append(v)
-        new_acc = acc + v
-        # once additions stop moving the accumulator the vector is as
-        # complete as float64 can express; the exact fsum remainder below
-        # becomes the declared tail, whatever tolerance was asked for
-        saturated = x >= 1 and v > 0.0 and new_acc == acc
-        acc = new_acc
-        if x >= 1 and (1.0 - acc < tail_tol or saturated):
-            break
-        if x > 1_000_000:
-            raise GridBudgetError("mixed Poisson support exceeds 1e6 points")
-        x += 1
-    return _as_claims(np.asarray(vals_list), mean)
-
-
-def _as_claims(vals: np.ndarray, mean: float) -> DiscretePmf:
-    # quadrature noise can push the total a few ulp past 1; renormalize that
-    total = math.fsum(vals.tolist())
-    if total > 1.0 + 1e-9:
-        raise ValueError(f"claim masses sum to {total!r}, beyond rounding slack")
-    if total > 1.0:
-        vals = vals / total
-        total = math.fsum(vals.tolist())
-    return DiscretePmf(vals, tail_mass=max(0.0, 1.0 - total), mean=mean)
+    return _claims(partial(_mp_masses, mix), partial(_mp_sf, mix), mean, x_max, tail_tol)

@@ -284,9 +284,9 @@ def psi_mp_method2(
 def psi_mp_exact_reference(mix: MixingDistribution, u_max: int) -> np.ndarray:
     """Exact ruin probabilities psi(0..u_max) for the mixed Poisson claims.
 
-    Builds the claim masses (closed form or certified quadrature) and runs
-    the forward recursion; survival values within the window are exact
-    because the declared tail mass is itself the exact remainder.
+    Builds the claim masses on 0..u_max (closed form or certified quadrature)
+    with the certified survival past them as declared tail, and runs the
+    recursion, which keeps relative accuracy at every u.
     """
     if u_max < 0:
         raise ValueError("u_max must be nonnegative")

@@ -1,14 +1,18 @@
-"""Exact ruin probabilities by forward recursion.
+"""Exact ruin probabilities from the discrete Pollaczek-Khinchine formula.
 
 The surplus process is U(t) = u + t - S(t) with iid integer claims, one unit
 of premium per period, and ruin at the first t >= 1 with U(t) <= 0.  Under
 the net profit condition E(Y) < 1 the ruin probabilities satisfy
 
     psi(0)   = E(Y)
-    psi(u+1) = ( psi(u) - sum_{y=1}^{u} f(y) psi(u+1-y) - P(Y > u) ) / f(0)
+    psi(u+1) = ( psi(u) - sum_{y=1}^{u} f(y) psi(u+1-y) - P(Y > u) ) / f(0).
 
-which this module evaluates with compensated summation and a residual check,
-since the division by f(0) can amplify rounding when f(0) is small.
+Summed by parts this is the ladder form, with d = E(Y) - 1 + f(0) and
+g(y) = P(Y > y) / d: psi(u+1) = (d / f(0)) (sum_{y=1}^{u} g(y) psi(u+1-y)
++ sum_{y>u} g(y)), a renewal equation `renewal.RenewalSolver` solves in
+O(u log^2 u).  Every term is nonnegative, so psi keeps its relative accuracy
+however small it gets; the identity above, checked relative to its terms,
+certifies the result.
 
 A compound binomial variant (claims arrive with probability p per period,
 strictly positive claim sizes) is handled by converting to an equivalent
@@ -17,12 +21,12 @@ all-periods claim law and back.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscretePmf
+from .renewal import RenewalSolver
 
 __all__ = [
     "RuinQuery",
@@ -34,8 +38,10 @@ __all__ = [
     "convert_gd_to_cb",
 ]
 
-# Residual beyond this means the recursion output cannot be trusted.
+# Relative residual beyond this means the recursion output cannot be trusted.
 _RESIDUAL_TOL = 1e-10
+# Relative rounding of the mean; the claim tail it implies is zero below it.
+_MEAN_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,60 +58,68 @@ class RuinQuery:
 
 
 def psi_recursion(query: RuinQuery) -> np.ndarray:
-    """Ruin probabilities psi(0..u_max), exact up to floating point.
+    """Ruin probabilities psi(0..u_max), to relative accuracy.
 
     Requirements on the claim law: f(0) > 0, mean < 1, and stored support
-    through u_max - 1 so every survival value the recursion reads is exact
-    rather than a truncation bound.
-
-    The recursion is numerically backward-stable here: perturbation modes
-    grow like the reciprocal roots of f̂(w) = w, and under the net profit
-    condition that equation has no root inside (0, 1), so no error mode
-    grows geometrically.  Growth is at most linear in u, and a residual
-    check on the defining identity guards the result anyway.
+    through u_max - 1 so every survival value the ladder form reads is
+    stored rather than bounded by the declared tail.
     """
     claims = query.claims
-    u_max = query.u_max
+    solver = _ladder(claims)
+    if query.u_max >= 1 and claims.tail_mass > 0.0 and claims.support_max < query.u_max - 1:
+        # with zero declared tail the stored survivals are exact at any depth
+        raise ValueError(
+            "claim support ends at "
+            f"{claims.support_max} but survival values through {query.u_max - 1} are needed; "
+            "rebuild the claims with a smaller tail tolerance"
+        )
+    return _psi(claims, solver, query.u_max)
+
+
+def _ladder(claims: DiscretePmf) -> RenewalSolver | None:
+    """Solver whose terms are psi(1), psi(2), ...; None when d = 0, where they vanish.
+
+    The weights P(Y > y) past the support S sum to E[(Y - S - 1)+], which only
+    the mean supplies: E(Y) - 1 + f(0) - sum_{y=1}^{S} P(Y > y), in extended
+    precision, and dropped as rounding below _MEAN_ROUNDING E(Y).
+    """
     f0 = claims.f(0)
     if f0 <= 0.0:
         raise ValueError("recursion needs f(0) > 0; shift or convert the claim law")
     mu = claims.mean
     if not mu < 1.0:
         raise ValueError(f"net profit condition requires mean < 1, got {mu}")
-    if u_max >= 1 and claims.tail_mass > 0.0 and claims.support_max < u_max - 1:
-        # with zero declared tail the stored survivals are exact at any depth
-        raise ValueError(
-            "claim support ends at "
-            f"{claims.support_max} but survival values through {u_max - 1} are needed; "
-            "rebuild the claims with a smaller tail tolerance"
-        )
+    sf = claims.survival[1:]
+    head = np.sum(sf, dtype=np.longdouble)
+    beyond = np.longdouble(0.0)
+    if claims.tail_mass > 0.0:
+        rest = np.longdouble(mu) - 1 + f0 - head
+        beyond = rest if rest > _MEAN_ROUNDING * mu else beyond
+    d = float(head + beyond)
+    if d == 0.0:
+        return None
+    return RenewalSolver(d / f0, sf / d, residual=float(beyond) / d)
 
-    psi = np.empty(u_max + 1)
-    psi[0] = mu
-    pmf = claims.pmf
-    for u in range(u_max):
-        terms = [psi[u], -claims.sf(u)]
-        y_hi = min(u, claims.support_max)
-        if y_hi >= 1:
-            terms.extend((-pmf[y] * psi[u + 1 - y] for y in range(1, y_hi + 1)))
-        psi[u + 1] = math.fsum(terms) / f0
 
+def _psi(claims: DiscretePmf, solver: RenewalSolver | None, u_max: int) -> np.ndarray:
+    """psi(0..u_max) from the ladder solver, extended in place, and certified."""
+    psi = np.zeros(u_max + 1)
+    psi[0] = claims.mean
+    if solver is not None:
+        psi[1:] = solver.extend(u_max)
     _check_residual(psi, claims)
-
-    bad = psi < -1e-12
-    if np.any(bad):
-        raise RuntimeError(f"recursion produced psi({np.argmax(bad)}) < -1e-12")
-    if np.any(np.diff(psi) > 1e-12):
+    if np.any(psi[1:] > psi[:-1] * (1.0 + 1e-12)):
         raise RuntimeError("recursion output is not nonincreasing")
-    psi = np.clip(psi, 0.0, 1.0)
-    return np.minimum.accumulate(psi)
+    return psi
 
 
 def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> float:
-    """Bound the defect of the defining identity at every step, in one pass; return the worst.
+    """Bound the defect of the forward identity at every step, in one pass; return the worst.
 
     The defect at u is f(0) psi(u+1) - psi(u) + P(Y > u) + sum_{y=1}^{min(u, S)}
-    f(y) psi(u+1-y); for u = 1..u_max-1 the sums are one convolution.
+    f(y) psi(u+1-y); for u = 1..u_max-1 the sums are one convolution.  Each
+    defect is taken relative to the sum of its terms' absolute values, so the
+    check keeps its power where psi is tiny.
     """
     u_max = psi.size - 1
     if u_max == 0:
@@ -113,14 +127,18 @@ def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> float:
     sf = np.full(u_max, claims.tail_mass)
     head = min(u_max, claims.support_max)
     sf[:head] = claims.survival[:head]
-    defect = claims.pmf[0] * psi[1:] - psi[:-1] + sf
+    lead = claims.pmf[0] * psi[1:]
+    defect = lead - psi[:-1] + sf
+    scale = lead + psi[:-1] + sf
     if u_max > 1 and claims.support_max > 0:
         # np.convolve raises on an empty input
-        defect[1:] += np.convolve(claims.pmf[1:u_max], psi[1:u_max])[: u_max - 1]
-    worst = float(np.max(np.abs(defect)))
+        conv = np.convolve(claims.pmf[1:u_max], psi[1:u_max])[: u_max - 1]
+        defect[1:] += conv
+        scale[1:] += conv
+    worst = float(np.max(np.abs(defect) / np.maximum(scale, np.finfo(float).tiny)))
     if worst > _RESIDUAL_TOL:
         raise RuntimeError(
-            f"recursion residual {worst:.3e} exceeds {_RESIDUAL_TOL:.0e}; "
+            f"recursion residual {worst:.3e} (relative) exceeds {_RESIDUAL_TOL:.0e}; "
             "claim law is too extreme for double precision"
         )
     return worst
@@ -191,8 +209,7 @@ def convert_gd_to_cb(claims: DiscretePmf) -> CompoundBinomialSpec:
     p = 1.0 - q0
     g = claims.pmf / p
     g[0] = 0.0
-    total = math.fsum(g.tolist())
-    cond = DiscretePmf(g, tail_mass=max(0.0, 1.0 - total), mean=claims.mean / p)
+    cond = DiscretePmf(g, tail_mass=claims.tail_mass / p, mean=claims.mean / p)
     return CompoundBinomialSpec(p=p, claim_pmf=cond)
 
 

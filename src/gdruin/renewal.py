@@ -41,6 +41,7 @@ import math
 import threading
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 __all__ = ["RenewalSolver", "TableCache", "Weights"]
 
@@ -134,9 +135,9 @@ class RenewalSolver:
         end = -(-n // _B) * _B
         if end > self._done:
             self._reserve(end)
-            d = np.subtract.outer(np.arange(_B), np.arange(_B))  # row minus column
-            near = np.where(d >= 0, self._tau[np.maximum(d, 0)], 0.0)
-            prev = np.where(d < 0, self._near_f[_B + np.minimum(d, 0)], 0.0)
+            # near[r, c] = tau[r - c] for r >= c; prev[r, c] = f_{B + r - c} for r < c
+            near = toeplitz(self._tau, np.zeros(_B))
+            prev = toeplitz(np.zeros(_B), np.r_[0.0, self._near_f[_B - 1 : 0 : -1]])
             spectra: dict[int, tuple] = {}
             try:
                 for pos in range(self._done, end, _B):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DiscretePmf, equilibrium
-from .recursion import RuinQuery, psi_recursion
+from .recursion import _ladder, _psi
 
 __all__ = [
     "SimConfig",
@@ -139,11 +139,12 @@ def _stop_bound(claims: DiscretePmf) -> int:
 
     A truncated claim vector caps how deep the recursion can certify, so a
     tail tolerance that is too loose is rejected here rather than silently
-    biasing the stopping rule; a complete pmf just extends the recursion.
+    biasing the stopping rule; a complete pmf extends one solver in place.
     """
+    solver = _ladder(claims)
     u_max = claims.support_max + 1
     while True:
-        psi = psi_recursion(RuinQuery(claims=claims, u_max=u_max))
+        psi = _psi(claims, solver, u_max)
         hits = np.nonzero(psi < _STOP_TOL)[0]
         if hits.size:
             return int(hits[0])

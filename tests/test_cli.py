@@ -196,12 +196,29 @@ def test_all_job_simulates_once_for_every_u(simulator_passes):
         JobSpec(method="all", model="mp", mix="erlang:2,3", u_max=10, reps=2000)
     )
     assert len(simulator_passes) == 1
-    mix = MixingDistribution.erlang(2, 3.0)
-    # the default tail 1e-12 cannot certify the stop rule; the job deepens it
+    # the default tail 1e-12 leaves 65 support points, enough to certify the stop rule
+    claims = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-12)
+    assert [row["SIM"] for row in table.rows] == _sim_per_u(claims, 10, 2000, 0)
+
+
+def test_all_job_doubles_the_claim_support_until_the_stop_rule_certifies(simulator_passes):
+    # the stop bound is 118 here, past the 65 points of the default tail 1e-12
+    table = run(JobSpec(
+        method="all", model="mp", mix="erlang_mixture:0.6,0.1,0.3;2", u_max=10, reps=2000,
+    ))
+    assert len(simulator_passes) == 1
+    mix = MixingDistribution.erlang_mixture((0.6, 0.1, 0.3), 2.0)
     with pytest.raises(ValueError, match="smaller tail tolerance"):
         _sim_per_u(mp_claims_pmf(mix, tail_tol=1e-12), 0, 10, 0)
-    claims = mp_claims_pmf(mix, tail_tol=1e-18)
+    claims = mp_claims_pmf(mix, x_max=129)  # twice the 65 points, less one
     assert [row["SIM"] for row in table.rows] == _sim_per_u(claims, 10, 2000, 0)
+
+
+def test_lognormal_all_job_runs_and_its_exact_column_falls(capsys):
+    # the stop bound reads psi to u = 320, where the forward loop went negative
+    assert main(["all", "--mix", "lognormal:-1,1", "--reps", "2000", "--format", "json"]) == 0
+    e = [row["E"] for row in json.loads(capsys.readouterr().out)["rows"]]
+    assert all(b <= a for a, b in zip(e, e[1:]))
 
 
 def test_simulate_verb_simulates_once_for_every_u(simulator_passes, capsys):

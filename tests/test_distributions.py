@@ -267,6 +267,32 @@ def test_mp_pmf_quadrature_against_mpmath(mix):
             assert mp_pmf(mix, x) == pytest.approx(ref, rel=1e-9)
 
 
+def test_far_quadrature_masses_against_mpmath():
+    """Far from the mixing mean the Poisson kernel is a narrow peak at rate = x."""
+    mix = MixingDistribution.pareto(3.0, 1.0)
+    with mpmath.workdps(30):
+        for x in (700, 1000):
+            kernel = lambda lam: mpmath.exp(x * mpmath.log(lam) - lam - mpmath.loggamma(x + 1))
+            pts = [0, x - 8 * mpmath.sqrt(x), x, x + 8 * mpmath.sqrt(x), mpmath.inf]
+            mass = float(mpmath.quad(lambda lam: kernel(lam) * 3 / (1 + lam) ** 4, pts))
+            tail = float(mpmath.quad(lambda lam: kernel(lam) / (1 + lam) ** 3, pts))
+            assert mp_pmf(mix, x) == pytest.approx(mass, rel=1e-9)
+            assert mp_claims_pmf(mix, x_max=x).tail_mass == pytest.approx(tail, rel=1e-9)
+
+
+def test_declared_tail_is_the_certified_survival():
+    """P(X > 331) for Lognormal(-1,1) mixing, by the Poisson-Gamma integral at 30 digits."""
+    mix = MixingDistribution.lognormal(-1.0, 1.0)
+    claims = mp_claims_pmf(mix, x_max=331)
+    m, s, y = -1, 1, 331
+    with mpmath.workdps(30):
+        sf = lambda lam: mpmath.erfc((mpmath.log(lam) - m) / (s * mpmath.sqrt(2))) / 2
+        f = lambda lam: sf(lam) * mpmath.exp(-lam) * lam**y / mpmath.factorial(y)
+        ref = float(mpmath.quad(f, [0, y / 2, y, 2 * y, mpmath.inf]))
+    assert ref == pytest.approx(5.479e-12, rel=1e-3)
+    assert claims.tail_mass == pytest.approx(ref, rel=1e-8)
+
+
 def test_mp_claims_pmf_windowed_and_complete():
     mix = MixingDistribution.erlang(2, 3.0)
     short = mp_claims_pmf(mix, x_max=6)

@@ -29,6 +29,8 @@ from gdruin import (
     mp_claims_pmf,
     nbm_claims_pmf,
     psi_geometric_closed,
+    psi_mp_exact_reference,
+    psi_nbm,
     psi_recursion,
 )
 from gdruin import recursion
@@ -85,6 +87,52 @@ def test_recursion_matches_linear_system(claims):
     np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-10)
 
 
+# -- deep tails: relative accuracy where psi is tiny ----------------------------
+
+NBM_SPEC = NbmSpec((0.5, 0.5), 0.7)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        MixingDistribution.erlang(2, 3.0),
+        MixingDistribution.exponential(2.4),
+        MixingDistribution.erlang_mixture((0.3, 0.3, 0.4), 3.5),
+        NBM_SPEC,
+    ],
+    ids=["erlang", "exponential", "erlang-mixture", "nbm"],
+)
+def test_recursion_keeps_relative_accuracy_to_u_1000(law):
+    if isinstance(law, NbmSpec):
+        # the smallest tolerance runs the support until the survival underflows
+        spec, psi = law, psi_recursion(RuinQuery(nbm_claims_pmf(law, tail_tol=5e-324), 1000))
+    else:
+        spec, psi = law.as_nbm(), psi_mp_exact_reference(law, 1000)
+    ref = np.array([psi_nbm(spec, u) for u in range(1001)])
+    normal = ref >= np.finfo(float).tiny  # subnormal values carry no relative precision
+    assert normal[:800].all()
+    np.testing.assert_allclose(psi[normal], ref[normal], rtol=1e-10, atol=0)
+
+
+def test_recursion_matches_geometric_closed_form_to_u_700():
+    claims = geometric_pmf(0.6, tail_tol=1e-300)
+    psi = psi_recursion(RuinQuery(claims=claims, u_max=700))
+    ref = np.array([psi_geometric_closed(0.6, u) for u in range(701)])
+    assert ref[-1] < 1e-120
+    np.testing.assert_allclose(psi, ref, rtol=1e-12, atol=0)
+
+
+def test_residual_check_is_relative_where_psi_is_tiny():
+    claims = geometric_pmf(0.6, tail_tol=1e-300)
+    psi = np.array([psi_geometric_closed(0.6, u) for u in range(701)])
+    _check_residual(psi, claims)
+    u = 566
+    assert 1e-101 < psi[u] < 1e-99
+    psi[u] *= 1.0 + 1e-6
+    with pytest.raises(RuntimeError, match="recursion residual"):
+        _check_residual(psi, claims)
+
+
 def test_bernoulli_claims_by_hand():
     # claims 0 or 1 with probability 1/2: the surplus never decreases, so
     # ruin can only happen at once from u = 0
@@ -95,12 +143,13 @@ def test_bernoulli_claims_by_hand():
 
 
 def residual_loop(psi: np.ndarray, claims: DiscretePmf) -> float:
-    """Worst defect of the defining identity, one exact sum per step."""
+    """Worst defect of the defining identity relative to its terms, one exact sum per step."""
     worst = 0.0
     for u in range(psi.size - 1):
         terms = [claims.f(0) * psi[u + 1], -psi[u], claims.sf(u)]
         terms += [claims.f(y) * psi[u + 1 - y] for y in range(1, u + 1)]
-        worst = max(worst, abs(math.fsum(terms)))
+        scale = max(math.fsum(abs(t) for t in terms), np.finfo(float).tiny)
+        worst = max(worst, abs(math.fsum(terms)) / scale)
     return worst
 
 
