@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ from .distributions import (
 from .mixed_poisson import (
     MpApproxConfig,
     mp_coefficients,
-    psi_mp_exact_reference,
     psi_mp_method1,
     psi_mp_method2,
 )
@@ -187,12 +187,12 @@ class _Model:
                 raise ValueError("model mp needs --mix")
             self.mixing = _parse_mix(job.mix)
             self.nbm_spec = self.mixing.as_nbm()
+            self._build = partial(mp_claims_pmf, self.mixing)
         elif self.kind == "nbm":
             if job.weights is None or job.p is None:
                 raise ValueError("model nbm needs --weights and --p")
             self.nbm_spec = NbmSpec(job.weights, job.p)
-            # NBM(pi, p) is mixed Poisson under Erlang(k, p/(1-p)) mixing
-            self.mixing = MixingDistribution.erlang_mixture(job.weights, job.p / (1.0 - job.p))
+            self._build = partial(nbm_claims_pmf, self.nbm_spec)
         elif self.kind == "cb":
             if job.pmf_file is None or job.p is None:
                 raise ValueError("model cb needs --pmf-file and --p")
@@ -219,11 +219,9 @@ class _Model:
         to the job's tail tolerance, or through ``x_max``."""
         if self._claims is not None:
             return self._claims
-        if self.kind == "nbm" and x_max is None:
-            return nbm_claims_pmf(self.nbm_spec, tail_tol=min(self.job.tail_tol, 1e-12))
         if not deep:
             x_max = max(self.job.u_max, 1)
-        return mp_claims_pmf(self.mixing, x_max=x_max, tail_tol=self.job.tail_tol)
+        return self._build(x_max=x_max, tail_tol=self.job.tail_tol)
 
 
 # -- job execution ---------------------------------------------------------------
@@ -279,10 +277,7 @@ def run(job: JobSpec) -> ResultTable:
         t0 = time.perf_counter()
         col = _METHOD_COLUMN[method]
         if method == "exact":
-            if model.kind == "mp":
-                vec = psi_mp_exact_reference(model.mixing, job.u_max)
-            else:
-                vec = psi_recursion(RuinQuery(claims=model.claims(), u_max=job.u_max))
+            vec = psi_recursion(RuinQuery(claims=model.claims(), u_max=job.u_max))
             values[col] = [float(v) for v in vec]
         elif method == "pk":
             claims = model.claims()

@@ -47,8 +47,9 @@ __all__ = [
 _SUM_TOL = 1e-12
 # Certified relative tolerance for mixed Poisson quadrature.
 _QUAD_TOL = 1e-10
-# Longest claim vector the builders make.
-_SUPPORT_CAP = 1_000_000
+# Longest claim vector the builders make: the simulator's stop bound costs
+# O(S^2) on a support of S points.
+_SUPPORT_CAP = 1 << 17
 # Shortest claim vector built to a tail tolerance: the recursion and the
 # simulator's stop rule can read 65 surplus levels of it at any tolerance.
 _MIN_SUPPORT = 64
@@ -233,14 +234,12 @@ class NbmSpec:
     """Negative binomial mixture NBM(pi, p).
 
     ``weights[i]`` is the mixing weight q_{i+1} on the NegBin(i+1, p)
-    component; mixture indices start at 1.  ``residual`` is mass beyond the
-    stored weights, nonzero only for truncated constructions such as grid
-    discretizations of a mixing law.
+    component; mixture indices start at 1.  The weights are the whole law
+    and sum to 1: a spec has no mass past its last weight.
     """
 
     weights: tuple[float, ...]
     p: float
-    residual: float = 0.0
 
     def __post_init__(self):
         w = tuple(float(q) for q in self.weights)
@@ -250,15 +249,13 @@ class NbmSpec:
             raise ValueError("mixture weights must be finite and nonnegative")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
-        if not 0.0 <= self.residual <= 1.0:
-            raise ValueError("residual must lie in [0, 1]")
-        if abs(math.fsum(w) + self.residual - 1.0) > _SUM_TOL:
-            raise ValueError("mixture weights plus residual must sum to 1")
+        if abs(math.fsum(w) - 1.0) > _SUM_TOL:
+            raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "weights", w)
 
     @property
     def weight_mean(self) -> float:
-        """E(N) over the stored weights (the residual contributes nothing)."""
+        """E(N) over the weights."""
         return math.fsum((i + 1) * q for i, q in enumerate(self.weights))
 
     @property
@@ -270,11 +267,11 @@ class NbmSpec:
         """P(N > j) for j = 0..len(weights), accumulated from the high end."""
         arr = np.asarray(self.weights, dtype=float)
         tails = np.cumsum(arr[::-1])[::-1]  # tails[i] = P(N >= i+1)
-        return np.append(tails, 0.0) + self.residual
+        return np.append(tails, 0.0)
 
 
 def nbm_pmf(spec: NbmSpec, x: int) -> float:
-    """Mixture mass sum_k q_k nb_pmf(k, p, x); the residual is excluded."""
+    """Mixture mass sum_k q_k nb_pmf(k, p, x)."""
     return float(_nbm_masses(spec, np.array([x]))[0]) if x >= 0 else 0.0
 
 
@@ -285,9 +282,9 @@ def _nbm_masses(spec: NbmSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _nbm_sf(spec: NbmSpec, y: int) -> float:
-    """P(Y > y) for the mixture, sum_k q_k P(NegBin(k, p) > y), plus the residual."""
+    """P(Y > y) for the mixture, sum_k q_k P(NegBin(k, p) > y)."""
     k = np.arange(1.0, len(spec.weights) + 1.0)
-    return float(np.dot(spec.weights, special.betainc(y + 1.0, k, 1.0 - spec.p))) + spec.residual
+    return float(np.dot(spec.weights, special.betainc(y + 1.0, k, 1.0 - spec.p)))
 
 
 def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
@@ -304,38 +301,35 @@ def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> Disc
             mid = (lo + x_max) // 2
             lo, x_max = (lo, mid) if sf(mid) < tail_tol else (mid, x_max)
     if x_max > _SUPPORT_CAP:
-        raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP:.0e} points")
+        raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP} points")
     return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)
 
 
-def nbm_claims_pmf(spec: NbmSpec, tail_tol: float = 1e-12) -> DiscretePmf:
-    """Materialize the mixture as a DiscretePmf, truncated at ``tail_tol``.
+def nbm_claims_pmf(
+    spec: NbmSpec,
+    x_max: int | None = None,
+    tail_tol: float = 1e-12,
+) -> DiscretePmf:
+    """Materialize the mixture as a DiscretePmf, like `mp_claims_pmf`.
 
-    The support ends at the first y >= 64 with P(Y > y) < ``tail_tol``, whose
-    closed form is the declared tail; the exact mean E(N)(1-p)/p is stored.
-    The spec's residual must already sit below ``tail_tol``.
+    The vector covers 0..x_max, or without ``x_max`` runs to the first
+    y >= 64 with P(Y > y) < ``tail_tol``; the declared tail is the closed form
+    P(Y > x_max), and the exact mean E(N)(1-p)/p is stored.
     """
-    if spec.residual > tail_tol:
-        raise ValueError("spec residual exceeds the requested tail tolerance")
     return _claims(
-        partial(_nbm_masses, spec), partial(_nbm_sf, spec), spec.claim_mean, None, tail_tol
+        partial(_nbm_masses, spec), partial(_nbm_sf, spec), spec.claim_mean, x_max, tail_tol
     )
 
 
 def nbm_equilibrium(spec: NbmSpec) -> NbmSpec:
     """Equilibrium of the mixture: weights F̄_N(j-1)/E(N) for j >= 1, same p.
 
-    The weight index starts at 1, matching the mixture convention.
+    The weight index starts at 1, matching the mixture convention.  The
+    weights are rounded doubles, so their sum may miss 1 by rounding; the
+    renewal tables do not read this spec but normalize the raw P(N > j)
+    themselves.
     """
-    if spec.residual > 1e-9:
-        raise ValueError("equilibrium weights need the full mixture; residual too large")
-    en = spec.weight_mean
-    if not math.isfinite(en) or en <= 0.0:
-        raise ValueError("E(N) must be finite and positive")
-    surv = spec.weight_survival()  # surv[j] = P(N > j), j = 0..K
-    w_e = surv[:-1] / en  # weight on j = 1..K is P(N > j-1)/E(N)
-    resid = max(0.0, 1.0 - math.fsum(w_e.tolist()))
-    return NbmSpec(tuple(w_e), spec.p, residual=resid)
+    return NbmSpec(tuple(spec.weight_survival()[:-1] / spec.weight_mean), spec.p)
 
 
 # ---------------------------------------------------------------------------

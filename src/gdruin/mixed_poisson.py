@@ -143,10 +143,10 @@ class _Grid(Weights):
 def _table(mix: MixingDistribution, n: int):
     """Renewal solver for the law's grid coefficients, and the wrapper of its views.
 
-    The equilibrium weights are the grid normalized by its sum, which the
-    solver takes once in extended precision: the coefficient identity is
-    checked downstream to 1e-12 and double accumulation over ~1e5 grid
-    points would eat most of that budget.
+    The solver takes the raw grid and normalizes it by its sum once, in
+    extended precision: the coefficient identity is checked downstream to
+    1e-12 and double accumulation over ~1e5 grid points would eat most of
+    that budget.
     """
     elam = mix.mean
     if not 0.0 < elam < 1.0:
@@ -159,7 +159,7 @@ def _table(mix: MixingDistribution, n: int):
         grid = Weights(head[: below[0]].copy())  # no view pinning the whole head
     else:
         raise ValueError("mixing law has no mass above 0")
-    solver = RenewalSolver(elam, grid, normalize=True)
+    solver = RenewalSolver(elam, grid)
     points = min(grid.size, _HEAD)
 
     def wrap(cbar: np.ndarray) -> MpCoefficientSeq:

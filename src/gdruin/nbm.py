@@ -10,10 +10,13 @@ where the coefficients solve the renewal equation
     Cbar_0 = E(N) (1-p)/p
     Cbar_k = Cbar_0 [ sum_{i=1}^{k} f_Ne(i) Cbar_{k-i} + Fbar_Ne(k) ]
 
-driven by the equilibrium weights f_Ne(i) = Fbar_N(i-1)/E(N), which the
-semi-relaxed solver in `renewal` computes in O(K log^2 K) for K terms.  The
-sequence equals (1-rho) Fbar_{N*}(k) for a compound truncated-geometric N*,
-which is exposed separately as a cross-check (built by a direct Panjer loop).
+driven by the equilibrium weights f_Ne(i) = Fbar_N(i-1)/E(N).  The
+semi-relaxed solver in `renewal` takes the raw survival P(N > j) and divides
+by its sum once, in extended precision, so Fbar_Ne(k) is exactly zero past
+the last weight and Cbar keeps its relative accuracy deep in the tail.  It
+costs O(K log^2 K) for K terms.  The sequence equals (1-rho) Fbar_{N*}(k) for
+a compound truncated-geometric N*, which is exposed separately as a
+cross-check (built by a direct Panjer loop).
 
 Coefficient tables are cached per spec and extended in place, geometrically,
 so repeated psi queries at different surpluses share one table.
@@ -22,13 +25,13 @@ so repeated psi queries at different surpluses share one table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import NbmSpec, nb_sf, nbm_equilibrium, _nb_logpmf
-from .renewal import RenewalSolver, TableCache
+from .distributions import NbmSpec, nb_sf, _nb_logpmf
+from .renewal import RenewalSolver, TableCache, Weights
 
 __all__ = [
     "CoefficientSeq",
@@ -45,13 +48,17 @@ _SERIES_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSeq:
-    """Cbar coefficients of one mixture spec, with the pieces that built them."""
+    """Cbar coefficients of one mixture spec, with the solver that built them.
+
+    ``cbar`` is a read-only view of the spec's cached table.  The equilibrium
+    weights f_Ne(i) and their tails Fbar_Ne(k) are ``renewal.lags`` and
+    ``renewal.survival``.
+    """
 
     source: NbmSpec
     cbar: np.ndarray
     rho: float
-    f_ne: np.ndarray
-    fbar_ne: np.ndarray
+    renewal: RenewalSolver = field(repr=False)
 
     @property
     def c0(self) -> float:
@@ -63,26 +70,27 @@ def _table(spec: NbmSpec):
     c0 = spec.claim_mean
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
-    eq = nbm_equilibrium(spec)
-    f_ne = np.asarray(eq.weights)  # f_ne[i-1] is the weight on i
-    solver = RenewalSolver(c0, f_ne, eq.residual)
-    fbar = solver.survival(0, f_ne.size + 1)  # fbar[k] = P(Ne > k), k = 0..len(f_ne)
+    solver = RenewalSolver(c0, Weights(spec.weight_survival()[:-1]))
 
     def wrap(cbar: np.ndarray) -> CoefficientSeq:
-        return CoefficientSeq(source=spec, cbar=cbar, rho=1.0 - c0, f_ne=f_ne, fbar_ne=fbar)
+        return CoefficientSeq(source=spec, cbar=cbar, rho=1.0 - c0, renewal=solver)
 
     return solver, wrap
+
+
+_coeff_cache = TableCache()
 
 
 def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
     """Coefficients Cbar_0..Cbar_k_max for the given mixture, as a read-only array.
 
+    The array is a view of the spec's cached table, which grows in place.
     Requires the net profit condition E(N)(1-p)/p < 1.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    solver, wrap = _table(spec)
-    return wrap(solver.extend(k_max + 1))
+    seq = _coeff_cache.get(spec, k_max, lambda: _table(spec))
+    return replace(seq, cbar=seq.cbar[: k_max + 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +137,7 @@ def compound_geo_zero_mass(pi: Sequence[float], p: float, rho: float) -> float:
     return rho * g / (1.0 - (1.0 - rho) * g)
 
 
-# -- cached psi evaluation ---------------------------------------------------
-
-_coeff_cache = TableCache()
-
-
-def _coefficients(spec: NbmSpec, k_max: int) -> CoefficientSeq:
-    return _coeff_cache.get(spec, k_max, lambda: _table(spec))
+# -- psi evaluation ------------------------------------------------------------
 
 
 def _series_k_hi(u: int, p: float) -> int:
@@ -158,7 +160,7 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     if u == 0:
         return c0
     k_hi = _series_k_hi(u, spec.p)
-    seq = _coefficients(spec, k_hi)
+    seq = cbar_sequence(spec, k_hi)
     x = np.arange(k_hi + 1, dtype=float)
     weights = np.exp(_nb_logpmf(float(u), 1.0 - spec.p, x))
-    return float(np.dot(seq.cbar[: k_hi + 1], weights))
+    return float(np.dot(seq.cbar, weights))

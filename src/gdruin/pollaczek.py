@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .distributions import DiscretePmf, equilibrium
+from .distributions import DiscretePmf
 
 __all__ = ["psi_pk", "severity_at_zero"]
 
@@ -47,8 +47,8 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
 
     # mu^(k_cut+1)/(1-mu) < tail_tol
     k_cut = max(1, math.ceil(math.log(tail_tol * (1.0 - mu)) / math.log(mu)))
-    # the ladder-height pmf on the window 0..u-1, zero-padded to width u
-    head = equilibrium(claims).pmf[:u]
+    # the ladder-height pmf P(Y > y) / mu on the window 0..u-1, zero-padded to width u
+    head = claims.survival[:u] / mu
     step = np.pad(head, (0, u - head.size))
     conv = step
     terms = []

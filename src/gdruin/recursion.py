@@ -10,9 +10,9 @@ the net profit condition E(Y) < 1 the ruin probabilities satisfy
 Summed by parts this is the ladder form, with d = E(Y) - 1 + f(0) and
 g(y) = P(Y > y) / d: psi(u+1) = (d / f(0)) (sum_{y=1}^{u} g(y) psi(u+1-y)
 + sum_{y>u} g(y)), a renewal equation `renewal.RenewalSolver` solves in
-O(u log^2 u).  Every term is nonnegative, so psi keeps its relative accuracy
-however small it gets; the identity above, checked relative to its terms,
-certifies the result.
+O(u log^2 u) from the raw survival P(Y > y), whose sum is d.  Every term is
+nonnegative, so psi keeps its relative accuracy however small it gets; the
+identity above, checked relative to its terms, certifies the result.
 
 A compound binomial variant (claims arrive with probability p per period,
 strictly positive claim sizes) is handled by converting to an equivalent
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscretePmf
-from .renewal import RenewalSolver
+from .renewal import RenewalSolver, Weights
 
 __all__ = [
     "RuinQuery",
@@ -90,15 +90,15 @@ def _ladder(claims: DiscretePmf) -> RenewalSolver | None:
     if not mu < 1.0:
         raise ValueError(f"net profit condition requires mean < 1, got {mu}")
     sf = claims.survival[1:]
-    head = np.sum(sf, dtype=np.longdouble)
     beyond = np.longdouble(0.0)
     if claims.tail_mass > 0.0:
-        rest = np.longdouble(mu) - 1 + f0 - head
+        rest = np.longdouble(mu) - 1 + f0 - np.sum(sf, dtype=np.longdouble)
         beyond = rest if rest > _MEAN_ROUNDING * mu else beyond
-    d = float(head + beyond)
-    if d == 0.0:
+    weights = Weights(sf, beyond)
+    total = float(weights.tail(0))
+    if total == 0.0:
         return None
-    return RenewalSolver(d / f0, sf / d, residual=float(beyond) / d)
+    return RenewalSolver(total / f0, weights)
 
 
 def _psi(claims: DiscretePmf, solver: RenewalSolver | None, u_max: int) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Online solver for the renewal equation behind the Cbar coefficients.
 
-Both coefficient tables of the package, the NBM series in `nbm` and its
-mixed Poisson grid limit in `mixed_poisson`, solve
+The coefficient tables of the package, the NBM series in `nbm`, its mixed
+Poisson grid limit in `mixed_poisson` and the ladder form of E in
+`recursion`, solve
 
     x_0 = c0,    x_k = c0 ( sum_{i=1}^{min(k, W)} f_i x_{k-i} + Fbar(k) ),   k >= 1,
 
-for a possibly defective law f_1..f_W with survival Fbar(k) = sum_{i>k} f_i + r,
-r being the mass beyond W.  The direct loop costs O(K min(K, W)) for K terms,
-in K Python-level calls.  `RenewalSolver` costs O(K log^2 K) in O(K / B)
-numpy calls and extends its table in place:
+for the law f_i = w_{i-1} / total of raw survival weights w_0..w_{W-1}, with
+Fbar(k) = sum_{l>=k} w_l / total.  ``total`` is the sum of every weight,
+taken once in extended precision, and includes the certified sum of the
+weights past the stored array, so Fbar never carries a rounding remainder.
+The direct loop costs O(K min(K, W)) for K terms, in K Python-level calls.
+`RenewalSolver` costs O(K log^2 K) in O(K / B) numpy calls and extends its
+table in place:
 
 * lags below the block size B = 256 are dense nonnegative products: one
   B x B inverse-Toeplitz gemv per block of B terms, plus one gemv for the
@@ -25,7 +29,7 @@ and outputs by e^{-t (k-e)}, with t solving c0 sum_{i<2s} f_i e^{t i} = 1
 over the level's own lags.  A tilted lag never exceeds 1/c0, and where x
 decays geometrically the tilted source block is level, so the error stays
 relative to each term.  A single tilt e^{t k} over the whole table would
-overflow once x stops decaying, as it does when r > 0.
+overflow once x stops decaying, as it does when Fbar stays positive past W.
 
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
@@ -78,29 +82,22 @@ class Weights:
 class RenewalSolver:
     """Terms x_0, x_1, ... of the renewal equation above, grown on request.
 
-    f_i = w_{i-1} / total and Fbar(k) = sum_{l>=k} w_l / total + residual,
-    for ``weights`` w given as an array or a `Weights`.  ``total`` is 1, or
-    with ``normalize`` the sum of the weights, taken once in extended
-    precision like every tail sum.  The weights are kept by reference and
+    ``weights`` holds the raw w: f_i = w_{i-1} / total and Fbar(k) =
+    sum_{l>=k} w_l / total, with total = ``weights.tail(0)``; past a finite
+    array Fbar is ``beyond / total``.  The weights are kept by reference and
     must not change.  ``extend`` is not thread-safe; ``lags`` and
     ``survival`` only read the weights, so they may run beside it.
     """
 
-    def __init__(
-        self,
-        c0: float,
-        weights: np.ndarray | Weights,
-        residual: float = 0.0,
-        normalize: bool = False,
-    ):
-        if not isinstance(weights, Weights):
-            weights = Weights(weights)
+    def __init__(self, c0: float, weights: Weights):
         self._weights = weights
         self.c0 = float(c0)
         self._width = weights.size
-        self._total = weights.tail(0) if normalize else np.longdouble(1.0)
+        self._total = weights.tail(0)
         self.total = float(self._total)
-        self._residual = float(residual)
+        self._past = 0.0  # Fbar(k) for k >= W
+        if self._width < math.inf:
+            self._past = float(weights.tail(-(-self._width // _B) * _B) / self._total)
         self._near_f = self.lags(0, 2 * _B)
         tau = np.empty(_B)  # first B terms of c0 / (1 - c0 F(z))
         tau[0] = self.c0
@@ -121,13 +118,13 @@ class RenewalSolver:
 
     def survival(self, lo: int, hi: int) -> np.ndarray:
         """Fbar(k) for k in [lo, hi)."""
-        out = np.full(hi - lo, self._residual)
+        out = np.full(hi - lo, self._past)
         top = min(hi, self._width)
         if top > lo:
             m = -(-top // _B) * _B  # first block boundary at or after top
             seg = self._weights.read(lo, min(m, self._width)).astype(np.longdouble)
             suffix = np.cumsum(seg[::-1])[::-1] + self._weights.tail(m)
-            out[: top - lo] += suffix[: top - lo] / self._total
+            out[: top - lo] = suffix[: top - lo] / self._total
         return out
 
     def extend(self, n: int) -> np.ndarray:

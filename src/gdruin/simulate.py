@@ -12,9 +12,9 @@ One pass therefore serves every surplus level.  Each path's final running
 maximum (its level when the stop rule or the horizon ends it) goes into
 ``SimResult.level_hist``.  Ruin at u >= 1 is a final level of at least u and
 ruin at u = 0 is at least one record, so ``SimResult.psi_at(u)`` reads the
-ruin count at any u from ``level_hist`` or ``k_hist[0]`` and gives the same
-estimate as a run at that u.  The per-u fields (``ruin_count``, ``psi_hat``,
-``ruin_severity_hist``) describe ``SimConfig.u`` alone.
+ruin count at any u from ``level_hist`` or ``k_hist[0]``; ``ruin_count``,
+``psi_hat`` and ``psi_se`` are that reading at ``SimConfig.u``.  The scalar
+walk `simulate_single` tracks first passage at u itself, as the oracle.
 
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
@@ -83,9 +83,6 @@ class SimResult:
     """Aggregates over all replications of one :class:`SimConfig`."""
 
     config: SimConfig
-    ruin_count: int
-    psi_hat: float
-    psi_se: float
     censored: int
     stop_bound: int
     miss_probability: float
@@ -93,30 +90,35 @@ class SimResult:
     level_hist: np.ndarray
     record_severity_hist: np.ndarray
     first_record_severity_hist: np.ndarray
-    ruin_severity_hist: np.ndarray
     identity_mismatches: int
 
-    def psi_at(self, u: int) -> tuple[float, float]:
-        """Estimate of psi(u) and its standard error, for any surplus u.
-
-        Ruin at u >= 1 means a final running maximum of at least u; ruin at
-        u = 0 means at least one record.  Both counts come from this pass,
-        so the estimate equals that of a run with ``SimConfig.u = u``.
-        """
+    def _count(self, u: int) -> int:
+        """Paths ruined from surplus u: a final running maximum of at least u
+        for u >= 1, at least one record for u = 0."""
         if int(u) != u or u < 0:
             raise ValueError("u must be a nonnegative integer")
-        r = self.config.replications
         if u == 0:
-            count = r - int(self.k_hist[0])
-        else:
-            count = int(self.level_hist[int(u):].sum())
-        return _estimate(count, r)
+            return self.config.replications - int(self.k_hist[0])
+        return int(self.level_hist[int(u):].sum())
 
+    def psi_at(self, u: int) -> tuple[float, float]:
+        """Estimate of psi(u) and its binomial standard error, floored at 1/r,
+        for any surplus u; equal to that of a run with ``SimConfig.u = u``."""
+        r = self.config.replications
+        psi_hat = self._count(u) / r
+        return psi_hat, math.sqrt(max(psi_hat * (1.0 - psi_hat), 1.0 / r) / r)
 
-def _estimate(ruin_count: int, r: int) -> tuple[float, float]:
-    """Ruin frequency and its binomial standard error, floored at 1/r."""
-    psi_hat = ruin_count / r
-    return psi_hat, math.sqrt(max(psi_hat * (1.0 - psi_hat), 1.0 / r) / r)
+    @property
+    def ruin_count(self) -> int:
+        return self._count(self.config.u)
+
+    @property
+    def psi_hat(self) -> float:
+        return self.psi_at(self.config.u)[0]
+
+    @property
+    def psi_se(self) -> float:
+        return self.psi_at(self.config.u)[1]
 
 
 @dataclass
@@ -174,16 +176,13 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     claims = cfg.claims
     b = _stop_bound(claims)
     cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
-    u = cfg.u
 
-    ruin_count = 0
     censored = 0
     mismatches = 0
     k_hist = np.zeros(1, dtype=np.int64)
     level_hist = np.zeros(1, dtype=np.int64)
     sev_hist = np.zeros(1, dtype=np.int64)
     first_hist = np.zeros(1, dtype=np.int64)
-    ruin_sev_hist = np.zeros(1, dtype=np.int64)
 
     remaining = cfg.replications
     chunk_index = 0
@@ -199,7 +198,6 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
         lvl = np.zeros(size, dtype=np.int64)  # running max of Z, = sum of severities
         k = np.zeros(size, dtype=np.int64)  # records so far
         sev_sum = np.zeros(size, dtype=np.int64)
-        fp_sev = np.full(size, -1, dtype=np.int64)  # severity at first Z >= u
         steps = 0
 
         while z.size:
@@ -228,12 +226,6 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
             k += rec.sum(axis=1)
             sev_sum += inc.sum(axis=1)
 
-            passage = (fp_sev < 0) & (zmax[:, -1] >= u)
-            if passage.any():
-                sub = zp[passage]
-                cols = np.argmax(sub >= u, axis=1)
-                fp_sev[passage] = sub[np.arange(sub.shape[0]), cols] - u
-
             z = zp[:, -1]
             np.maximum(lvl, zmax[:, -1], out=lvl)
             steps += _WINDOW
@@ -243,24 +235,14 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
                 censored += int((~done).sum())
                 done = np.ones_like(done)
             if done.any():
-                ruined = fp_sev[done] >= 0
-                ruin_count += int(ruined.sum())
-                rsev = fp_sev[done][ruined]
-                if rsev.size:
-                    ruin_sev_hist = _grow_add(ruin_sev_hist, np.bincount(rsev))
                 k_hist = _grow_add(k_hist, np.bincount(k[done]))
                 level_hist = _grow_add(level_hist, np.bincount(lvl[done]))
                 mismatches += int((sev_sum[done] != lvl[done]).sum())
                 keep = ~done
-                z, lvl, k = z[keep], lvl[keep], k[keep]
-                sev_sum, fp_sev = sev_sum[keep], fp_sev[keep]
+                z, lvl, k, sev_sum = z[keep], lvl[keep], k[keep], sev_sum[keep]
 
-    psi_hat, psi_se = _estimate(ruin_count, cfg.replications)
     return SimResult(
         config=cfg,
-        ruin_count=ruin_count,
-        psi_hat=psi_hat,
-        psi_se=psi_se,
         censored=censored,
         stop_bound=b,
         miss_probability=_STOP_TOL,
@@ -268,7 +250,6 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
         level_hist=level_hist,
         record_severity_hist=sev_hist,
         first_record_severity_hist=first_hist,
-        ruin_severity_hist=ruin_sev_hist,
         identity_mismatches=mismatches,
     )
 

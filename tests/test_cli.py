@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -167,8 +168,8 @@ def test_main_simulate_verb(capsys):
 def simulator_passes(monkeypatch):
     """Configs of the simulator passes a job completes.
 
-    A claim law whose tail is too short for the stop rule is refused before
-    any path is drawn, and the job retries with a deeper tail; such refused
+    A claim law whose support is too short for the stop rule is refused
+    before any path is drawn, and the job doubles the support; such refused
     calls are not passes.
     """
     passes = []
@@ -231,6 +232,31 @@ def test_simulate_verb_simulates_once_for_every_u(simulator_passes, capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     claims = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-12)
     assert [row["SIM"] for row in rows] == _sim_per_u(claims, 10, 2000, 9)
+
+
+@pytest.mark.parametrize("mix", ["erlang:2,3", "lognormal:-1,1"])
+def test_pk_on_mixed_poisson_matches_exact(mix, capsys):
+    # the claims stop at u_max, so the ladder law has a large tail past them
+    columns = {}
+    for verb in ("pk", "exact"):
+        assert main([verb, "--mix", mix, "--u-max", "5", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        columns.update({col: [row[col] for row in rows] for col in ("PK", "E") if col in rows[0]})
+    np.testing.assert_allclose(columns["PK"], columns["E"], rtol=1e-10, atol=0.0)
+
+
+def test_nbm_model_builds_its_claims_through_u_max(capsys):
+    # the default tail tolerance gives 65 claim points, short of u_max = 100
+    spec = NbmSpec((0.5, 0.5), 0.7)
+    nbm = [psi_nbm(spec, u) for u in range(101)]
+    for verb in ("exact", "pk", "all"):
+        argv = [verb, "--weights", "0.5,0.5", "--p", "0.7", "--u-max", "100", "--format", "json"]
+        assert main(argv + ["--reps", "2000"]) == 0, verb
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 101
+        if "E" in rows[0]:
+            e = [row["E"] for row in rows]
+            np.testing.assert_allclose(e, nbm, rtol=1e-10, atol=0.0)
 
 
 def test_main_pmf_file_model(tmp_path, capsys):
@@ -297,6 +323,14 @@ def test_heavy_tail_mixing_runs(capsys):
     assert [row["u"] for row in table.rows] == [0, 1, 2]
     assert table.rows[0]["N1"] == pytest.approx(1.0 / 1.1, abs=5e-6)
     assert table.rows[0]["N1"] > table.rows[1]["N1"] > table.rows[2]["N1"] > 0.0
+
+
+def test_pareto_all_job_exits_3_at_the_support_cap(capsys):
+    # P(X > x) < 1e-12 needs 517,948 points here; the search stops at 2^17
+    t0 = time.perf_counter()
+    assert main(["all", "--mix", "pareto:2.1,1", "--u-max", "2", "--reps", "2000"]) == 3
+    assert time.perf_counter() - t0 < 10.0
+    assert "claim support exceeds" in capsys.readouterr().err
 
 
 def test_infinite_mean_mixing_exits_2(capsys):

@@ -18,6 +18,7 @@ from gdruin import (
     cbar_sequence,
     compound_geo_zero_mass,
     nbm_claims_pmf,
+    nbm_equilibrium,
     nstar_sequence,
     psi_nbm,
     psi_pk,
@@ -33,11 +34,16 @@ SPECS = [
 SPEC_IDS = ["geo", "two", "three", "four"]
 
 
+def _f_ne(seq) -> np.ndarray:
+    """The equilibrium weights f_Ne(1..K) the solver read."""
+    return seq.renewal.lags(1, len(seq.source.weights) + 1)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cbar_equals_scaled_compound_survival(spec):
     k_max = 400
     seq = cbar_sequence(spec, k_max)
-    ns = nstar_sequence(seq.f_ne, seq.rho, k_max)
+    ns = nstar_sequence(_f_ne(seq), seq.rho, k_max)
     np.testing.assert_allclose(
         seq.cbar, seq.c0 * ns.fbar_nstar, rtol=1e-12, atol=1e-15
     )
@@ -55,7 +61,7 @@ def test_cbar_invariants(spec):
 def test_nstar_is_a_probability_law():
     spec = NbmSpec((0.5, 0.5), 0.7)
     seq = cbar_sequence(spec, 600)
-    ns = nstar_sequence(seq.f_ne, seq.rho, 600)
+    ns = nstar_sequence(_f_ne(seq), seq.rho, 600)
     assert ns.f_nstar[0] == 0.0
     assert ns.fbar_nstar[0] == 1.0
     total = math.fsum(ns.f_nstar.tolist())
@@ -69,21 +75,19 @@ def test_nstar_is_a_probability_law():
 def test_zero_mass_closed_form_against_convolution(spec):
     """P(S = 0) closed form vs an explicit generating-function sum."""
     seq = cbar_sequence(spec, 800)
-    ns = nstar_sequence(seq.f_ne, seq.rho, 800)
+    ns = nstar_sequence(_f_ne(seq), seq.rho, 800)
     assert ns.fbar_nstar[-1] < 1e-14  # truncation safe for the sum below
     p = spec.p
     direct = math.fsum(
         f * p**k for k, f in enumerate(ns.f_nstar.tolist())
     )
-    closed = compound_geo_zero_mass(seq.f_ne, p, seq.rho)
+    closed = compound_geo_zero_mass(_f_ne(seq), p, seq.rho)
     assert closed == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_maximum_reaches_one_with_pgf_complement(spec):
     """1 - psi(1) equals the zero mass of the all-time maximum by pgf algebra."""
-    from gdruin import nbm_equilibrium
-
     mu = spec.claim_mean
     p = spec.p
     eq = nbm_equilibrium(spec)
@@ -104,6 +108,31 @@ def test_psi_nbm_matches_recursion_and_series(spec):
         a = psi_nbm(spec, u)
         assert a == pytest.approx(psi_r[u], abs=1e-10)
         assert a == pytest.approx(psi_pk(claims, u, tail_tol=1e-12), abs=1e-10)
+
+
+def _short_sum_specs(seed: int, count: int, size: int) -> list[NbmSpec]:
+    """Random specs of claim mean 0.7 whose floating equilibrium weights
+    P(N > j-1) / E(N) sum below 1 by rounding: ``nbm_equilibrium`` rounds
+    them as the coefficient tables once did."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        weights = rng.dirichlet(np.ones(size))
+        en = float(np.dot(weights, np.arange(1, size + 1)))
+        spec = NbmSpec(tuple(weights), en / (en + 0.7))
+        if math.fsum(nbm_equilibrium(spec).weights) < 1.0:
+            specs.append(spec)
+    return specs
+
+
+@pytest.mark.parametrize("spec", _short_sum_specs(7, 3, 4) + _short_sum_specs(8, 1, 30))
+def test_psi_nbm_keeps_relative_accuracy_in_the_deep_tail(spec):
+    # read as a tail past the last weight, that rounding floored psi_nbm near 2.6e-16
+    claims = nbm_claims_pmf(spec, tail_tol=1e-300)
+    psi = psi_recursion(RuinQuery(claims=claims, u_max=400))
+    assert psi[400] < 1e-70
+    for u in (50, 100, 200, 400):
+        assert psi_nbm(spec, u) == pytest.approx(psi[u], rel=1e-10, abs=0.0), u
 
 
 def test_psi_nbm_invariants():

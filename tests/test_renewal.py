@@ -1,16 +1,19 @@
 """The renewal solver against the direct loop it replaced, and its table cache.
 
 ``direct_nbm_cbar`` and ``direct_mp_cbar`` are the O(K min(K, J)) loops the
-NBM and mixed Poisson layers ran before the solver existed, kept as they were
-written: one np.dot per coefficient, no FFT, no blocking.  The solver must
-meet them to 1e-12 relative on every coefficient the double range can hold
-with margin (>= 1e-290), deep tails included.  ``direct_mp_cbar`` builds its
-own grid: two million points, plus the remainder past them by quadrature,
-independent of the package's closed forms.
+NBM and mixed Poisson layers ran before the solver existed: one np.dot per
+coefficient, no FFT, no blocking.  The solver must meet them to 1e-12
+relative on every coefficient the double range can hold with margin
+(>= 1e-290), deep tails included.  ``direct_nbm_cbar`` normalizes the
+survival P(N > j) by its exact (``math.fsum``) sum, so its equilibrium law
+has no mass past the last weight.  ``direct_mp_cbar`` builds its own grid:
+two million points, plus the remainder past them by quadrature, independent
+of the package's closed forms.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
@@ -28,7 +31,7 @@ from gdruin import (
     nbm_equilibrium,
 )
 from gdruin import mixed_poisson
-from gdruin.renewal import RenewalSolver, TableCache
+from gdruin.renewal import RenewalSolver, TableCache, Weights
 
 RTOL = 1e-12
 FLOOR = 1e-290
@@ -36,9 +39,9 @@ FLOOR = 1e-290
 
 def direct_nbm_cbar(spec: NbmSpec, k_max: int) -> np.ndarray:
     c0 = spec.claim_mean
-    eq = nbm_equilibrium(spec)
-    f_ne = np.asarray(eq.weights)  # f_ne[i-1] is the weight on i
-    fbar = eq.weight_survival()  # fbar[k] = P(Ne > k), k = 0..len(f_ne)
+    surv = spec.weight_survival()[:-1]  # P(N > j), j = 0..K-1
+    f_ne = surv / math.fsum(surv.tolist())  # f_ne[i-1] is the weight on i
+    fbar = np.append(np.cumsum(f_ne[::-1])[::-1], 0.0)  # fbar[k] = P(Ne > k), k = 0..K
     kw = f_ne.size
 
     cbar = np.empty(k_max + 1)
@@ -158,13 +161,18 @@ def test_mp_solver_matches_direct_loop_deep(name):
     assert_matches_direct(seq.cbar_n[: k_max + 1], ref)
 
 
+def _short_sum(spec: NbmSpec) -> bool:
+    """Whether the floating equilibrium weights P(N > j-1) / E(N) sum below 1."""
+    return math.fsum(nbm_equilibrium(spec).weights) < 1.0
+
+
 def _random_spec(rng, size: int, alpha: float, tail: bool) -> NbmSpec:
-    """A random spec, with or without a positive equilibrium residual."""
+    """A random spec of claim mean 0.7, with or without a short equilibrium sum."""
     while True:
         weights = rng.dirichlet(np.full(size, alpha))
         en = float(np.dot(weights, np.arange(1, size + 1)))
         spec = NbmSpec(tuple(weights), en / (en + 0.7))
-        if (nbm_equilibrium(spec).residual > 0.0) == tail:
+        if _short_sum(spec) == tail:
             return spec
 
 
@@ -174,8 +182,9 @@ def _nbm_specs() -> dict[str, NbmSpec]:
         "short": _random_spec(rng, 4, 1.0, tail=False),
         # long support: the FFT levels carry most lags
         "wide": _random_spec(rng, 700, 0.5, tail=False),
-        # rounding leaves the equilibrium a residual tail, so the
-        # coefficients level off near 1e-16 instead of decaying
+        # rounding leaves the floating equilibrium weights 1e-16 short of 1;
+        # read as a tail past the last weight, the coefficients would level
+        # off near 1e-16 instead of decaying
         "short_residual": _random_spec(rng, 4, 1.0, tail=True),
         "wide_residual": _random_spec(rng, 700, 0.5, tail=True),
     }
@@ -190,7 +199,7 @@ def test_nbm_solver_matches_direct_loop(name):
     k_max = (1 << 15) - 1
     seq = cbar_sequence(spec, k_max)
     ref = direct_nbm_cbar(spec, k_max)
-    assert (nbm_equilibrium(spec).residual > 0.0) == name.endswith("residual")
+    assert _short_sum(spec) == name.endswith("residual")
     assert_matches_direct(seq.cbar, ref)
 
 
@@ -205,11 +214,14 @@ def test_tables_are_read_only():
 
 def test_solver_survival_and_lags_are_the_normalized_weights():
     w = np.array([3.0, 2.0, 1.0, 1.0])
-    solver = RenewalSolver(0.5, w, normalize=True)
+    solver = RenewalSolver(0.5, Weights(w))
     assert solver.total == 7.0
     np.testing.assert_allclose(solver.lags(0, 6), [0.0, 3 / 7, 2 / 7, 1 / 7, 1 / 7, 0.0])
     np.testing.assert_allclose(solver.survival(0, 6), [1.0, 4 / 7, 2 / 7, 1 / 7, 0.0, 0.0])
-    solver = RenewalSolver(0.5, w / 8.0, residual=0.125)
+    # the sum past a finite array is part of the total and Fbar's level past it
+    solver = RenewalSolver(0.5, Weights(w, beyond=1.0))
+    assert solver.total == 8.0
+    np.testing.assert_allclose(solver.lags(1, 5), w / 8.0)
     np.testing.assert_allclose(solver.survival(3, 6), [0.25, 0.125, 0.125])
 
 
@@ -221,7 +233,7 @@ def test_extension_holds_only_its_own_laws_lock():
     started, release = threading.Event(), threading.Event()
 
     def start(c0):
-        return RenewalSolver(c0, np.array([1.0])), lambda cbar: cbar
+        return RenewalSolver(c0, Weights(np.array([1.0]))), lambda cbar: cbar
 
     def slow_start():
         started.set()

@@ -144,10 +144,6 @@ def test_mean_record_count_matches_geometric_mean(geo_run):
     assert k_bar == pytest.approx(mu / (1.0 - mu), abs=0.05)
 
 
-def test_ruin_severity_counts_only_ruined_paths(geo_run):
-    assert geo_run.ruin_severity_hist.sum() == geo_run.ruin_count
-
-
 # -- scalar twin -------------------------------------------------------------------
 
 
@@ -166,6 +162,16 @@ def test_single_path_bookkeeping():
             # ruin means the walk reached u, so the records got there too
             assert sum(stats.record_severities) >= 2
     assert 0 < seen_ruin < 200
+
+
+@pytest.mark.parametrize("u", [0, 1, 3, 6])
+def test_first_passage_is_a_final_level_of_at_least_u(u):
+    # the reading psi_at makes of one pass, checked on the walk that tracks passage at u
+    rng = np.random.default_rng(u)
+    for _ in range(150):
+        stats = simulate_single(MP_CLAIMS, u, rng)
+        reached = stats.record_count > 0 if u == 0 else sum(stats.record_severities) >= u
+        assert stats.ruined == reached
 
 
 def test_single_paths_agree_with_vector_engine_in_law():
