@@ -9,9 +9,13 @@ Verbs select the method, flags select the claim model:
     gdruin tables --out results/
 
 ``all`` runs every method valid for the model and emits one combined table.
-Flag values can come from a ``--config`` file of KEY=VALUE lines; explicit
-flags win over the file, the file wins over built-in defaults.  Output files
-are byte-identical for identical jobs and seeds; runtimes go to stderr.
+The claim model is inferred from the flags: ``--mix`` is mixed Poisson,
+``--weights`` (with ``--p``) NBM, ``--pmf-file`` compound binomial with ``--p``
+and Gerber-Dickson without.  Each flag is declared once, in ``_FLAGS``; flag
+values can also come from a ``--config`` file of KEY=VALUE lines whose keys
+are the flag names.  Explicit flags win over the file, the file wins over
+built-in defaults.  Output files are byte-identical for identical jobs and
+seeds; runtimes go to stderr.
 
 Exit codes: 0 success, 2 validation problem, 3 numeric budget exhausted.
 """
@@ -19,7 +23,6 @@ Exit codes: 0 success, 2 validation problem, 3 numeric budget exhausted.
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import math
 import os
 import sys
@@ -27,8 +30,6 @@ import time
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from .distributions import (
     DiscretePmf,
@@ -76,7 +77,6 @@ class JobSpec:
     """One resolved unit of CLI work."""
 
     method: str
-    model: str
     u_max: int
     pmf_file: str | None = None
     p: float | None = None
@@ -87,8 +87,12 @@ class JobSpec:
     seed: int = 0
     floor: float = 1e-5
     reps: int = 100_000
-    horizon: int = 100_000
-    tail_tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.u_max < 0:
+            raise ValueError("--u-max must be nonnegative")
+        if not math.isfinite(self.floor) or self.floor <= 0:
+            raise ValueError("--floor must be positive")
 
     def approx_config(self) -> MpApproxConfig:
         return MpApproxConfig(n=self.n, m=self.m, pmf_floor=self.floor, seed=self.seed)
@@ -103,28 +107,6 @@ _DEFAULTS = {
 
 
 # -- model construction --------------------------------------------------------
-
-
-def _read_pmf_file(path: str) -> DiscretePmf:
-    """Two-column CSV ``value,probability`` (header optional) on 0..max."""
-    masses: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        for row in _csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                x, fx = int(row[0]), float(row[1])
-            except ValueError:
-                continue
-            if x < 0:
-                raise ValueError(f"pmf file {path}: negative support value {x}")
-            masses[x] = masses.get(x, 0.0) + fx
-    if not masses:
-        raise ValueError(f"pmf file {path}: no usable rows")
-    pmf = np.zeros(max(masses) + 1)
-    for x, fx in masses.items():
-        pmf[x] = fx
-    return DiscretePmf(pmf)
 
 
 def _parse_mix(text: str) -> MixingDistribution:
@@ -158,52 +140,38 @@ def _parse_mix(text: str) -> MixingDistribution:
     )
 
 
-def _infer_model(job: JobSpec) -> str:
-    if job.model:
-        return job.model
-    if job.mix is not None:
-        return "mp"
-    if job.weights is not None:
-        return "nbm"
-    if job.pmf_file is not None:
-        return "cb" if job.p is not None else "gd"
-    raise ValueError(
-        "no claim model given; pass --mix, --weights with --p, or --pmf-file"
-    )
-
-
 class _Model:
     """Resolved model: lazily materialized claims plus optional structure."""
 
     def __init__(self, job: JobSpec):
-        self.kind = _infer_model(job)
         self.job = job
         self.mixing: MixingDistribution | None = None
         self.nbm_spec: NbmSpec | None = None
         self._claims: DiscretePmf | None = None
 
-        if self.kind == "mp":
-            if job.mix is None:
-                raise ValueError("model mp needs --mix")
+        if job.mix is not None:
+            self.kind = "mp"
             self.mixing = _parse_mix(job.mix)
             self.nbm_spec = self.mixing.as_nbm()
             self._build = partial(mp_claims_pmf, self.mixing)
-        elif self.kind == "nbm":
-            if job.weights is None or job.p is None:
+        elif job.weights is not None:
+            if job.p is None:
                 raise ValueError("model nbm needs --weights and --p")
+            self.kind = "nbm"
             self.nbm_spec = NbmSpec(job.weights, job.p)
             self._build = partial(nbm_claims_pmf, self.nbm_spec)
-        elif self.kind == "cb":
-            if job.pmf_file is None or job.p is None:
-                raise ValueError("model cb needs --pmf-file and --p")
-            spec = CompoundBinomialSpec(p=job.p, claim_pmf=_read_pmf_file(job.pmf_file))
-            self._claims = convert_cb_to_gd(spec)
-        elif self.kind == "gd":
-            if job.pmf_file is None:
-                raise ValueError("model gd needs --pmf-file")
-            self._claims = _read_pmf_file(job.pmf_file)
+        elif job.pmf_file is not None:
+            claims = DiscretePmf.load_csv(job.pmf_file)
+            if job.p is None:
+                self.kind = "gd"
+                self._claims = claims
+            else:
+                self.kind = "cb"
+                self._claims = convert_cb_to_gd(CompoundBinomialSpec(p=job.p, claim_pmf=claims))
         else:
-            raise ValueError(f"unknown model {self.kind!r}")
+            raise ValueError(
+                "no claim model given; pass --mix, --weights with --p, or --pmf-file"
+            )
 
     def describe(self) -> str:
         if self.kind == "mp":
@@ -216,12 +184,12 @@ class _Model:
 
     def claims(self, deep: bool = False, x_max: int | None = None) -> DiscretePmf:
         """Claim pmf for the recursion or PK window, or deep for simulation:
-        to the job's tail tolerance, or through ``x_max``."""
+        to the builder's tail tolerance, or through ``x_max``."""
         if self._claims is not None:
             return self._claims
         if not deep:
             x_max = max(self.job.u_max, 1)
-        return self._build(x_max=x_max, tail_tol=self.job.tail_tol)
+        return self._build(x_max=x_max)
 
 
 # -- job execution ---------------------------------------------------------------
@@ -237,8 +205,7 @@ def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
     """
     claims = model.claims(deep=True)
     while True:
-        cfg = SimConfig(claims=claims, u=0, replications=job.reps, horizon=job.horizon,
-                        seed=job.seed)
+        cfg = SimConfig(claims=claims, u=0, replications=job.reps, seed=job.seed)
         try:
             res = simulate_paths(cfg)
         except ValueError:
@@ -281,7 +248,7 @@ def run(job: JobSpec) -> ResultTable:
             values[col] = [float(v) for v in vec]
         elif method == "pk":
             claims = model.claims()
-            values[col] = [psi_pk(claims, u, tail_tol=min(job.tail_tol, 1e-10)) for u in us]
+            values[col] = [psi_pk(claims, u, tail_tol=1e-12) for u in us]
         elif method == "nbm":
             values[col] = [psi_nbm(model.nbm_spec, u) for u in us]
         elif method == "mp1":
@@ -330,11 +297,45 @@ def run(job: JobSpec) -> ResultTable:
         seq = mp_coefficients(model.mixing, job.approx_config(), 0)
         meta["grid_points"] = seq.grid_points
     if "simulate" in methods:
-        meta.update(replications=job.reps, horizon=job.horizon, sim_seed=job.seed)
+        meta.update(replications=job.reps, horizon=SimConfig.horizon, sim_seed=job.seed)
     return ResultTable(columns=columns, rows=rows, meta=meta)
 
 
 # -- argument handling -----------------------------------------------------------
+
+
+# argparse names a flag's type in its error message.
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def csv_or_json(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"expected csv or json, got {text!r}")
+    return text
+
+
+# Every flag once: its name, which is also its config key and, but for format
+# and out, its JobSpec field; the type that parses its value; its help.
+_FLAGS = {
+    "pmf_file": (str, "claim pmf CSV value,probability (model gd, or cb with --p)"),
+    "p": (float, "NBM or compound binomial parameter"),
+    "weights": (float_list, "NBM weights, a comma list, e.g. 0.5,0.5"),
+    "mix": (str, "mixing law, e.g. erlang:2,3 or lognormal:-1,1 (model mp)"),
+    "u_max": (int, "largest initial surplus"),
+    "n": (int, "mixing grid refinement (methods 1 and 2)"),
+    "m": (int, "Monte Carlo sample size of method 2"),
+    "seed": (int, "random seed"),
+    "floor": (float, "series truncation floor (methods 1 and 2)"),
+    "reps": (int, "simulator replications"),
+    "format": (csv_or_json, "csv or json"),
+    "out": (str, "output file; for tables, output directory"),
+}
+_TABLES_FLAGS = ("n", "m", "seed", "floor", "out")
+
+
+def _verb_flags(verb: str):
+    return _TABLES_FLAGS if verb == "tables" else _FLAGS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,30 +359,10 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for verb, help_text in verbs.items():
         p = sub.add_parser(verb, help=help_text)
-        if verb == "tables":
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--m", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--floor", type=float, default=None)
-            p.add_argument("--out", default=None, help="output directory")
-            p.add_argument("--config", default=None)
-            continue
-        p.add_argument("--model", choices=("gd", "cb", "nbm", "mp"), default=None)
-        p.add_argument("--pmf-file", dest="pmf_file", default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--weights", default=None, help="comma list, e.g. 0.5,0.5")
-        p.add_argument("--mix", default=None, help="e.g. erlang:2,3 or lognormal:-1,1")
-        p.add_argument("--u-max", dest="u_max", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--floor", type=float, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--tail-tol", dest="tail_tol", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
+        for name in _verb_flags(verb):
+            kind, flag_help = _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=kind, help=flag_help)
+        p.add_argument("--config", help="file of KEY = VALUE lines, keys the flag names")
     return parser
 
 
@@ -398,22 +379,19 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_COERCE = {
-    "u_max": int, "n": int, "m": int, "seed": int, "reps": int, "horizon": int,
-    "p": float, "floor": float, "tail_tol": float,
-    "model": str, "pmf_file": str, "weights": str, "mix": str,
-    "format": str, "out": str,
-}
-
-
 def _merge_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
+    """Fill unset flags from the ``--config`` file, parsed by the flag's own
+    type, and then from the defaults."""
+    if args.config:
         for key, raw in _read_config(args.config).items():
-            coerce = _CONFIG_COERCE.get(key)
-            if coerce is None:
+            if key not in _verb_flags(args.method):
                 raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, key, None) is None and hasattr(args, key):
-                setattr(args, key, coerce(raw))
+            try:
+                value = _FLAGS[key][0](raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
@@ -427,12 +405,6 @@ def _resolve_out(out: str | None) -> Path | None:
     if base and not path.is_absolute():
         path = Path(base) / path
     return path
-
-
-def _parse_weights(text: str | None) -> tuple[float, ...] | None:
-    if text is None:
-        return None
-    return tuple(float(v) for v in text.split(","))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,27 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"tables: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
             return 0
 
-        job = JobSpec(
-            method=args.method,
-            model=args.model or "",
-            u_max=args.u_max,
-            pmf_file=args.pmf_file,
-            p=args.p,
-            weights=_parse_weights(args.weights),
-            mix=args.mix,
-            n=args.n,
-            m=args.m,
-            seed=args.seed,
-            floor=args.floor,
-            reps=args.reps,
-            horizon=args.horizon,
-            tail_tol=args.tail_tol,
-        )
-        if job.u_max < 0:
-            raise ValueError("--u-max must be nonnegative")
-        if not math.isfinite(job.floor) or job.floor <= 0:
-            raise ValueError("--floor must be positive")
-        table = run(job)
+        table = run(JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)}))
         out = _resolve_out(args.out)
         if out is None:
             text = table.to_csv() if args.format == "csv" else table.to_json()

@@ -63,6 +63,26 @@ class GridBudgetError(RuntimeError):
     """A claim-support vector exceeded its size cap before its tail was resolved."""
 
 
+def _read_pairs(path: str) -> list[tuple[float, float]]:
+    """The numeric rows ``x,y`` of a two-column CSV file, in file order.
+
+    Blank rows, rows starting with ``#`` and rows that do not parse as two
+    numbers (a header) are skipped; a row with one cell is an error.
+    """
+    pairs: list[tuple[float, float]] = []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not "".join(row).strip() or row[0].strip().startswith("#"):
+                continue
+            if len(row) < 2:
+                raise ValueError(f"{path}: expected two columns, got {row!r}")
+            try:
+                pairs.append((float(row[0]), float(row[1])))
+            except ValueError:
+                continue
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Claim distributions on {0, 1, 2, ...}
 # ---------------------------------------------------------------------------
@@ -124,6 +144,24 @@ class DiscretePmf:
             object.__setattr__(self, "mean", mean)
         else:
             object.__setattr__(self, "mean", float(self.mean))
+
+    @classmethod
+    def load_csv(cls, path: str) -> "DiscretePmf":
+        """Read a two-column CSV ``value,probability`` (header optional) on
+        0..max; the masses of a repeated value add up."""
+        masses: dict[int, float] = {}
+        for x, fx in _read_pairs(path):
+            if not (x.is_integer() and x >= 0):
+                raise ValueError(
+                    f"pmf file {path}: support value {x!r} is not a nonnegative integer"
+                )
+            masses[int(x)] = masses.get(int(x), 0.0) + fx
+        if not masses:
+            raise ValueError(f"pmf file {path}: no usable rows")
+        pmf = np.zeros(max(masses) + 1)
+        for x, fx in masses.items():
+            pmf[x] = fx
+        return cls(pmf)
 
     @property
     def support_max(self) -> int:
@@ -420,19 +458,8 @@ class MixingDistribution:
     @classmethod
     def load_cdf_table(cls, path: str) -> "MixingDistribution":
         """Read a two-column CSV ``lambda,cdf`` (header optional)."""
-        xs: list[float] = []
-        cs: list[float] = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                try:
-                    x, c = float(row[0]), float(row[1])
-                except ValueError:
-                    continue  # header line
-                xs.append(x)
-                cs.append(c)
-        return cls.from_cdf_table(xs, cs)
+        pairs = _read_pairs(path)
+        return cls.from_cdf_table([x for x, _ in pairs], [c for _, c in pairs])
 
     # -- law ----------------------------------------------------------------
 

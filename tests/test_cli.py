@@ -6,6 +6,7 @@ captured, so the assertions cover the exact bytes a shell user would see.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import time
@@ -24,7 +25,7 @@ from gdruin import (
     psi_nbm,
     simulate_paths,
 )
-from gdruin.cli import JobSpec, main, run
+from gdruin.cli import JobSpec, _build_parser, main, run
 from gdruin.tables import (
     REFERENCE_TABLES,
     ResultTable,
@@ -39,7 +40,7 @@ ERLANG_ARGS = ["--mix", "erlang:2,3", "--u-max", "4"]
 
 
 def test_exact_job_matches_reference_vector():
-    table = run(JobSpec(method="exact", model="mp", mix="erlang:2,3", u_max=6))
+    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=6))
     assert table.columns == ["u", "E"]
     assert table.meta["reference"] == "E"
     ref = psi_mp_exact_reference(MixingDistribution.erlang(2, 3.0), 6)
@@ -50,7 +51,7 @@ def test_exact_job_matches_reference_vector():
 def test_nbm_job_reports_the_series_value():
     spec = NbmSpec((0.5, 0.5), 0.7)
     table = run(
-        JobSpec(method="nbm", model="nbm", weights=(0.5, 0.5), p=0.7, u_max=5)
+        JobSpec(method="nbm", weights=(0.5, 0.5), p=0.7, u_max=5)
     )
     for row in table.rows:
         assert row["NBM"] == pytest.approx(psi_nbm(spec, row["u"]), rel=1e-12)
@@ -66,14 +67,14 @@ def test_nbm_job_reports_the_series_value():
     ids=["exp", "erlang", "erlang_mixture"],
 )
 def test_nbm_job_on_erlang_family_mixing(mix, spec):
-    table = run(JobSpec(method="nbm", model="mp", mix=mix, u_max=5))
+    table = run(JobSpec(method="nbm", mix=mix, u_max=5))
     assert [row["NBM"] for row in table.rows] == [psi_nbm(spec, u) for u in range(6)]
 
 
 def test_all_methods_header_for_mixed_poisson():
     table = run(
         JobSpec(
-            method="all", model="mp", mix="erlang:2,3",
+            method="all", mix="erlang:2,3",
             u_max=3, m=200, reps=1000, seed=4,
         )
     )
@@ -87,9 +88,23 @@ def test_all_methods_header_for_mixed_poisson():
         assert abs(row["err1"]) < 0.01
 
 
+@pytest.mark.parametrize(
+    "job",
+    [
+        dict(method="nbm", weights=(0.5, 0.5), p=0.7, u_max=-1),
+        dict(method="exact", mix="erlang:2,3", u_max=2, floor=-1.0),
+        dict(method="exact", mix="erlang:2,3", u_max=2, floor=math.nan),
+    ],
+    ids=["u_max", "floor", "nan_floor"],
+)
+def test_run_rejects_what_main_rejects(job):
+    with pytest.raises(ValueError, match="--u-max|--floor"):
+        run(JobSpec(**job))
+
+
 def test_relative_error_columns_use_the_reference():
     table = run(
-        JobSpec(method="mp1", model="mp", mix="erlang:2,3", u_max=4)
+        JobSpec(method="mp1", mix="erlang:2,3", u_max=4)
     )
     # mp1 alone has no exact column, so no reference and no error column
     assert table.columns == ["u", "N1"]
@@ -100,14 +115,14 @@ def test_relative_error_columns_use_the_reference():
 
 
 def test_csv_round_trip_is_byte_stable():
-    table = run(JobSpec(method="exact", model="mp", mix="erlang:2,3", u_max=8))
+    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=8))
     text = table.to_csv()
     again = ResultTable.from_csv(text).to_csv()
     assert text == again
 
 
 def test_json_round_trip_preserves_everything():
-    table = run(JobSpec(method="exact", model="mp", mix="erlang:2,3", u_max=4))
+    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=4))
     obj = ResultTable.from_json(table.to_json())
     assert obj.columns == table.columns
     assert obj.meta == table.meta
@@ -115,7 +130,7 @@ def test_json_round_trip_preserves_everything():
 
 
 def test_csv_cells_have_five_decimals():
-    table = run(JobSpec(method="exact", model="mp", mix="erlang:2,3", u_max=2))
+    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=2))
     for line in table.to_csv().splitlines()[1:]:
         u, val = line.split(",")
         assert len(val.split(".")[1]) == 5
@@ -194,7 +209,7 @@ def _sim_per_u(claims, u_max, reps, seed):
 
 def test_all_job_simulates_once_for_every_u(simulator_passes):
     table = run(
-        JobSpec(method="all", model="mp", mix="erlang:2,3", u_max=10, reps=2000)
+        JobSpec(method="all", mix="erlang:2,3", u_max=10, reps=2000)
     )
     assert len(simulator_passes) == 1
     # the default tail 1e-12 leaves 65 support points, enough to certify the stop rule
@@ -205,7 +220,7 @@ def test_all_job_simulates_once_for_every_u(simulator_passes):
 def test_all_job_doubles_the_claim_support_until_the_stop_rule_certifies(simulator_passes):
     # the stop bound is 118 here, past the 65 points of the default tail 1e-12
     table = run(JobSpec(
-        method="all", model="mp", mix="erlang_mixture:0.6,0.1,0.3;2", u_max=10, reps=2000,
+        method="all", mix="erlang_mixture:0.6,0.1,0.3;2", u_max=10, reps=2000,
     ))
     assert len(simulator_passes) == 1
     mix = MixingDistribution.erlang_mixture((0.6, 0.1, 0.3), 2.0)
@@ -261,11 +276,20 @@ def test_nbm_model_builds_its_claims_through_u_max(capsys):
 
 def test_main_pmf_file_model(tmp_path, capsys):
     f = tmp_path / "claims.csv"
-    f.write_text("value,probability\n0,0.5\n1,0.2\n2,0.2\n2,0.1\n")
+    f.write_text("value,probability\n# claims\n0,0.5\n\n1,0.2\n2,0.2\n2,0.1\n")
     rc = main(["exact", "--pmf-file", str(f), "--u-max", "3"])
     assert rc == 0
     parsed = ResultTable.from_csv(capsys.readouterr().out)
     assert parsed.rows[0]["E"] == pytest.approx(0.8, abs=1e-9)  # mean of the pmf
+
+
+def test_cdf_file_mixing_skips_header_comment_and_blank_rows(tmp_path, capsys):
+    f = tmp_path / "mix.csv"
+    f.write_text("lambda,cdf\n# two atoms\n0.2,0.4\n\n0.9,1.0\n")
+    assert main(["exact", "--mix", f"cdf_file:{f}", "--u-max", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    ref = psi_mp_exact_reference(MixingDistribution.from_cdf_table([0.2, 0.9], [0.4, 1.0]), 3)
+    assert [row["E"] for row in rows] == [float(v) for v in ref]
 
 
 def test_config_file_fills_unset_arguments(tmp_path, capsys):
@@ -304,11 +328,41 @@ def test_negative_support_value_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text", ["0,1.5\n1,-0.5\n", "0,0.5\n1\n", "0,0.5\n1.5,0.5\n"],
+    ids=["negative_mass", "one_cell_row", "fractional_value"],
+)
+def test_malformed_pmf_file_exits_2(text, tmp_path, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    assert main(["exact", "--pmf-file", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("gdruin: ")
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("mix = erlang:2,3\nbogus = 1\n")
     assert main(["exact", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["model", "horizon", "tail_tol"])
+def test_removed_knobs_are_unknown_config_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"mix = erlang:2,3\n{key} = 1\n")
+    assert main(["exact", "--config", str(cfg)]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_value_gets_its_flags_check(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("mix = erlang:2,3\nformat = xml\n")
+    assert main(["exact", "--config", str(cfg)]) == 2
+    assert "expected csv or json" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--mix", "erlang:2,3", "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_nbm_on_non_erlang_mixing_exits_2(capsys):
@@ -336,6 +390,55 @@ def test_pareto_all_job_exits_3_at_the_support_cap(capsys):
 def test_infinite_mean_mixing_exits_2(capsys):
     assert main(["mp1", "--mix", "pareto:1,1", "--u-max", "2"]) == 2
     assert "E(Lambda) < 1" in capsys.readouterr().err
+
+
+# -- the flag table ----------------------------------------------------------------
+
+JOB_FLAGS = {
+    "--pmf-file", "--p", "--weights", "--mix", "--u-max", "--n", "--m", "--seed",
+    "--floor", "--reps", "--format", "--out", "--config",
+}
+TABLES_FLAGS = {"--n", "--m", "--seed", "--floor", "--out", "--config"}
+
+
+@pytest.mark.parametrize(
+    "verb", ["exact", "pk", "nbm", "mp1", "mp2", "simulate", "all", "tables"]
+)
+def test_every_verb_offers_its_table_flags(verb):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {s for a in sub.choices[verb]._actions for s in a.option_strings}
+    assert offered - {"-h", "--help"} == (TABLES_FLAGS if verb == "tables" else JOB_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--pmf-file", "claims.csv"), ("--p", "0.7"), ("--weights", "0.5,0.5"),
+        ("--mix", "erlang:2,3"), ("--u-max", "3"), ("--n", "250"), ("--m", "300"),
+        ("--seed", "7"), ("--floor", "1e-6"), ("--reps", "500"), ("--format", "json"),
+        ("--out", "result.csv"),
+    ],
+)
+def test_config_line_equals_its_flag(flag, value, tmp_path, monkeypatch, capsys):
+    """The job, stdout and output file a config line gives are the flag's."""
+    monkeypatch.setenv("GDRUIN_OUT_DIR", str(tmp_path))
+    jobs = []
+
+    def recorded(job):
+        jobs.append(job)
+        return ResultTable(columns=["u"], rows=[{"u": 0}])
+
+    monkeypatch.setattr(gdruin.cli, "run", recorded)
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    seen = []
+    for argv in (["all"], ["all", flag, value], ["all", "--config", str(cfg)]):
+        assert main(argv) == 0
+        written = tmp_path / "result.csv"
+        seen.append((capsys.readouterr().out, written.exists() and written.read_text()))
+        written.unlink(missing_ok=True)
+    none, by_flag, by_config = zip(jobs, seen)
+    assert by_config == by_flag != none
 
 
 # -- benchmark tables --------------------------------------------------------------
