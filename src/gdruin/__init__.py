@@ -13,17 +13,11 @@ from .distributions import (
     MixingDistribution,
     NbmSpec,
     QuadratureError,
-    equilibrium,
     erlangm_to_nbm,
     geometric_pmf,
     mp_claims_pmf,
-    mp_pmf,
-    nb_cdf,
-    nb_pmf,
     nb_sf,
     nbm_claims_pmf,
-    nbm_equilibrium,
-    nbm_pmf,
 )
 from .mixed_poisson import (
     MpApproxConfig,
@@ -41,13 +35,9 @@ from .nbm import (
     nstar_sequence,
     psi_nbm,
 )
-from .pollaczek import psi_pk, severity_at_zero
+from .pollaczek import psi_pk
 from .recursion import (
-    CompoundBinomialSpec,
-    RuinQuery,
     convert_cb_to_gd,
-    convert_gd_to_cb,
-    gerber_recursion,
     psi_geometric_closed,
     psi_recursion,
 )
@@ -70,26 +60,15 @@ __all__ = [
     "MixingDistribution",
     "QuadratureError",
     "GridBudgetError",
-    "nb_pmf",
-    "nb_cdf",
     "nb_sf",
-    "nbm_pmf",
-    "equilibrium",
-    "nbm_equilibrium",
-    "mp_pmf",
     "erlangm_to_nbm",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",
-    "RuinQuery",
-    "CompoundBinomialSpec",
     "psi_recursion",
     "psi_geometric_closed",
-    "gerber_recursion",
     "convert_cb_to_gd",
-    "convert_gd_to_cb",
     "psi_pk",
-    "severity_at_zero",
     "CoefficientSeq",
     "NStarSeq",
     "cbar_sequence",

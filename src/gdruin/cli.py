@@ -48,7 +48,7 @@ from .mixed_poisson import (
 )
 from .nbm import psi_nbm
 from .pollaczek import psi_pk
-from .recursion import CompoundBinomialSpec, RuinQuery, convert_cb_to_gd, psi_recursion
+from .recursion import convert_cb_to_gd, psi_recursion
 from .simulate import SimConfig, simulate_paths
 from .tables import ResultTable, max_abs_delta, reproduce_tables
 from . import __version__
@@ -89,8 +89,9 @@ class JobSpec:
     reps: int = 100_000
 
     def __post_init__(self):
-        if self.u_max < 0:
-            raise ValueError("--u-max must be nonnegative")
+        if int(self.u_max) != self.u_max or self.u_max < 0:
+            raise ValueError("--u-max must be a nonnegative integer")
+        self.u_max = int(self.u_max)
         if not math.isfinite(self.floor) or self.floor <= 0:
             raise ValueError("--floor must be positive")
 
@@ -167,7 +168,7 @@ class _Model:
                 self._claims = claims
             else:
                 self.kind = "cb"
-                self._claims = convert_cb_to_gd(CompoundBinomialSpec(p=job.p, claim_pmf=claims))
+                self._claims = convert_cb_to_gd(job.p, claims)
         else:
             raise ValueError(
                 "no claim model given; pass --mix, --weights with --p, or --pmf-file"
@@ -244,7 +245,7 @@ def run(job: JobSpec) -> ResultTable:
         t0 = time.perf_counter()
         col = _METHOD_COLUMN[method]
         if method == "exact":
-            vec = psi_recursion(RuinQuery(claims=model.claims(), u_max=job.u_max))
+            vec = psi_recursion(model.claims(), job.u_max)
             values[col] = [float(v) for v in vec]
         elif method == "pk":
             claims = model.claims()

@@ -31,12 +31,7 @@ __all__ = [
     "NbmSpec",
     "QuadratureError",
     "GridBudgetError",
-    "nb_pmf",
-    "nb_cdf",
-    "nbm_pmf",
-    "equilibrium",
-    "nbm_equilibrium",
-    "mp_pmf",
+    "nb_sf",
     "erlangm_to_nbm",
     "geometric_pmf",
     "nbm_claims_pmf",
@@ -201,19 +196,13 @@ def geometric_pmf(p: float, tail_tol: float = 1e-12) -> DiscretePmf:
     return DiscretePmf(pmf, tail_mass=tail, mean=(1.0 - p) / p)
 
 
-def equilibrium(dist: DiscretePmf) -> DiscretePmf:
-    """Ladder-height (equilibrium) transform f_e(y) = P(Y > y) / E(Y).
-
-    Raises
-    ------
-    ValueError
-        If the mean is zero or not finite.
-    """
-    mu = dist.mean
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise ValueError("equilibrium transform needs a finite positive mean")
-    pmf_e = dist.survival / mu
-    return DiscretePmf(pmf_e, tail_mass=max(0.0, 1.0 - math.fsum(pmf_e.tolist())))
+def equilibrium(claims: DiscretePmf, w: int) -> np.ndarray:
+    """The equilibrium (ladder-height) law f_e(x) = P(Y > x) / E(Y) on the cells
+    x = 0..w-1, the last cell holding P(Y_e >= w-1); the simulator's severity
+    check bins against it."""
+    cells = np.array([claims.sf(x) for x in range(w)])
+    cells[-1] += max(0.0, claims.mean - math.fsum(cells.tolist()))
+    return cells / claims.mean
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +226,6 @@ def _nb_logpmf(k: float, p: float, x: np.ndarray) -> np.ndarray:
         + k * math.log(p)
         + x * math.log1p(-p)
     )
-
-
-def nb_pmf(k: int, p: float, x: int) -> float:
-    """Negative binomial mass C(k+x-1, x) p^k (1-p)^x at x = 0, 1, 2, ...
-
-    Evaluated in log space through the log-gamma function so large shapes and
-    arguments stay finite.
-    """
-    _check_nb_args(k, p)
-    if x < 0:
-        return 0.0
-    return float(np.exp(_nb_logpmf(float(k), p, np.asarray(float(x)))))
-
-
-def nb_cdf(k: int, p: float, x: int) -> float:
-    """P(NegBin(k, p) <= x), via the regularized incomplete beta function."""
-    _check_nb_args(k, p)
-    if x < 0:
-        return 0.0
-    return float(special.betainc(k, x + 1.0, p))
 
 
 def nb_sf(k: int, p: float, x: int) -> float:
@@ -308,13 +277,8 @@ class NbmSpec:
         return np.append(tails, 0.0)
 
 
-def nbm_pmf(spec: NbmSpec, x: int) -> float:
-    """Mixture mass sum_k q_k nb_pmf(k, p, x)."""
-    return float(_nbm_masses(spec, np.array([x]))[0]) if x >= 0 else 0.0
-
-
 def _nbm_masses(spec: NbmSpec, x: np.ndarray) -> np.ndarray:
-    """nbm_pmf at each of the nonnegative integers x, as one vector."""
+    """Mixture masses sum_k q_k P(NegBin(k, p) = x) at each of the nonnegative integers x."""
     k = np.arange(1.0, len(spec.weights) + 1.0)[:, None]
     return np.asarray(spec.weights) @ np.exp(_nb_logpmf(k, spec.p, x))
 
@@ -357,17 +321,6 @@ def nbm_claims_pmf(
     return _claims(
         partial(_nbm_masses, spec), partial(_nbm_sf, spec), spec.claim_mean, x_max, tail_tol
     )
-
-
-def nbm_equilibrium(spec: NbmSpec) -> NbmSpec:
-    """Equilibrium of the mixture: weights F̄_N(j-1)/E(N) for j >= 1, same p.
-
-    The weight index starts at 1, matching the mixture convention.  The
-    weights are rounded doubles, so their sum may miss 1 by rounding; the
-    renewal tables do not read this spec but normalize the raw P(N > j)
-    themselves.
-    """
-    return NbmSpec(tuple(spec.weight_survival()[:-1] / spec.weight_mean), spec.p)
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +563,14 @@ def _poisson_logpmf(lam, x: np.ndarray) -> np.ndarray:
     return special.xlogy(x, lam) - lam - special.gammaln(x + 1.0)
 
 
-def mp_pmf(mix: MixingDistribution, x: int) -> float:
-    """Mixed Poisson mass P(X = x) = E[ e^{-rate} rate^x / x! ].
+def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
+    """Mixed Poisson masses P(X = x) = E[ e^{-rate} rate^x / x! ] at each of the
+    nonnegative integers x.
 
     Erlang-type mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a
     closed form; Pareto and lognormal mixing use certified adaptive quadrature
     (relative tolerance 1e-10, :class:`QuadratureError` past the budget).
     """
-    return float(_mp_masses(mix, np.array([x]))[0]) if x >= 0 else 0.0
-
-
-def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
-    """mp_pmf at each of the nonnegative integers x, as one vector."""
     spec = mix.as_nbm()
     if spec is not None:
         return _nbm_masses(spec, x)

@@ -38,7 +38,7 @@ from .distributions import (
     mp_claims_pmf,
     _nb_logpmf,
 )
-from .recursion import RuinQuery, psi_recursion
+from .recursion import psi_recursion
 from .renewal import RenewalSolver, TableCache, Weights
 
 __all__ = [
@@ -84,10 +84,6 @@ class MpApproxConfig:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "m", int(self.m))
 
-    @property
-    def p_n(self) -> float:
-        return self.n / (self.n + 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class MpCoefficientSeq:
@@ -101,10 +97,7 @@ class MpCoefficientSeq:
     are ``renewal.lags`` and ``renewal.survival``.
     """
 
-    source: MixingDistribution
-    n: int
     cbar_n: np.ndarray
-    c0: float
     grid_sum: float
     grid_points: int
     renewal: RenewalSolver = field(repr=False)
@@ -164,13 +157,7 @@ def _table(mix: MixingDistribution, n: int):
 
     def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
         return MpCoefficientSeq(
-            source=mix,
-            n=n,
-            cbar_n=cbar,
-            c0=elam,
-            grid_sum=solver.total,
-            grid_points=points,
-            renewal=solver,
+            cbar_n=cbar, grid_sum=solver.total, grid_points=points, renewal=solver
         )
 
     return solver, wrap
@@ -291,4 +278,4 @@ def psi_mp_exact_reference(mix: MixingDistribution, u_max: int) -> np.ndarray:
     if u_max < 0:
         raise ValueError("u_max must be nonnegative")
     claims = mp_claims_pmf(mix, x_max=max(u_max, 1))
-    return psi_recursion(RuinQuery(claims=claims, u_max=u_max))
+    return psi_recursion(claims, u_max)

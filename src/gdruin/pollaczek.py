@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import DiscretePmf
 
-__all__ = ["psi_pk", "severity_at_zero"]
+__all__ = ["psi_pk"]
 
 
 def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
@@ -28,8 +28,12 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
 
     The result is exact within the window (convolutions on 0..u-1 involve no
     truncation) except for the series cut, whose remainder is below
-    ``tail_tol``.  Needs mean < 1 and, for u >= 1, stored claim support
-    through u - 1.
+    ``tail_tol`` (the CLI passes 1e-12).  The accuracy is absolute, not
+    relative: each term is a complement 1 - P(Y*_1 + ... + Y*_k <= u - 1),
+    which carries a rounding error near 1e-16 however small psi(u) is.  Once
+    psi(u) is below about 1e-15 the value is rounding noise and can be
+    negative; `psi_recursion` keeps relative accuracy there.  Needs mean < 1
+    and, for u >= 1, stored claim support through u - 1.
     """
     mu = claims.mean
     if not 0.0 < mu < 1.0:
@@ -59,13 +63,3 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
         terms.append(mu ** k * (1.0 - np.cumsum(conv)[-1]))
     return (1.0 - mu) * math.fsum(terms)
 
-
-def severity_at_zero(claims: DiscretePmf, w: int) -> float:
-    """P(deficit at ruin <= w, ruin occurs) from surplus zero.
-
-    Equals sum_{x=0}^{w} P(Y > x); its first difference in w is the claim
-    survival, and the w -> infinity limit is the mean, i.e. psi(0).
-    """
-    if w < 0:
-        return 0.0
-    return math.fsum(claims.sf(x) for x in range(w + 1))

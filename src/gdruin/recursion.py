@@ -16,27 +16,17 @@ identity above, checked relative to its terms, certifies the result.
 
 A compound binomial variant (claims arrive with probability p per period,
 strictly positive claim sizes) is handled by converting to an equivalent
-all-periods claim law and back.
+all-periods claim law.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import DiscretePmf
 from .renewal import RenewalSolver, Weights
 
-__all__ = [
-    "RuinQuery",
-    "CompoundBinomialSpec",
-    "psi_recursion",
-    "psi_geometric_closed",
-    "gerber_recursion",
-    "convert_cb_to_gd",
-    "convert_gd_to_cb",
-]
+__all__ = ["psi_recursion", "psi_geometric_closed", "convert_cb_to_gd"]
 
 # Relative residual beyond this means the recursion output cannot be trusted.
 _RESIDUAL_TOL = 1e-10
@@ -44,36 +34,26 @@ _RESIDUAL_TOL = 1e-10
 _MEAN_ROUNDING = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
-class RuinQuery:
-    """Claims plus the largest initial surplus to evaluate."""
-
-    claims: DiscretePmf
-    u_max: int
-
-    def __post_init__(self):
-        if int(self.u_max) != self.u_max or self.u_max < 0:
-            raise ValueError("u_max must be a nonnegative integer")
-        object.__setattr__(self, "u_max", int(self.u_max))
-
-
-def psi_recursion(query: RuinQuery) -> np.ndarray:
+def psi_recursion(claims: DiscretePmf, u_max: int) -> np.ndarray:
     """Ruin probabilities psi(0..u_max), to relative accuracy.
 
-    Requirements on the claim law: f(0) > 0, mean < 1, and stored support
-    through u_max - 1 so every survival value the ladder form reads is
-    stored rather than bounded by the declared tail.
+    ``u_max`` is a nonnegative integer.  Requirements on the claim law:
+    f(0) > 0, mean < 1, and stored support through u_max - 1 so every
+    survival value the ladder form reads is stored rather than bounded by the
+    declared tail.
     """
-    claims = query.claims
+    if int(u_max) != u_max or u_max < 0:
+        raise ValueError("u_max must be a nonnegative integer")
+    u_max = int(u_max)
     solver = _ladder(claims)
-    if query.u_max >= 1 and claims.tail_mass > 0.0 and claims.support_max < query.u_max - 1:
+    if u_max >= 1 and claims.tail_mass > 0.0 and claims.support_max < u_max - 1:
         # with zero declared tail the stored survivals are exact at any depth
         raise ValueError(
             "claim support ends at "
-            f"{claims.support_max} but survival values through {query.u_max - 1} are needed; "
+            f"{claims.support_max} but survival values through {u_max - 1} are needed; "
             "rebuild the claims with a smaller tail tolerance"
         )
-    return _psi(claims, solver, query.u_max)
+    return _psi(claims, solver, u_max)
 
 
 def _ladder(claims: DiscretePmf) -> RenewalSolver | None:
@@ -164,55 +144,19 @@ def psi_geometric_closed(p: float, u: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CompoundBinomialSpec:
-    """Per-period claim probability p and the size law of a positive claim.
+def convert_cb_to_gd(p: float, claim_pmf: DiscretePmf) -> DiscretePmf:
+    """Fold the per-period claim probability p into a single per-period claim law.
 
-    ``claim_pmf`` is the distribution of the claim amount given one occurs;
-    its mass at zero must be zero, otherwise the occurrence probability is
-    not identifiable.
+    ``claim_pmf`` is the law g of the claim amount given one occurs; its
+    mass at zero must be zero, otherwise p is not identifiable.  The result
+    has f(0) = 1 - p and f(y) = p g(y) for y >= 1.  Ruin probabilities agree
+    path by path, since the aggregate per-period claim streams are identical
+    in law.
     """
-
-    p: float
-    claim_pmf: DiscretePmf
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie in (0, 1)")
-        if self.claim_pmf.f(0) != 0.0:
-            raise ValueError("conditional claim size must be strictly positive")
-
-    @property
-    def mean(self) -> float:
-        """Unconditional mean claim per period."""
-        return self.p * self.claim_pmf.mean
-
-
-def convert_cb_to_gd(spec: CompoundBinomialSpec) -> DiscretePmf:
-    """Fold the occurrence probability into a single per-period claim law.
-
-    f(0) = 1 - p and f(y) = p g(y) for y >= 1, where g is the conditional
-    size law.  Ruin probabilities agree path by path, since the aggregate
-    per-period claim streams are identical in law.
-    """
-    g = spec.claim_pmf
-    pmf = spec.p * g.pmf.copy()
-    pmf[0] = 1.0 - spec.p
-    return DiscretePmf(pmf, tail_mass=spec.p * g.tail_mass, mean=spec.mean)
-
-
-def convert_gd_to_cb(claims: DiscretePmf) -> CompoundBinomialSpec:
-    """Inverse of :func:`convert_cb_to_gd`; needs f(0) < 1."""
-    q0 = claims.f(0)
-    if q0 >= 1.0:
-        raise ValueError("claim law is degenerate at zero")
-    p = 1.0 - q0
-    g = claims.pmf / p
-    g[0] = 0.0
-    cond = DiscretePmf(g, tail_mass=claims.tail_mass / p, mean=claims.mean / p)
-    return CompoundBinomialSpec(p=p, claim_pmf=cond)
-
-
-def gerber_recursion(spec: CompoundBinomialSpec, u_max: int) -> np.ndarray:
-    """Ruin probabilities for the compound binomial model, psi(0) = p E(X)."""
-    return psi_recursion(RuinQuery(claims=convert_cb_to_gd(spec), u_max=u_max))
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if claim_pmf.f(0) != 0.0:
+        raise ValueError("conditional claim size must be strictly positive")
+    pmf = p * claim_pmf.pmf
+    pmf[0] = 1.0 - p
+    return DiscretePmf(pmf, tail_mass=p * claim_pmf.tail_mass, mean=p * claim_pmf.mean)

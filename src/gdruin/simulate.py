@@ -352,24 +352,15 @@ def check_severity_law(result: SimResult, claims: DiscretePmf) -> list[GofReport
     (P(first severity = w) = P(Y > w), no-record probability 1 - mu).
     """
     mu = claims.mean
-    fe = equilibrium(claims)
 
     obs = result.record_severity_hist.astype(float)
-    n_rec = obs.sum()
-    w = obs.size
-    exp = n_rec * np.array([fe.f(x) for x in range(w)])
-    if w - 1 <= fe.support_max:
-        exp[-1] = n_rec * (fe.f(w - 1) + fe.sf(w - 1))  # fold the tail in
+    exp = obs.sum() * equilibrium(claims, obs.size)
     pooled = _chi_square("record severity ~ equilibrium law", obs, exp)
 
     r = float(result.config.replications)
     first = result.first_record_severity_hist.astype(float)
-    w = first.size
-    exp_first = r * np.array([claims.sf(x) for x in range(w)])
-    tail = mu - math.fsum(claims.sf(x) for x in range(w))
-    exp_first[-1] += r * max(0.0, tail)
     obs_first = np.append(first, r - first.sum())  # paths with no record at all
-    exp_first = np.append(exp_first, r * (1.0 - mu))
+    exp_first = r * np.append(mu * equilibrium(claims, first.size), 1.0 - mu)
     unconditional = _chi_square(
         "first record severity ~ claim survival", obs_first, exp_first
     )

@@ -18,7 +18,6 @@ from gdruin import (
     MixingDistribution,
     MpApproxConfig,
     NbmSpec,
-    RuinQuery,
     SimConfig,
     check_record_count_law,
     check_severity_law,
@@ -60,7 +59,7 @@ def test_criterion_1_geometric_closed_form(capsys):
     for p in (0.55, 0.6, 0.75, 0.9):
         claims = geometric_pmf(p, tail_tol=1e-40)
         closed = np.array([((1 - p) / p) ** (u + 1) for u in range(31)])
-        rec = psi_recursion(RuinQuery(claims=claims, u_max=30))
+        rec = psi_recursion(claims, 30)
         ladder = np.array([psi_pk(claims, u, tail_tol=1e-12) for u in range(31)])
         series = np.array([psi_nbm(NbmSpec((1.0,), p), u) for u in range(31)])
         for got in (rec, ladder, series):
@@ -185,7 +184,7 @@ def test_criterion_7_oracle_equivalence_on_random_mixtures(capsys):
         if not 0.03 < claims.mean < 0.95:
             continue
         accepted += 1
-        rec = psi_recursion(RuinQuery(claims=claims, u_max=15))
+        rec = psi_recursion(claims, 15)
         for u in range(16):
             a, b, c = rec[u], psi_pk(claims, u, tail_tol=1e-12), psi_nbm(spec, u)
             gap = max(abs(a - b), abs(a - c), abs(b - c))
@@ -229,7 +228,7 @@ def test_criterion_9_invariants(capsys):
     vectors = []
     for p in (0.55, 0.6, 0.75, 0.9):
         claims = geometric_pmf(p, tail_tol=1e-40)
-        vectors.append((psi_recursion(RuinQuery(claims=claims, u_max=30)), claims))
+        vectors.append((psi_recursion(claims, 30), claims))
     for mix in TABLE_MIXINGS.values():
         claims = mp_claims_pmf(mix, x_max=10)
         vectors.append((psi_mp_exact_reference(mix, 10), claims))

@@ -94,8 +94,9 @@ def test_all_methods_header_for_mixed_poisson():
         dict(method="nbm", weights=(0.5, 0.5), p=0.7, u_max=-1),
         dict(method="exact", mix="erlang:2,3", u_max=2, floor=-1.0),
         dict(method="exact", mix="erlang:2,3", u_max=2, floor=math.nan),
+        dict(method="exact", mix="erlang:2,3", u_max=2.5),
     ],
-    ids=["u_max", "floor", "nan_floor"],
+    ids=["u_max", "floor", "nan_floor", "fractional_u_max"],
 )
 def test_run_rejects_what_main_rejects(job):
     with pytest.raises(ValueError, match="--u-max|--floor"):

@@ -21,18 +21,13 @@ from gdruin import (
     DiscretePmf,
     MixingDistribution,
     NbmSpec,
-    equilibrium,
     erlangm_to_nbm,
     geometric_pmf,
     mp_claims_pmf,
-    mp_pmf,
-    nb_cdf,
-    nb_pmf,
     nb_sf,
     nbm_claims_pmf,
-    nbm_equilibrium,
-    nbm_pmf,
 )
+from gdruin.distributions import _mp_masses, _nb_logpmf, _nbm_masses, equilibrium
 
 nb_args = st.tuples(
     st.integers(min_value=1, max_value=300),
@@ -49,23 +44,21 @@ nb_args = st.tuples(
 def test_nb_pmf_matches_scipy(args):
     k, p, x = args
     ref = sps.nbinom.pmf(x, k, p)
-    assert nb_pmf(k, p, x) == pytest.approx(ref, rel=1e-10, abs=1e-300)
+    assert np.exp(_nb_logpmf(float(k), p, float(x))) == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
 @given(nb_args)
 @settings(max_examples=200, deadline=None)
-def test_nb_cdf_sf_match_scipy(args):
+def test_nb_sf_matches_scipy(args):
     k, p, x = args
-    assert nb_cdf(k, p, x) == pytest.approx(sps.nbinom.cdf(x, k, p), rel=1e-10, abs=1e-300)
     assert nb_sf(k, p, x) == pytest.approx(sps.nbinom.sf(x, k, p), rel=1e-10, abs=1e-300)
-    assert nb_cdf(k, p, x) + nb_sf(k, p, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nb_pmf_small_cases_by_hand():
     # k=1 is plain geometric: p (1-p)^x
-    assert nb_pmf(1, 0.25, 3) == pytest.approx(0.25 * 0.75**3, rel=1e-14)
+    assert np.exp(_nb_logpmf(1.0, 0.25, 3.0)) == pytest.approx(0.25 * 0.75**3, rel=1e-14)
     # k=2, x=2: C(3,2) p^2 q^2
-    assert nb_pmf(2, 0.5, 2) == pytest.approx(3 * 0.25 * 0.25, rel=1e-14)
+    assert np.exp(_nb_logpmf(2.0, 0.5, 2.0)) == pytest.approx(3 * 0.25 * 0.25, rel=1e-14)
 
 
 # -- DiscretePmf container -------------------------------------------------------
@@ -110,13 +103,12 @@ def test_geometric_pmf_closed_form():
 
 
 def test_equilibrium_is_scaled_survival():
+    # geometric is a fixed point of the equilibrium transform P(Y > x) / E(Y)
     dist = geometric_pmf(0.7)
-    eq = equilibrium(dist)
-    for x in range(12):
-        assert eq.f(x) == pytest.approx(dist.sf(x) / dist.mean, rel=1e-12)
-    # geometric is a fixed point of the equilibrium transform
-    for x in range(12):
-        assert eq.f(x) == pytest.approx(dist.f(x), rel=1e-11)
+    cells = equilibrium(dist, 12)
+    np.testing.assert_allclose(cells[:-1], dist.pmf[:11], rtol=1e-11)
+    assert cells[-1] == pytest.approx(dist.sf(10), rel=1e-11)  # P(Y_e >= 11)
+    assert math.fsum(cells.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 # -- negative binomial mixtures ---------------------------------------------------
@@ -124,11 +116,9 @@ def test_equilibrium_is_scaled_survival():
 
 def test_nbm_pmf_is_the_scipy_mixture():
     spec = NbmSpec((0.2, 0.5, 0.3), 0.7)
-    for x in range(40):
-        ref = sum(
-            w * sps.nbinom.pmf(x, i + 1, 0.7) for i, w in enumerate(spec.weights)
-        )
-        assert nbm_pmf(spec, x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    xs = np.arange(40.0)
+    ref = sum(w * sps.nbinom.pmf(xs, i + 1, 0.7) for i, w in enumerate(spec.weights))
+    np.testing.assert_allclose(_nbm_masses(spec, xs), ref, rtol=1e-12, atol=1e-300)
 
 
 def test_nbm_claims_pmf_mass_and_mean():
@@ -147,11 +137,12 @@ def test_nbm_equilibrium_matches_elementwise_transform():
     law mass-by-mass, which is the property the ruin series relies on.
     """
     spec = NbmSpec((0.3, 0.45, 0.25), 0.6)
-    eq_spec = nbm_equilibrium(spec)
+    eq_spec = NbmSpec(tuple(spec.weight_survival()[:-1] / spec.weight_mean), spec.p)
     claims = nbm_claims_pmf(spec, tail_tol=1e-15)
-    eq_direct = equilibrium(claims)
-    for x in range(60):
-        assert nbm_pmf(eq_spec, x) == pytest.approx(eq_direct.f(x), rel=1e-10, abs=1e-16)
+    xs = np.arange(60.0)
+    np.testing.assert_allclose(
+        _nbm_masses(eq_spec, xs), claims.survival[:60] / claims.mean, rtol=1e-10, atol=1e-16
+    )
 
 
 @pytest.mark.parametrize("beta", [1.5, 3.0])
@@ -161,8 +152,8 @@ def test_erlang_mixture_to_nbm_identity(beta):
     mix = MixingDistribution.erlang_mixture(weights, beta)
     spec = erlangm_to_nbm(weights, beta)
     assert spec.p == pytest.approx(beta / (beta + 1.0), rel=1e-15)
-    for x in range(30):
-        assert mp_pmf(mix, x) == pytest.approx(nbm_pmf(spec, x), rel=1e-12, abs=1e-300)
+    xs = np.arange(30.0)
+    np.testing.assert_allclose(_mp_masses(mix, xs), _nbm_masses(spec, xs), rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize(
@@ -177,13 +168,14 @@ def test_erlang_mixture_to_nbm_identity(beta):
 def test_erlang_family_mixing_is_an_nbm_law(mix, weights, p):
     spec = mix.as_nbm()
     assert spec == NbmSpec(weights, p)
-    for x in range(401):
-        assert mp_pmf(mix, x) == nbm_pmf(spec, x)
+    xs = np.arange(401.0)
+    np.testing.assert_array_equal(_mp_masses(mix, xs), _nbm_masses(spec, xs))
     if max(weights) == 1.0:
         # one component: the single negative binomial kernel, bit for bit
         shape = weights.index(1.0) + 1
-        for x in range(401):
-            assert nbm_pmf(spec, x) == nb_pmf(shape, p, x)
+        np.testing.assert_array_equal(
+            _nbm_masses(spec, xs), np.exp(_nb_logpmf(float(shape), p, xs))
+        )
 
 
 @pytest.mark.parametrize(
@@ -226,23 +218,22 @@ def test_mixing_means():
 
 def test_mp_pmf_degenerate_is_poisson():
     mix = MixingDistribution.degenerate(0.8)
-    for x in range(15):
-        assert mp_pmf(mix, x) == pytest.approx(sps.poisson.pmf(x, 0.8), rel=1e-12)
+    xs = np.arange(15.0)
+    np.testing.assert_allclose(_mp_masses(mix, xs), sps.poisson.pmf(xs, 0.8), rtol=1e-12)
 
 
 def test_mp_pmf_exponential_is_geometric():
     beta = 2.5
     mix = MixingDistribution.exponential(beta)
     q = 1.0 / (1.0 + beta)
-    for x in range(25):
-        assert mp_pmf(mix, x) == pytest.approx((1 - q) * q**x, rel=1e-12)
+    xs = np.arange(25.0)
+    np.testing.assert_allclose(_mp_masses(mix, xs), (1 - q) * q**xs, rtol=1e-12)
 
 
 def test_mp_pmf_erlang_is_negative_binomial():
     mix = MixingDistribution.erlang(2, 3.0)
-    for x in range(25):
-        ref = sps.nbinom.pmf(x, 2, 0.75)
-        assert mp_pmf(mix, x) == pytest.approx(ref, rel=1e-12)
+    xs = np.arange(25.0)
+    np.testing.assert_allclose(_mp_masses(mix, xs), sps.nbinom.pmf(xs, 2, 0.75), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -264,7 +255,7 @@ def test_mp_pmf_quadrature_against_mpmath(mix):
         for x in (0, 1, 2, 5, 9):
             f = lambda lam: mpmath.exp(-lam) * lam**x / mpmath.factorial(x) * dens(lam)
             ref = float(mpmath.quad(f, [0, x + 1, mpmath.inf]))
-            assert mp_pmf(mix, x) == pytest.approx(ref, rel=1e-9)
+            assert _mp_masses(mix, np.array([x]))[0] == pytest.approx(ref, rel=1e-9)
 
 
 def test_far_quadrature_masses_against_mpmath():
@@ -276,8 +267,9 @@ def test_far_quadrature_masses_against_mpmath():
             pts = [0, x - 8 * mpmath.sqrt(x), x, x + 8 * mpmath.sqrt(x), mpmath.inf]
             mass = float(mpmath.quad(lambda lam: kernel(lam) * 3 / (1 + lam) ** 4, pts))
             tail = float(mpmath.quad(lambda lam: kernel(lam) / (1 + lam) ** 3, pts))
-            assert mp_pmf(mix, x) == pytest.approx(mass, rel=1e-9)
-            assert mp_claims_pmf(mix, x_max=x).tail_mass == pytest.approx(tail, rel=1e-9)
+            claims = mp_claims_pmf(mix, x_max=x)
+            assert claims.pmf[x] == pytest.approx(mass, rel=1e-9)
+            assert claims.tail_mass == pytest.approx(tail, rel=1e-9)
 
 
 def test_declared_tail_is_the_certified_survival():

@@ -22,7 +22,6 @@ from scipy import integrate
 from gdruin import (
     MixingDistribution,
     MpApproxConfig,
-    RuinQuery,
     mp_claims_pmf,
     mp_coefficients,
     psi_mp_exact_reference,
@@ -154,7 +153,6 @@ def test_heavy_tail_grid_certifies_truncation():
 def test_grid_matches_mixing_survival():
     mix = ERLANG
     cfg = MpApproxConfig(n=10)
-    assert cfg.p_n == pytest.approx(10 / 11.0, rel=1e-15)
     seq = mp_coefficients(mix, cfg, 0)
     size = seq.grid_points
     sf = np.asarray(mix.sf(np.arange(size + 1, dtype=float) / cfg.n))
@@ -390,9 +388,7 @@ def test_exact_reference_agrees_with_series_evaluation():
 def test_exact_reference_windowed_claims_match_full_vector():
     # the reference only materializes masses up to u_max; the full-support
     # recursion must produce identical numbers on that window
-    full = psi_recursion(
-        RuinQuery(claims=mp_claims_pmf(ERLANG, tail_tol=1e-16), u_max=10)
-    )
+    full = psi_recursion(mp_claims_pmf(ERLANG, tail_tol=1e-16), 10)
     np.testing.assert_allclose(
         psi_mp_exact_reference(ERLANG, 10), full, rtol=0, atol=1e-12
     )

@@ -14,11 +14,9 @@ import pytest
 
 from gdruin import (
     NbmSpec,
-    RuinQuery,
     cbar_sequence,
     compound_geo_zero_mass,
     nbm_claims_pmf,
-    nbm_equilibrium,
     nstar_sequence,
     psi_nbm,
     psi_pk,
@@ -90,8 +88,8 @@ def test_maximum_reaches_one_with_pgf_complement(spec):
     """1 - psi(1) equals the zero mass of the all-time maximum by pgf algebra."""
     mu = spec.claim_mean
     p = spec.p
-    eq = nbm_equilibrium(spec)
-    g_ne = math.fsum(q * p ** (i + 1) for i, q in enumerate(eq.weights))
+    f_ne = spec.weight_survival()[:-1] / spec.weight_mean  # equilibrium weights on 1..K
+    g_ne = math.fsum(q * p ** (i + 1) for i, q in enumerate(f_ne.tolist()))
     assert 1.0 - psi_nbm(spec, 1) == pytest.approx(
         (1.0 - mu) / (1.0 - mu * g_ne), rel=1e-11
     )
@@ -103,7 +101,7 @@ def test_maximum_reaches_one_with_pgf_complement(spec):
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_psi_nbm_matches_recursion_and_series(spec):
     claims = nbm_claims_pmf(spec, tail_tol=1e-15)
-    psi_r = psi_recursion(RuinQuery(claims=claims, u_max=15))
+    psi_r = psi_recursion(claims, 15)
     for u in range(16):
         a = psi_nbm(spec, u)
         assert a == pytest.approx(psi_r[u], abs=1e-10)
@@ -112,15 +110,15 @@ def test_psi_nbm_matches_recursion_and_series(spec):
 
 def _short_sum_specs(seed: int, count: int, size: int) -> list[NbmSpec]:
     """Random specs of claim mean 0.7 whose floating equilibrium weights
-    P(N > j-1) / E(N) sum below 1 by rounding: ``nbm_equilibrium`` rounds
-    them as the coefficient tables once did."""
+    P(N > j-1) / E(N) sum below 1 by rounding, as the coefficient tables
+    once rounded them."""
     rng = np.random.default_rng(seed)
     specs = []
     while len(specs) < count:
         weights = rng.dirichlet(np.ones(size))
         en = float(np.dot(weights, np.arange(1, size + 1)))
         spec = NbmSpec(tuple(weights), en / (en + 0.7))
-        if math.fsum(nbm_equilibrium(spec).weights) < 1.0:
+        if math.fsum((spec.weight_survival()[:-1] / spec.weight_mean).tolist()) < 1.0:
             specs.append(spec)
     return specs
 
@@ -129,7 +127,7 @@ def _short_sum_specs(seed: int, count: int, size: int) -> list[NbmSpec]:
 def test_psi_nbm_keeps_relative_accuracy_in_the_deep_tail(spec):
     # read as a tail past the last weight, that rounding floored psi_nbm near 2.6e-16
     claims = nbm_claims_pmf(spec, tail_tol=1e-300)
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=400))
+    psi = psi_recursion(claims, 400)
     assert psi[400] < 1e-70
     for u in (50, 100, 200, 400):
         assert psi_nbm(spec, u) == pytest.approx(psi[u], rel=1e-10, abs=0.0), u

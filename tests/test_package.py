@@ -1,4 +1,5 @@
-"""Package surface: every exported name resolves.
+"""Package surface: every exported name resolves, and the package exports
+exactly what its library modules export.
 
 A stale string in an ``__all__`` list breaks only ``from gdruin import *``
 at run time; these tests make it fail the suite instead.
@@ -24,3 +25,11 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"gdruin.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_exports_the_library_modules():
+    library = ("distributions", "mixed_poisson", "nbm", "pollaczek", "recursion", "simulate")
+    union = set()
+    for module in library:
+        union.update(importlib.import_module(f"gdruin.{module}").__all__)
+    assert set(gdruin.__all__) - {"__version__"} == union

@@ -7,8 +7,6 @@ convolutions and the geometric weighting.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -16,14 +14,12 @@ from gdruin import (
     DiscretePmf,
     MixingDistribution,
     NbmSpec,
-    RuinQuery,
     geometric_pmf,
     mp_claims_pmf,
     nbm_claims_pmf,
     psi_geometric_closed,
     psi_pk,
     psi_recursion,
-    severity_at_zero,
 )
 
 CLAIM_CASES = [
@@ -47,7 +43,7 @@ def test_series_matches_geometric_closed_form(p):
 
 @pytest.mark.parametrize("claims", CLAIM_CASES, ids=CLAIM_IDS)
 def test_series_matches_recursion(claims):
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=20))
+    psi = psi_recursion(claims, 20)
     for u in range(21):
         assert psi_pk(claims, u) == pytest.approx(psi[u], abs=1e-10)
 
@@ -76,23 +72,3 @@ def test_rejects_missing_net_profit():
     with pytest.raises(ValueError):
         psi_pk(claims, 3)
 
-
-# -- deficit at ruin from zero surplus ----------------------------------------
-
-
-def test_severity_at_zero_closed_form():
-    p = 0.65
-    claims = geometric_pmf(p, tail_tol=1e-30)
-    q = 1.0 - p
-    for w in range(12):
-        # sum of survivals: q (1 - q^{w+1}) / p
-        ref = q * (1.0 - q ** (w + 1)) / p
-        assert severity_at_zero(claims, w) == pytest.approx(ref, rel=1e-12)
-
-
-def test_severity_at_zero_saturates_at_psi_zero():
-    claims = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-14)
-    vals = [severity_at_zero(claims, w) for w in range(60)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(claims.mean, abs=1e-12)
-    assert vals[-1] == pytest.approx(psi_pk(claims, 0), abs=1e-12)

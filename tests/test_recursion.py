@@ -17,15 +17,11 @@ import numpy as np
 import pytest
 
 from gdruin import (
-    CompoundBinomialSpec,
     DiscretePmf,
     MixingDistribution,
     NbmSpec,
-    RuinQuery,
     convert_cb_to_gd,
-    convert_gd_to_cb,
     geometric_pmf,
-    gerber_recursion,
     mp_claims_pmf,
     nbm_claims_pmf,
     psi_geometric_closed,
@@ -59,7 +55,7 @@ def psi_linear_system(claims: DiscretePmf, u_max: int, depth: int = 400) -> np.n
 @pytest.mark.parametrize("p", GEO_PS)
 def test_recursion_matches_geometric_closed_form(p):
     claims = geometric_pmf(p, tail_tol=1e-40)
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=30))
+    psi = psi_recursion(claims, 30)
     ref = np.array([psi_geometric_closed(p, u) for u in range(31)])
     np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-12)
 
@@ -82,7 +78,7 @@ def test_geometric_closed_form_values():
     ids=["geometric", "nbm", "poisson", "mp-erlang"],
 )
 def test_recursion_matches_linear_system(claims):
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=25))
+    psi = psi_recursion(claims, 25)
     ref = psi_linear_system(claims, 25)
     np.testing.assert_allclose(psi, ref, rtol=0, atol=1e-10)
 
@@ -105,7 +101,7 @@ NBM_SPEC = NbmSpec((0.5, 0.5), 0.7)
 def test_recursion_keeps_relative_accuracy_to_u_1000(law):
     if isinstance(law, NbmSpec):
         # the smallest tolerance runs the support until the survival underflows
-        spec, psi = law, psi_recursion(RuinQuery(nbm_claims_pmf(law, tail_tol=5e-324), 1000))
+        spec, psi = law, psi_recursion(nbm_claims_pmf(law, tail_tol=5e-324), 1000)
     else:
         spec, psi = law.as_nbm(), psi_mp_exact_reference(law, 1000)
     ref = np.array([psi_nbm(spec, u) for u in range(1001)])
@@ -116,7 +112,7 @@ def test_recursion_keeps_relative_accuracy_to_u_1000(law):
 
 def test_recursion_matches_geometric_closed_form_to_u_700():
     claims = geometric_pmf(0.6, tail_tol=1e-300)
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=700))
+    psi = psi_recursion(claims, 700)
     ref = np.array([psi_geometric_closed(0.6, u) for u in range(701)])
     assert ref[-1] < 1e-120
     np.testing.assert_allclose(psi, ref, rtol=1e-12, atol=0)
@@ -137,7 +133,7 @@ def test_bernoulli_claims_by_hand():
     # claims 0 or 1 with probability 1/2: the surplus never decreases, so
     # ruin can only happen at once from u = 0
     claims = DiscretePmf(np.array([0.5, 0.5]))
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=6))
+    psi = psi_recursion(claims, 6)
     assert psi[0] == 0.5
     np.testing.assert_allclose(psi[1:], 0.0, atol=1e-15)
 
@@ -183,7 +179,7 @@ def test_residual_check_passes_the_true_psi_and_catches_a_perturbation():
 @pytest.mark.parametrize("u_max", [0, 1, 5])
 def test_one_point_claim_law_has_no_ruin(u_max):
     # support_max = 0: the residual check has no claim sizes to convolve
-    psi = psi_recursion(RuinQuery(claims=DiscretePmf([1.0]), u_max=u_max))
+    psi = psi_recursion(DiscretePmf([1.0]), u_max)
     np.testing.assert_array_equal(psi, np.zeros(u_max + 1))
 
 
@@ -192,13 +188,13 @@ def test_one_point_claim_law_has_no_ruin(u_max):
 
 def test_psi_zero_is_exactly_the_mean():
     claims = nbm_claims_pmf(NbmSpec((0.3, 0.7), 0.65), tail_tol=1e-14)
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=10))
+    psi = psi_recursion(claims, 10)
     assert psi[0] == claims.mean
 
 
 def test_psi_vector_invariants():
     claims = geometric_pmf(0.55, tail_tol=1e-30)
-    psi = psi_recursion(RuinQuery(claims=claims, u_max=40))
+    psi = psi_recursion(claims, 40)
     assert np.all(psi >= 0.0) and np.all(psi <= 1.0)
     assert np.all(np.diff(psi) <= 0.0)
 
@@ -206,41 +202,50 @@ def test_psi_vector_invariants():
 def test_rejects_zero_mass_at_origin():
     claims = DiscretePmf(np.array([0.0, 0.6, 0.4]), mean=1.4)
     with pytest.raises(ValueError):
-        psi_recursion(RuinQuery(claims=claims, u_max=5))
+        psi_recursion(claims, 5)
 
 
 def test_rejects_missing_net_profit():
     claims = DiscretePmf(np.array([0.25, 0.25, 0.25, 0.25]))  # mean 1.5
     with pytest.raises(ValueError):
-        psi_recursion(RuinQuery(claims=claims, u_max=5))
+        psi_recursion(claims, 5)
 
 
 def test_rejects_truncation_shorter_than_query():
     claims = geometric_pmf(0.9, tail_tol=1e-6)  # support ends near x = 5
     with pytest.raises(ValueError):
-        psi_recursion(RuinQuery(claims=claims, u_max=20))
+        psi_recursion(claims, 20)
+
+
+@pytest.mark.parametrize("u_max", [-1, 2.5])
+def test_rejects_u_max_that_is_not_a_nonnegative_integer(u_max):
+    with pytest.raises(ValueError, match="u_max"):
+        psi_recursion(geometric_pmf(0.6), u_max)
 
 
 # -- compound binomial bridge ----------------------------------------------------
 
-CB_SPEC = CompoundBinomialSpec(0.4, DiscretePmf(np.array([0.0, 0.55, 0.3, 0.15])))
-
-
-def test_conversion_round_trip():
-    claims = convert_cb_to_gd(CB_SPEC)
-    back = convert_gd_to_cb(claims)
-    assert back.p == pytest.approx(CB_SPEC.p, rel=1e-14)
-    np.testing.assert_allclose(back.claim_pmf.pmf, CB_SPEC.claim_pmf.pmf, atol=1e-15)
+CB_P = 0.4
+CB_SIZES = DiscretePmf(np.array([0.0, 0.55, 0.3, 0.15]))
 
 
 def test_converted_means_agree():
-    claims = convert_cb_to_gd(CB_SPEC)
-    assert claims.mean == pytest.approx(CB_SPEC.p * CB_SPEC.claim_pmf.mean, rel=1e-14)
+    claims = convert_cb_to_gd(CB_P, CB_SIZES)
+    assert claims.mean == pytest.approx(CB_P * CB_SIZES.mean, rel=1e-14)
 
 
-def test_gerber_recursion_is_recursion_after_conversion():
-    psi_a = gerber_recursion(CB_SPEC, 12)
-    psi_b = psi_recursion(RuinQuery(claims=convert_cb_to_gd(CB_SPEC), u_max=12))
-    np.testing.assert_allclose(psi_a, psi_b, rtol=0, atol=1e-15)
-    ref = psi_linear_system(convert_cb_to_gd(CB_SPEC), 12)
-    np.testing.assert_allclose(psi_a, ref, rtol=0, atol=1e-10)
+def test_compound_binomial_recursion_matches_linear_system():
+    claims = convert_cb_to_gd(CB_P, CB_SIZES)
+    psi = psi_recursion(claims, 12)
+    assert psi[0] == CB_P * CB_SIZES.mean
+    np.testing.assert_allclose(psi, psi_linear_system(claims, 12), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "p, sizes",
+    [(0.0, CB_SIZES), (1.0, CB_SIZES), (0.4, DiscretePmf(np.array([0.1, 0.9])))],
+    ids=["p=0", "p=1", "zero-size-claim"],
+)
+def test_conversion_rejects_bad_inputs(p, sizes):
+    with pytest.raises(ValueError):
+        convert_cb_to_gd(p, sizes)

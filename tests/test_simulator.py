@@ -14,7 +14,6 @@ import pytest
 from gdruin import (
     MixingDistribution,
     NbmSpec,
-    RuinQuery,
     SimConfig,
     check_record_count_law,
     check_severity_law,
@@ -47,14 +46,14 @@ def test_estimate_brackets_geometric_closed_form(u):
 
 def test_estimate_brackets_mixed_poisson_reference():
     res = simulate_paths(SimConfig(claims=MP_CLAIMS, u=1, replications=20_000, seed=11))
-    ref = psi_recursion(RuinQuery(claims=MP_CLAIMS, u_max=1))[1]
+    ref = psi_recursion(MP_CLAIMS, 1)[1]
     assert abs(res.psi_hat - ref) < 4.0 * res.psi_se
     assert res.identity_mismatches == 0
 
 
 def test_one_pass_brackets_the_recursion_at_every_u():
     res = simulate_paths(SimConfig(claims=MP_CLAIMS, u=0, replications=REPS, seed=0))
-    ref = psi_recursion(RuinQuery(claims=MP_CLAIMS, u_max=10))
+    ref = psi_recursion(MP_CLAIMS, 10)
     for u in range(11):
         psi_hat, psi_se = res.psi_at(u)
         assert abs(psi_hat - ref[u]) < 4.0 * psi_se, u
@@ -95,7 +94,7 @@ def test_levels_past_the_deepest_path_read_zero():
 
 def test_stop_bound_is_the_first_negligible_surplus():
     res = simulate_paths(SimConfig(claims=GEO_CLAIMS, u=0, replications=8, seed=5))
-    psi = psi_recursion(RuinQuery(claims=GEO_CLAIMS, u_max=res.stop_bound))
+    psi = psi_recursion(GEO_CLAIMS, res.stop_bound)
     assert psi[res.stop_bound] < 1e-9
     assert psi[res.stop_bound - 1] >= 1e-9
 
