@@ -45,7 +45,7 @@ import math
 import threading
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["RenewalSolver", "TableCache", "Weights"]
 
@@ -132,9 +132,9 @@ class RenewalSolver:
         end = -(-n // _B) * _B
         if end > self._done:
             self._reserve(end)
-            # near[r, c] = tau[r - c] for r >= c; prev[r, c] = f_{B + r - c} for r < c
-            near = toeplitz(self._tau, np.zeros(_B))
-            prev = toeplitz(np.zeros(_B), np.r_[0.0, self._near_f[_B - 1 : 0 : -1]])
+            # near[r, c] = tau[r - c] (r >= c), prev[r, c] = f_{B+r-c} (r < c); row r is window B-1-r
+            near = sliding_window_view(np.r_[self._tau[::-1], np.zeros(_B - 1)], _B)[::-1].copy()
+            prev = sliding_window_view(np.r_[np.zeros(_B), self._near_f[_B - 1 : 0 : -1]], _B)[::-1].copy()
             spectra: dict[int, tuple] = {}
             try:
                 for pos in range(self._done, end, _B):

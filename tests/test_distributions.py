@@ -3,18 +3,21 @@
 Every negative binomial primitive is compared with scipy.stats.nbinom,
 the mixed Poisson masses with either closed forms (degenerate, exponential,
 Erlang) or high-precision mpmath quadrature (Pareto, lognormal), and the
-mixture-closure identities with direct elementwise recomputation.
+mixture-closure identities with direct elementwise recomputation.  The
+package's own G10/K21 quadrature is checked against scipy.integrate.quad.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy import stats as sps
 
 from gdruin import (
@@ -27,7 +30,18 @@ from gdruin import (
     nb_sf,
     nbm_claims_pmf,
 )
-from gdruin.distributions import _mp_masses, _nb_logpmf, _nbm_masses, equilibrium
+from gdruin.distributions import (
+    _GK_GAUSS,
+    _GK_KRONROD,
+    _GK_NODES,
+    QuadratureError,
+    _mp_masses,
+    _mp_sf,
+    _nb_logpmf,
+    _nbm_masses,
+    _poisson_gamma_quad,
+    equilibrium,
+)
 
 nb_args = st.tuples(
     st.integers(min_value=1, max_value=300),
@@ -259,17 +273,83 @@ def test_mp_pmf_quadrature_against_mpmath(mix):
 
 
 def test_far_quadrature_masses_against_mpmath():
-    """Far from the mixing mean the Poisson kernel is a narrow peak at rate = x."""
+    """Far from the mixing mean the Poisson kernel is a narrow peak at rate = x,
+    about 8 sqrt(x) / x^2 wide in the integration variable t = rate / (1 + rate)."""
     mix = MixingDistribution.pareto(3.0, 1.0)
     with mpmath.workdps(30):
-        for x in (700, 1000):
+        for x in (700, 1000, 10_000, 40_000):
             kernel = lambda lam: mpmath.exp(x * mpmath.log(lam) - lam - mpmath.loggamma(x + 1))
             pts = [0, x - 8 * mpmath.sqrt(x), x, x + 8 * mpmath.sqrt(x), mpmath.inf]
             mass = float(mpmath.quad(lambda lam: kernel(lam) * 3 / (1 + lam) ** 4, pts))
             tail = float(mpmath.quad(lambda lam: kernel(lam) / (1 + lam) ** 3, pts))
-            claims = mp_claims_pmf(mix, x_max=x)
-            assert claims.pmf[x] == pytest.approx(mass, rel=1e-9)
-            assert claims.tail_mass == pytest.approx(tail, rel=1e-9)
+            if x <= 1000:
+                claims = mp_claims_pmf(mix, x_max=x)
+                got = claims.pmf[x], claims.tail_mass
+            else:  # a whole claim vector this long would cost 10^4 quadratures
+                got = _mp_masses(mix, np.array([float(x)]))[0], _mp_sf(mix, x)
+            assert got == pytest.approx((mass, tail), rel=1e-10)
+
+
+def test_qk21_tables_integrate_monomials_exactly():
+    """K21 is exact for degree <= 31 on [-1, 1] and its embedded G10 for degree <= 19."""
+    for k in range(32):
+        exact = (1 + (-1) ** k) / (k + 1)
+        assert abs(_GK_KRONROD @ _GK_NODES**k - exact) < 1e-15
+        if k < 20:
+            assert abs(_GK_GAUSS @ _GK_NODES**k - exact) < 1e-15
+    assert np.count_nonzero(_GK_GAUSS) == 10
+    # one degree past its exactness each rule misses x^k
+    assert abs(_GK_GAUSS @ _GK_NODES**20 - 2 / 21) > 1e-8
+    assert abs(_GK_KRONROD @ _GK_NODES**32 - 2 / 33) > 1e-13
+
+
+def _scipy_poisson_gamma(mix, x, h):
+    """E[h(rate) rate^x e^{-rate} / x!] by scipy.integrate.quad over the rate itself,
+    piecewise at the package's breakpoints, with the log kernel taken from its peak
+    at rate = x and the peak value x log x - x - log x! from mpmath."""
+    with mpmath.workdps(40):
+        peak = float(x * mpmath.log(x) - x - mpmath.loggamma(x + 1)) if x else 0.0
+
+    def f(lam):
+        if x == 0:
+            return math.exp(peak - lam) * h(lam)
+        d = lam - x
+        logk = x * (math.log1p(d / x) if 2 * lam > x else math.log(lam / x)) - d + peak
+        return math.exp(logk) * h(lam)
+
+    w = 8.0 * math.sqrt(x + 1.0)
+    edges = sorted({0.0, mix.mean, max(x - w, 0.0), float(x), x + w})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        pieces = [
+            integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(edges, edges[1:] + [math.inf])
+        ]
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        MixingDistribution.pareto(3.0, 1.0),
+        MixingDistribution.lognormal(-1.0, 1.0),
+        MixingDistribution.pareto(2.1, 1.0),
+    ],
+    ids=["pareto3", "lognormal", "pareto2.1"],
+)
+def test_quadrature_masses_against_scipy_quad(mix):
+    """Masses and survivals agree with scipy's QUADPACK run over the rate."""
+    for x in (0, 1, 2, 5, 19, 20, 100, 331, 1000, 3000):
+        mass = _mp_masses(mix, np.array([float(x)]))[0]
+        assert mass == pytest.approx(_scipy_poisson_gamma(mix, x, mix._pdf), rel=1e-13)
+        assert _mp_sf(mix, x) == pytest.approx(_scipy_poisson_gamma(mix, x, mix.sf), rel=1e-13)
+
+
+def test_quadrature_past_its_interval_budget_raises():
+    """An integrand no 400 intervals can resolve is refused, and the error names x."""
+    mix = MixingDistribution.pareto(3.0, 1.0)
+    with pytest.raises(QuadratureError, match=r"quadrature at x=7:"):
+        _poisson_gamma_quad(mix, 7, lambda lam: 1.0 + np.sign(np.sin(1e3 * lam)))
 
 
 def test_declared_tail_is_the_certified_survival():
