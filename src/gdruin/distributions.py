@@ -235,14 +235,14 @@ def _check_nb_args(k: int, p: float) -> None:
 
 
 def _nb_logpmf(k: float, p: float, x: np.ndarray) -> np.ndarray:
-    # log C(k+x-1, x) + k log p + x log(1-p), safe for k + x in the millions
-    return (
-        special.gammaln(k + x)
-        - special.gammaln(k)
-        - special.gammaln(x + 1.0)
-        + k * math.log(p)
-        + x * math.log1p(-p)
-    )
+    # log C(k+x-1, x) + k log p + x log(1-p), safe for k + x in the millions;
+    # accumulated in place, left to right
+    out = special.gammaln(k + x)
+    out -= special.gammaln(k)
+    out -= special.gammaln(x + 1.0)
+    out += k * math.log(p)
+    out += x * math.log1p(-p)
+    return out
 
 
 def nb_sf(k: int, p: float, x: int) -> float:

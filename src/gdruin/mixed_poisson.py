@@ -6,10 +6,12 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
 
 * method 1 evaluates the coefficient series directly,
       psi(u) ~= sum_k Cbar_{k,n} nb(u, 1/(1+n))(k),
-  truncated by the pmf-floor rule: only indices where the NegBin(u, 1/(1+n))
-  mass exceeds a floor are kept, scanning from the mean upward for the last
-  crossing (and downward for the first, when the skipped lower mass is
-  certifiably negligible).
+  truncated by the pmf-floor rule.  The sum ends at k_hi, the last index
+  whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by probing up from
+  the mode (u-1)n in steps of one standard deviation.  It starts at the
+  first such index only when the NegBin mass below it is under 1e-9
+  (`betainc`), else at k = 0; at n = 500 and the default floor that
+  certificate keeps k = 0 for every u checked (1..10, 20, 100, 300, 500).
 * method 2 replaces the series by a Monte Carlo average of Cbar at NegBin
   draws, with a sample standard error.
 
@@ -181,14 +183,23 @@ def mp_coefficients(
 
 
 def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
-    """Indices [k_lo, k_hi] passing the pmf floor, plus the pmf values on 0..k_hi."""
+    """Indices [k_lo, k_hi] passing the pmf floor, plus the pmf values on 0..top >= k_hi.
+
+    NegBin(u, 1/(1+n)) is unimodal with mode (u-1)n, so past the mode a point at
+    or below the floor bounds every later one: top is the first of mode + sigma,
+    mode + 2 sigma, ... at or below the floor, capped at the span mean + 12 sigma + 64.
+    """
     n = cfg.n
+    p = 1.0 / (1.0 + n)
     mean = u * n
     sigma = math.sqrt(u * n * (n + 1.0))
     span = int(mean + 12.0 * sigma) + 64
-    x = np.arange(span + 1, dtype=float)
-    logpmf = _nb_logpmf(float(u), 1.0 / (1.0 + n), x)
-    pmf = np.exp(logpmf)
+    step = int(sigma) + 1
+    top = min((u - 1) * n + step, span)
+    while top < span and np.exp(_nb_logpmf(float(u), p, float(top))) > cfg.pmf_floor:
+        top = min(top + step, span)
+    x = np.arange(top + 1, dtype=float)
+    pmf = np.exp(_nb_logpmf(float(u), p, x))
     above = np.nonzero(pmf > cfg.pmf_floor)[0]
     if above.size == 0:
         raise ValueError(
@@ -199,7 +210,7 @@ def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
     k_lo = int(above[0])
     if k_lo > 0:
         # drop the lower stub only when its mass is certifiably negligible
-        below_mass = float(special.betainc(u, k_lo, 1.0 / (1.0 + n)))
+        below_mass = float(special.betainc(u, k_lo, p))
         if below_mass >= _LOWER_MASS_TOL:
             k_lo = 0
     return k_lo, k_hi, pmf
@@ -207,8 +218,9 @@ def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
 
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
     """Truncated coefficient series at surplus u."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    if int(u) != u or u < 0:
+        raise ValueError("u must be a nonnegative integer")
+    u = int(u)
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
@@ -234,24 +246,30 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
         ss = np.random.SeedSequence((int(seed), rng_stream))
     rng = np.random.Generator(np.random.Philox(ss))
     lq = math.log1p(-1.0 / (1.0 + n))  # log of the geometric miss probability
-    total = np.zeros(m, dtype=np.int64)
+    # integer-valued sums below 2^53, so exact in float64 in any order
+    total = np.zeros(m)
     # draw in column blocks so u in the hundreds stays memory-friendly
     step = max(1, (1 << 22) // max(m, 1))
     done = 0
     while done < u:
         cols = min(step, u - done)
         unif = rng.random((m, cols))
-        total += np.floor(np.log1p(-unif) / lq).astype(np.int64).sum(axis=1)
+        np.negative(unif, out=unif)
+        np.log1p(unif, out=unif)
+        np.divide(unif, lq, out=unif)
+        np.floor(unif, out=unif)
+        total += unif.sum(axis=1)
         done += cols
-    return total
+    return total.astype(np.int64)
 
 
 def psi_mp_method2(
     mix: MixingDistribution, u: int, cfg: MpApproxConfig
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the series and its sample standard error."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    if int(u) != u or u < 0:
+        raise ValueError("u must be a nonnegative integer")
+    u = int(u)
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")

@@ -152,8 +152,9 @@ def _series_k_hi(u: int, p: float) -> int:
 
 def psi_nbm(spec: NbmSpec, u: int) -> float:
     """Ruin probability at integer surplus u for NBM(pi, p) claims."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    if int(u) != u or u < 0:
+        raise ValueError("u must be a nonnegative integer")
+    u = int(u)
     c0 = spec.claim_mean
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")

@@ -17,20 +17,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gdruin import (
     MixingDistribution,
     MpApproxConfig,
+    NbmSpec,
     mp_claims_pmf,
     mp_coefficients,
     psi_mp_exact_reference,
     psi_mp_method1,
     psi_mp_method2,
+    psi_nbm,
     psi_pk,
     psi_recursion,
 )
 from gdruin import mixed_poisson
+from gdruin.distributions import _nb_logpmf
 from gdruin.renewal import RenewalSolver, TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
@@ -344,6 +347,64 @@ def test_method1_rejects_hopeless_floor():
         psi_mp_method1(ERLANG, 5, MpApproxConfig(n=500, pmf_floor=0.9))
 
 
+def _full_span_window(u, cfg):
+    """Reference window: the pmf on the whole span mean + 12 sigma + 64."""
+    n = cfg.n
+    sigma = math.sqrt(u * n * (n + 1.0))
+    x = np.arange(int(u * n + 12.0 * sigma) + 64 + 1, dtype=float)
+    pmf = np.exp(_nb_logpmf(float(u), 1.0 / (1.0 + n), x))
+    above = np.nonzero(pmf > cfg.pmf_floor)[0]
+    if above.size == 0:
+        raise ValueError("every NegBin mass is below pmf_floor")
+    k_hi, k_lo = int(above[-1]), int(above[0])
+    if k_lo > 0 and special.betainc(u, k_lo, 1.0 / (1.0 + n)) >= mixed_poisson._LOWER_MASS_TOL:
+        k_lo = 0
+    return k_lo, k_hi, pmf
+
+
+@pytest.mark.parametrize("floor", [1e-5, 1e-9, 1e-13])
+@pytest.mark.parametrize("n", [1, 10, 500, 1000])
+@pytest.mark.parametrize("u", [1, 2, 10, 50, 500])
+def test_series_window_matches_the_full_span(u, n, floor):
+    cfg = MpApproxConfig(n=n, pmf_floor=floor)
+    k_lo, k_hi, pmf = _full_span_window(u, cfg)
+    lo, hi, got = mixed_poisson._series_window(u, cfg)
+    assert (lo, hi) == (k_lo, k_hi)
+    np.testing.assert_array_equal(got[: hi + 1], pmf[: k_hi + 1])
+
+
+def test_series_window_capped_at_the_span():
+    # the geometric law at n = 500 is still above 1e-13 at the span's end
+    cfg = MpApproxConfig(n=500, pmf_floor=1e-13)
+    k_lo, k_hi, pmf = _full_span_window(1, cfg)
+    assert k_hi == pmf.size - 1
+    lo, hi, got = mixed_poisson._series_window(1, cfg)
+    assert (lo, hi) == (k_lo, k_hi)
+    np.testing.assert_array_equal(got[: hi + 1], pmf)
+
+
+def test_series_window_raises_when_the_peak_is_below_the_floor():
+    cfg = MpApproxConfig(n=500, pmf_floor=1e-4)  # the peak at u = 1000 is about 2.5e-5
+    with pytest.raises(ValueError):
+        _full_span_window(1000, cfg)
+    with pytest.raises(ValueError, match="below pmf_floor"):
+        mixed_poisson._series_window(1000, cfg)
+
+
+def test_series_window_evaluates_only_up_to_its_top(monkeypatch):
+    points = []
+
+    def counted(k, p, x):
+        points.append(np.size(x))
+        return _nb_logpmf(k, p, x)
+
+    monkeypatch.setattr(mixed_poisson, "_nb_logpmf", counted)
+    u, n = 500, 500
+    _, k_hi, _ = mixed_poisson._series_window(u, MpApproxConfig(n=n))
+    # the full span mean + 12 sigma + 64 would be 384,363 points for k_hi = 267,758
+    assert sum(points) <= k_hi + math.sqrt(u * n * (n + 1.0)) + 65
+
+
 # -- method 2 -----------------------------------------------------------------------
 
 
@@ -370,6 +431,51 @@ def test_method2_covers_the_poisson_case():
         est, se = psi_mp_method2(mix, u, cfg)
         assert se > 0.0
         assert abs(est - exact[u]) < 5.0 * se + 1e-3
+
+
+def _reference_draws(u, n, m, seed, rng_stream):
+    """One inverse-cdf geometric draw per cell, cast and summed as integers."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rng_stream))))
+    lq = math.log1p(-1.0 / (1.0 + n))
+    total = np.zeros(m, dtype=np.int64)
+    step = max(1, (1 << 22) // m)
+    for done in range(0, u, step):
+        unif = rng.random((m, min(step, u - done)))
+        total += np.floor(np.log1p(-unif) / lq).astype(np.int64).sum(axis=1)
+    return total
+
+
+@pytest.mark.parametrize(
+    "u, n, m",
+    # m = 2^21 gives column blocks of 2, so u = 5 takes three
+    [(1, 500, 1000), (500, 500, 1000), (10, 50, 7), (5, 500, 1 << 21)],
+)
+def test_negbin_draws_match_the_integer_reference(u, n, m):
+    got = mixed_poisson._negbin_draws(u, n, m, 11, rng_stream=u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _reference_draws(u, n, m, 11, u))
+
+
+# -- the surplus argument ------------------------------------------------------------
+
+_NBM = NbmSpec((0.5, 0.5), 0.7)
+_AT_U = {
+    "method1": lambda u: psi_mp_method1(ERLANG, u, MpApproxConfig(n=500)),
+    "method2": lambda u: psi_mp_method2(ERLANG, u, MpApproxConfig(n=500, seed=1)),
+    "nbm": lambda u: psi_nbm(_NBM, u),
+}
+
+
+@pytest.mark.parametrize("u", [2.5, -1])
+@pytest.mark.parametrize("name", list(_AT_U))
+def test_u_must_be_a_nonnegative_integer(name, u):
+    with pytest.raises(ValueError, match="u must be a nonnegative integer"):
+        _AT_U[name](u)
+
+
+@pytest.mark.parametrize("name", list(_AT_U))
+def test_integral_float_u_equals_int_u(name):
+    assert _AT_U[name](3.0) == _AT_U[name](3)
 
 
 # -- exact reference ---------------------------------------------------------------
