@@ -319,6 +319,9 @@ def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> Disc
         while x_max - lo > 1 and x_max <= _SUPPORT_CAP:  # sf(lo) >= tail_tol > sf(x_max)
             mid = (lo + x_max) // 2
             lo, x_max = (lo, mid) if sf(mid) < tail_tol else (mid, x_max)
+    elif int(x_max) != x_max or x_max < 0:
+        raise ValueError("x_max must be a nonnegative integer")
+    x_max = int(x_max)
     if x_max > _SUPPORT_CAP:
         raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP} points")
     return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)

@@ -21,8 +21,9 @@ taken once per law.  They come from the renewal solver in `renewal`, whose
 table per (mixing law, n) is extended in place as u grows, so sweeping u is
 cheap after the first call.  The grid is the paper's infinite sum over
 every j >= 0.  A law whose survival drops below 1e-16 within the first 2^16
-points stops there; any other keeps those points and reads values past them
-on demand, with the tail sums past them in closed form
+points stops there, and its survival is evaluated only up to the doubling
+piece that reaches the stop; any other keeps those points and reads values
+past them on demand, with the tail sums past them in closed form
 (`MixingDistribution.grid_tail`), so no law is too heavy-tailed to grid.
 """
 
@@ -53,9 +54,12 @@ __all__ = [
 ]
 
 # The mixing grid stops below a survival of _GRID_TOL if it gets there
-# within its first _HEAD points, which every law stores.
+# within its first _HEAD points, which every law stores.  The head is
+# evaluated in doubling pieces from _PIECE points, up to the first piece
+# that reaches the stop.
 _GRID_TOL = 1e-16
 _HEAD = 1 << 16
+_PIECE = 1 << 10
 # Mass certificate for starting the method-1 sum above k = 0.
 _LOWER_MASS_TOL = 1e-9
 
@@ -146,7 +150,14 @@ def _table(mix: MixingDistribution, n: int):
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
-    head = np.asarray(mix.sf(np.arange(_HEAD, dtype=float) / n), dtype=float)
+    pieces, lo = [], 0
+    while lo < _HEAD:
+        hi = max(2 * lo, _PIECE)
+        pieces.append(np.asarray(mix.sf(np.arange(lo, hi, dtype=float) / n), dtype=float))
+        lo = hi
+        if pieces[-1].min() < _GRID_TOL:
+            break
+    head = np.concatenate(pieces)
     below = np.flatnonzero(head < _GRID_TOL)
     if not below.size:
         grid = _Grid(mix, n, head)
@@ -170,13 +181,14 @@ def mp_coefficients(
 ) -> MpCoefficientSeq:
     """Coefficients Cbar_{0..k_max, n}, memoized and extended in place.
 
-    The table of each (mixing law, n) grows geometrically from
-    64 terms; a request within it is a cached read that no other law's
-    extension blocks.
+    The table of each (mixing law, n) grows in quarter octaves, to at most
+    1.25 (k_max + 1) terms and at least 64; a request within it is a cached
+    read that no other law's extension blocks.  The cache keeps the 8 most
+    recently requested tables (`renewal.TableCache`).
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    return _coeff_cache.get((mix, cfg.n), k_max, lambda: _table(mix, cfg.n))
+    if int(k_max) != k_max or k_max < 0:
+        raise ValueError("k_max must be a nonnegative integer")
+    return _coeff_cache.get((mix, cfg.n), int(k_max), lambda: _table(mix, cfg.n))
 
 
 # -- method 1: truncated series ----------------------------------------------
@@ -293,7 +305,7 @@ def psi_mp_exact_reference(mix: MixingDistribution, u_max: int) -> np.ndarray:
     with the certified survival past them as declared tail, and runs the
     recursion, which keeps relative accuracy at every u.
     """
-    if u_max < 0:
-        raise ValueError("u_max must be nonnegative")
-    claims = mp_claims_pmf(mix, x_max=max(u_max, 1))
+    if int(u_max) != u_max or u_max < 0:
+        raise ValueError("u_max must be a nonnegative integer")
+    claims = mp_claims_pmf(mix, x_max=max(int(u_max), 1))
     return psi_recursion(claims, u_max)

@@ -18,8 +18,10 @@ costs O(K log^2 K) for K terms.  The sequence equals (1-rho) Fbar_{N*}(k) for
 a compound truncated-geometric N*, which is exposed separately as a
 cross-check (built by a direct Panjer loop).
 
-Coefficient tables are cached per spec and extended in place, geometrically,
-so repeated psi queries at different surpluses share one table.
+Coefficient tables are cached per spec and extended in place in quarter
+octaves, to at most 1.25 times the terms read, so repeated psi queries at
+different surpluses share one table; the cache keeps the tables of the 8
+most recently requested specs (`renewal.TableCache`).
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
     The array is a view of the spec's cached table, which grows in place.
     Requires the net profit condition E(N)(1-p)/p < 1.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    if int(k_max) != k_max or k_max < 0:
+        raise ValueError("k_max must be a nonnegative integer")
+    k_max = int(k_max)
     seq = _coeff_cache.get(spec, k_max, lambda: _table(spec))
     return replace(seq, cbar=seq.cbar[: k_max + 1])
 

@@ -38,8 +38,9 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
     mu = claims.mean
     if not 0.0 < mu < 1.0:
         raise ValueError(f"series requires 0 < mean < 1, got {mu}")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    if int(u) != u or u < 0:
+        raise ValueError("u must be a nonnegative integer")
+    u = int(u)
     if u == 0:
         return mu
     if claims.tail_mass > 0.0 and claims.support_max < u - 1:

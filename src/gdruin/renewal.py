@@ -33,16 +33,20 @@ overflow once x stops decaying, as it does when Fbar stays positive past W.
 
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
-order of the requests.  The solver reads the weights through `Weights`, so
-the support may be unbounded, like a heavy-tailed mixing grid: the table
-reads single weights only up to about twice its length, and beyond that only
-tail sums from block boundaries.
+order of the requests.  Each level's tilted lag spectrum, output powers and
+last lag are built the first time the level fires and kept on the solver:
+32 s bytes for level s, 4 to 6.4 times the table's bytes over all levels
+when every level up to half the table fires.  The solver reads the
+weights through `Weights`, so the support may be unbounded, like a
+heavy-tailed mixing grid: the table reads single weights only up to about
+twice its length, and beyond that only tail sums from block boundaries.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +55,8 @@ __all__ = ["RenewalSolver", "TableCache", "Weights"]
 
 # Block size of the dense near-lag products; a power of two.
 _B = 256
+# Keys a `TableCache` keeps, the most recently requested ones.
+_KEEP = 8
 
 
 class Weights:
@@ -104,7 +110,7 @@ class RenewalSolver:
         for t in range(1, _B):
             tau[t] = self.c0 * np.dot(self._near_f[1 : t + 1], tau[t - 1 :: -1])
         self._tau = tau
-        self._tilts: dict[int, float] = {}
+        self._levels: dict[int, tuple] = {}  # s -> (spectrum, powers, last lag)
         self._x = np.zeros(0)
         self._done = 0
 
@@ -135,10 +141,9 @@ class RenewalSolver:
             # near[r, c] = tau[r - c] (r >= c), prev[r, c] = f_{B+r-c} (r < c); row r is window B-1-r
             near = sliding_window_view(np.r_[self._tau[::-1], np.zeros(_B - 1)], _B)[::-1].copy()
             prev = sliding_window_view(np.r_[np.zeros(_B), self._near_f[_B - 1 : 0 : -1]], _B)[::-1].copy()
-            spectra: dict[int, tuple] = {}
             try:
                 for pos in range(self._done, end, _B):
-                    self._step(pos, near, prev, spectra)
+                    self._step(pos, near, prev)
                     self._done = pos + _B
             except BaseException:
                 # a step may stop with its pending terms half added
@@ -163,7 +168,7 @@ class RenewalSolver:
             grown[: self._x.size] = self._x
             self._x = grown
 
-    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray, spectra: dict) -> None:
+    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray) -> None:
         x = self._x
         if pos == 0:
             x[0] = self.c0
@@ -172,16 +177,16 @@ class RenewalSolver:
             return
         s = _B
         while s <= self._width and pos % s == 0:
-            self._fire(pos, s, spectra)
+            self._fire(pos, s)
             s *= 2
         rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + self.survival(pos, pos + _B)
         x[pos : pos + _B] = near @ rhs
 
-    def _fire(self, e: int, s: int, spectra: dict) -> None:
+    def _fire(self, e: int, s: int) -> None:
         # lags [s, 2s) from the source block x[e-s, e), tilted by e^t
-        level = spectra.get(s)
+        level = self._levels.get(s)
         if level is None:
-            level = spectra[s] = self._level(s)
+            level = self._levels[s] = self._level(s)
         spectrum, powers, size = level
         x = self._x
         src = x[e - s : e] * powers[s:0:-1]
@@ -191,9 +196,7 @@ class RenewalSolver:
     def _level(self, s: int) -> tuple[np.ndarray, np.ndarray, int]:
         top = min(2 * s - 1, self._width)  # last lag of the level
         f = self.lags(1, top + 1)
-        t = self._tilts.get(s)
-        if t is None:
-            t = self._tilts[s] = _tilt(self.c0, f)
+        t = _tilt(self.c0, f)
         with np.errstate(divide="ignore"):
             tilted = np.exp(np.log(f[s - 1 :]) + t * np.arange(s, top + 1))
         return np.fft.rfft(tilted, 2 * s), np.exp(-t * np.arange(2 * s)), top
@@ -236,18 +239,22 @@ class TableCache:
     """Renewal tables keyed by law, each grown in place under its own lock.
 
     The cache lock guards only the lookup and insert of a key's entry, so
-    growing one law's table never blocks a read of another's.  Tables come
-    in sizes 64 * 2^m.
+    growing one law's table never blocks a read of another's.  A table has
+    the smallest size q 2^e >= k_max + 1 with q in {4, 5, 6, 7}, and at
+    least 64: at most 1.25 (k_max + 1) terms.  The cache keeps the entries
+    of its 8 most recently requested keys and drops the oldest one's
+    reference; a request that holds a dropped entry still finishes, and a
+    later request for its key rebuilds the same table bit for bit.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._entries: dict = {}
+        self._entries: OrderedDict = OrderedDict()
 
     def get(self, key, k_max: int, start):
         """The table for ``key`` covering index ``k_max``.
 
-        ``start()`` runs once per key, under the key's lock, and returns
+        ``start()`` runs once per kept key, under the key's lock, and returns
         ``(solver, wrap)``; ``wrap(view)`` turns a read-only view of the
         solver's terms into the object handed out.  If it raises, the next
         request runs it again.
@@ -256,15 +263,24 @@ class TableCache:
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = _Entry()
+                if len(self._entries) > _KEEP:
+                    self._entries.popitem(last=False)
+            else:
+                self._entries.move_to_end(key)
         table = entry.table
         if table is not None and table[0] > k_max:
             return table[1]
         with entry.lock:
             if entry.solver is None:
                 entry.solver, entry.wrap = start()
-            size = entry.table[0] if entry.table is not None else 64
-            while size <= k_max:
-                size *= 2
-            if entry.table is None or size > entry.table[0]:
+            if entry.table is None or entry.table[0] <= k_max:
+                size = _table_size(k_max)
                 entry.table = (size, entry.wrap(entry.solver.extend(size)))
             return entry.table[1]
+
+
+def _table_size(k_max: int) -> int:
+    """The smallest q 2^e >= max(k_max + 1, 64) with q in {4, 5, 6, 7}."""
+    need = max(k_max + 1, 64)
+    e = need.bit_length() - 3  # 4 * 2^e <= need < 8 * 2^e
+    return -(-need >> e) << e

@@ -376,3 +376,25 @@ def test_mp_claims_pmf_windowed_and_complete():
     assert short.tail_mass == pytest.approx(
         math.fsum(full.pmf[7:].tolist()) + full.tail_mass, rel=1e-9
     )
+
+
+_CLAIM_BUILDERS = {
+    "mp": lambda x_max: mp_claims_pmf(MixingDistribution.erlang(2, 3.0), x_max=x_max),
+    "nbm": lambda x_max: nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), x_max=x_max),
+}
+
+
+@pytest.mark.parametrize("x_max", [2.5, -1])
+@pytest.mark.parametrize("name", list(_CLAIM_BUILDERS))
+def test_x_max_must_be_a_nonnegative_integer(name, x_max):
+    with pytest.raises(ValueError, match="x_max must be a nonnegative integer"):
+        _CLAIM_BUILDERS[name](x_max)
+
+
+@pytest.mark.parametrize("name", list(_CLAIM_BUILDERS))
+def test_integral_x_max_of_any_type_equals_int_x_max(name):
+    ref = _CLAIM_BUILDERS[name](6)
+    for x_max in (6.0, np.int64(6)):
+        claims = _CLAIM_BUILDERS[name](x_max)
+        np.testing.assert_array_equal(claims.pmf, ref.pmf)
+        assert claims.tail_mass == ref.tail_mass

@@ -239,6 +239,74 @@ def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
     assert held < 8e6, held
 
 
+def test_grid_head_is_evaluated_only_to_its_stop(monkeypatch):
+    cfg = MpApproxConfig(n=500)
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    points = []  # the size of every array the survival is evaluated on
+    sf = MixingDistribution.sf
+
+    def counted(self, x):
+        if np.ndim(x):
+            points.append(np.size(x))
+        return sf(self, x)
+
+    monkeypatch.setattr(MixingDistribution, "sf", counted)
+    seq = mp_coefficients(ERLANG, cfg, 0)
+    assert 1024 < seq.grid_points < 1 << 15
+    assert sum(points) <= 2 * seq.grid_points + 1024
+    points.clear()
+    seq = mp_coefficients(PARETO, cfg, 0)  # never below 1e-16 in the head
+    assert seq.grid_points == 1 << 16
+    assert sum(points) == 1 << 16
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        ERLANG,
+        MixingDistribution.exponential(2.0),
+        MixingDistribution.erlang_mixture((0.3, 0.3, 0.4), 3.5),
+        PARETO,
+        LOGNORMAL,
+        MixingDistribution.degenerate(0.5),
+    ],
+    ids=["erlang", "exponential", "erlang_mixture", "pareto", "lognormal", "degenerate"],
+)
+def test_grid_head_pieces_equal_one_evaluation(mix):
+    # the head is evaluated in doubling pieces; survival works element by
+    # element, so the pieces are the whole head bit for bit
+    n, head = 500, 1 << 16
+    edges = [0] + [1024 << i for i in range(7)]
+    pieces = [mix.sf(np.arange(lo, hi, dtype=float) / n) for lo, hi in zip(edges, edges[1:])]
+    whole = mix.sf(np.arange(head, dtype=float) / n)
+    np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+
+def test_cache_keeps_the_eight_most_recently_requested_laws(monkeypatch):
+    cfg = MpApproxConfig(n=50)
+    cache = TableCache()
+    monkeypatch.setattr(mixed_poisson, "_coeff_cache", cache)
+    builds = []
+    table = mixed_poisson._table
+
+    def counted(mix, n):
+        builds.append(mix)
+        return table(mix, n)
+
+    monkeypatch.setattr(mixed_poisson, "_table", counted)
+    laws = [MixingDistribution.exponential(1.5 + 0.1 * i) for i in range(20)]
+    first = mp_coefficients(laws[0], cfg, 1000).cbar_n.tobytes()
+    for mix in laws[1:]:
+        mp_coefficients(mix, cfg, 1000)
+    assert len(cache._entries) <= 8
+    assert len(builds) == 20
+    mp_coefficients(laws[12], cfg, 1000)  # one of the last eight: still cached
+    assert len(builds) == 20
+    again = mp_coefficients(laws[0], cfg, 1000)  # dropped: rebuilt, bit for bit
+    assert len(builds) == 21
+    assert again.cbar_n.tobytes() == first
+
+
 def test_grid_reads_during_growth_match_single_thread(monkeypatch):
     cfg = MpApproxConfig(n=500)
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
@@ -310,10 +378,14 @@ def test_coefficient_regrowth_is_deterministic(mix, monkeypatch):
     assert at_once.size == top
     fresh_cache()
     doubling = [mp_coefficients(mix, cfg, size - 1).cbar_n for size in 64 * 2 ** np.arange(11)]
+    quarters = [q << e for e in range(4, 15) for q in (4, 5, 6, 7) if q << e <= top]
     fresh_cache()
-    sizes = [int(s) for s in np.random.default_rng(3).permutation(64 * 2 ** np.arange(11))]
+    quartering = [mp_coefficients(mix, cfg, size - 1).cbar_n for size in quarters]
+    assert [cbar.size for cbar in quartering] == quarters
+    fresh_cache()
+    sizes = [int(s) for s in np.random.default_rng(3).permutation(quarters)]
     shuffled = [mp_coefficients(mix, cfg, size - 1).cbar_n for size in sizes]
-    for cbar in doubling + shuffled:
+    for cbar in doubling + quartering + shuffled:
         np.testing.assert_array_equal(cbar, at_once[: cbar.size])
     # cached evaluation stays stable when the table grows behind it
     before = psi_mp_method1(mix, 2, cfg)
@@ -489,6 +561,12 @@ def test_exact_reference_agrees_with_series_evaluation():
     psi_ref = psi_mp_exact_reference(LOGNORMAL, 8)
     for u in range(9):
         assert psi_pk(claims, u) == pytest.approx(psi_ref[u], abs=5e-8)
+
+
+@pytest.mark.parametrize("u_max", [2.5, -1])
+def test_exact_reference_u_max_must_be_a_nonnegative_integer(u_max):
+    with pytest.raises(ValueError, match="u_max must be a nonnegative integer"):
+        psi_mp_exact_reference(ERLANG, u_max)
 
 
 def test_exact_reference_windowed_claims_match_full_vector():

@@ -72,3 +72,14 @@ def test_rejects_missing_net_profit():
     with pytest.raises(ValueError):
         psi_pk(claims, 3)
 
+
+
+@pytest.mark.parametrize("u", [2.5, -1])
+def test_u_must_be_a_nonnegative_integer(u):
+    with pytest.raises(ValueError, match="u must be a nonnegative integer"):
+        psi_pk(geometric_pmf(0.75), u)
+
+
+def test_integral_float_u_equals_int_u():
+    claims = geometric_pmf(0.75)
+    assert psi_pk(claims, 3.0) == psi_pk(claims, 3)

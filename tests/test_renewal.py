@@ -227,6 +227,59 @@ def test_solver_survival_and_lags_are_the_normalized_weights():
 # -- the table cache ---------------------------------------------------------------
 
 
+class _SizeRecorder:
+    """Stands in for a solver: records the sizes it is extended to."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def extend(self, n):
+        self.sizes.append(n)
+        return np.zeros(n)
+
+
+def test_tables_grow_in_quarter_octaves():
+    solver = _SizeRecorder()
+
+    def start():
+        return solver, lambda view: view
+
+    cache = TableCache()
+    assert cache.get("law", 267_758, start).size == 327_680  # N1's top at u = 500; not 2^19
+    assert cache.get("law", 327_679, start).size == 327_680  # a cached read
+    assert solver.sizes == [327_680]
+    solver.sizes.clear()
+    cache = TableCache()
+    for k in (0, 63, 64, 100, 10_901, 12_287):
+        cache.get("law", k, start)
+    assert solver.sizes == [64, 80, 112, 12_288]
+    for k in range(0, 20_000, 97):
+        size = TableCache().get("law", k, start).size
+        e = size.bit_length() - 3
+        assert size >> e in (4, 5, 6, 7) and size % (1 << e) == 0
+        assert max(k + 1, 64) <= size <= max(1.25 * (k + 1), 64)
+
+
+@pytest.mark.parametrize("k_max", [2.5, -1])
+def test_k_max_must_be_a_nonnegative_integer(k_max):
+    with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
+        mp_coefficients(MixingDistribution.erlang(2, 3.0), MpApproxConfig(n=50), k_max)
+    with pytest.raises(ValueError, match="k_max must be a nonnegative integer"):
+        cbar_sequence(NbmSpec((0.5, 0.5), 0.7), k_max)
+
+
+def test_integral_k_max_of_any_type_equals_int_k_max():
+    mix, cfg = MixingDistribution.erlang(2, 3.0), MpApproxConfig(n=50)
+    spec = NbmSpec((0.5, 0.5), 0.7)
+    for k_max in (300.0, np.int64(300)):
+        np.testing.assert_array_equal(
+            mp_coefficients(mix, cfg, k_max).cbar_n, mp_coefficients(mix, cfg, 300).cbar_n
+        )
+        np.testing.assert_array_equal(
+            cbar_sequence(spec, k_max).cbar, cbar_sequence(spec, 300).cbar
+        )
+
+
 def test_extension_holds_only_its_own_laws_lock():
     cache = TableCache()
     started, release = threading.Event(), threading.Event()
@@ -255,12 +308,22 @@ def test_extension_holds_only_its_own_laws_lock():
 
 
 def test_concurrent_growth_matches_single_thread(monkeypatch):
-    cfg = MpApproxConfig(n=500)
     laws = [
         MixingDistribution.erlang(2, 3.0),
         MixingDistribution.exponential(2.0),
         MixingDistribution.erlang_mixture((0.3, 0.3, 0.4), 3.5),
     ]
+    _check_concurrent_growth(laws, monkeypatch)
+
+
+def test_concurrent_growth_past_the_cache_bound_matches_single_thread(monkeypatch):
+    # more laws than a cache keeps: requests race with eviction and rebuilds
+    laws = [MixingDistribution.exponential(1.5 + 0.1 * i) for i in range(12)]
+    _check_concurrent_growth(laws, monkeypatch)
+
+
+def _check_concurrent_growth(laws, monkeypatch):
+    cfg = MpApproxConfig(n=500)
     top = 1 << 15
     monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
     reference = [mp_coefficients(mix, cfg, top).cbar_n for mix in laws]
