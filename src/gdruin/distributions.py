@@ -12,6 +12,14 @@ Claim amounts live on {0, 1, 2, ...}.  Three representations matter here:
   rate.  The induced mixed Poisson claim distribution either collapses to
   an NBM (Erlang-type mixing), has a closed form (atomic mixing) or takes
   QUADPACK's adaptive G10/K21 quadrature (Piessens et al., 1983), in numpy.
+
+The special functions these need are private helpers here, in numpy and
+`math` only, each written for the slice of arguments the package reads:
+log Gamma at positive integers (`math.lgamma` below 20, Stirling's series
+above); NegBin and Poisson survivals as sums of positive masses; the Erlang
+survival, density and stop-loss as e^{-t} sum_j c_j t^j / j!; and erfc with
+erfcx, from `math.erfc` on scalars and from piecewise Chebyshev
+interpolants of erfcx on arrays.
 """
 
 from __future__ import annotations
@@ -19,11 +27,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
-from scipy import special
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DiscretePmf",
@@ -234,12 +242,79 @@ def _check_nb_args(k: int, p: float) -> None:
         raise ValueError("p must lie in (0, 1)")
 
 
-def _nb_logpmf(k: float, p: float, x: np.ndarray) -> np.ndarray:
-    # log C(k+x-1, x) + k log p + x log(1-p), safe for k + x in the millions;
-    # accumulated in place, left to right
-    out = special.gammaln(k + x)
-    out -= special.gammaln(k)
-    out -= special.gammaln(x + 1.0)
+# log Gamma(j) at j = 1..19, where Stirling's series falls short of double precision
+_LGAMMA_SMALL = np.array([math.inf] + [math.lgamma(j) for j in range(1, 20)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_series(z):
+    # log Gamma(z) - (z - 1/2) log z + z - log(2 pi)/2 for z >= 20, within 2e-15
+    r = 1.0 / (z * z)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - r / 1680) * r) * r) / z
+
+
+def _stirling(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log Gamma(z) for z >= 20 by Stirling's series.  Past z = 2000 the terms after
+    1/(12 z) are below 0.2 ulp and left out.  Works in place in ``out``, with one
+    temporary, as the window tables are long."""
+    out = np.log(z, out=out)
+    tmp = z - 0.5
+    out *= tmp
+    out -= z
+    out += _HALF_LOG_2PI
+    np.divide(1 / 12, z, out=tmp)
+    near = z < 2000.0
+    tmp[near] = _stirling_series(z[near])
+    out += tmp
+    return out
+
+
+def _log_gamma(z) -> np.ndarray:
+    """log Gamma(z) at positive integers z, elementwise: `math.lgamma`'s values below 20,
+    Stirling's series above, within a few ulps of the value at every z."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    out = _stirling(np.maximum(flat, 20.0))
+    small = flat < 20.0
+    out[small] = _LGAMMA_SMALL[flat[small].astype(np.intp)]
+    return out.reshape(z.shape)
+
+
+def _log_gamma_range(n: int) -> np.ndarray:
+    """log Gamma(j) at j = 1..n, the same values as `_log_gamma`."""
+    out = np.empty(n)
+    out[:19] = _LGAMMA_SMALL[1 : min(n, 19) + 1]
+    if n > 19:
+        _stirling(np.arange(20.0, n + 1.0), out=out[19:])
+    return out
+
+
+def _nb_logpmf(k, p: float, x) -> np.ndarray:
+    """log P(NegBin(k, p) = x) = log C(k+x-1, x) + k log p + x log(1-p), for a positive
+    integer k, or a column of them for one row per k, at increasing nonnegative integers x.
+
+    The series windows read x = 0..top: there, unless some k exceeds 2 (top + 1), log Gamma
+    is evaluated once over 1..max k + top and sliced; elsewhere in one call at every k + x,
+    k and x + 1.  Either way each log Gamma is within a few ulps, so the kernel is as safe
+    for k + x in the millions as `_log_gamma` is.
+    """
+    k = np.asarray(k, dtype=float)
+    x = np.asarray(x, dtype=float)
+    width = x.size
+    if x.ndim == 1 and width and x[0] == 0.0 and x[-1] == width - 1 and k.max() <= 2 * width:
+        lg = _log_gamma_range(int(k.max()) + width - 1)  # lg[j - 1] = log Gamma(j)
+        ki = k.astype(np.intp) - 1
+        if k.ndim == 0:
+            out = lg[int(ki) : int(ki) + width] - lg[ki]
+        else:
+            out = sliding_window_view(lg, width)[ki[:, 0]]
+            out -= lg[ki]
+        out -= lg[:width]
+    else:
+        kx = k + x
+        lg = _log_gamma(np.concatenate((kx.ravel(), k.ravel(), x.ravel() + 1.0)))
+        out = lg[: kx.size].reshape(kx.shape) - lg[kx.size : kx.size + k.size].reshape(k.shape)
+        out -= lg[kx.size + k.size :].reshape(x.shape)
     out += k * math.log(p)
     out += x * math.log1p(-p)
     return out
@@ -250,7 +325,9 @@ def nb_sf(k: int, p: float, x: int) -> float:
     _check_nb_args(k, p)
     if x < 0:
         return 1.0
-    return float(special.betainc(x + 1.0, k, 1.0 - p))
+    # fewer than k successes in the first x + k trials: P(NegBin(x+1, 1-p) <= k-1), a sum
+    # whose rounding may pass 1 where nearly all the mass is in it
+    return min(1.0, float(np.exp(_nb_logpmf(x + 1.0, 1.0 - p, np.arange(float(k)))).sum()))
 
 
 @dataclass(frozen=True)
@@ -302,8 +379,11 @@ def _nbm_masses(spec: NbmSpec, x: np.ndarray) -> np.ndarray:
 
 def _nbm_sf(spec: NbmSpec, y: int) -> float:
     """P(Y > y) for the mixture, sum_k q_k P(NegBin(k, p) > y)."""
-    k = np.arange(1.0, len(spec.weights) + 1.0)
-    return float(np.dot(spec.weights, special.betainc(y + 1.0, k, 1.0 - spec.p)))
+    # P(NegBin(k, p) > y) = sum_{i<k} P(NegBin(y+1, 1-p) = i), so the mixture weighs
+    # mass i by P(N > i)
+    tails = spec.weight_survival()[:-1]
+    masses = np.exp(_nb_logpmf(y + 1.0, 1.0 - spec.p, np.arange(float(tails.size))))
+    return min(1.0, float(np.dot(tails, masses)))
 
 
 def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
@@ -346,6 +426,112 @@ def nbm_claims_pmf(
 # ---------------------------------------------------------------------------
 # Mixing laws for a random Poisson rate
 # ---------------------------------------------------------------------------
+
+# Past this t, e^{-t} is within a few decades of underflow.
+_EXP_FLOOR = 700.0
+# erfcx on arrays: polynomials of this degree on pieces uniform in y = c / (c + z) in
+# (0, 1], evaluated in blocks of _BLOCK points, whose temporaries stay in cache.
+_ERFCX_DEGREE = 4
+_ERFCX_PIECES = 512
+_ERFCX_C = 4.0
+_BLOCK = 8192
+
+
+def _poisson_sum(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] e^{-t} t^j / j! at each t >= 0, a sum of positive terms for
+    nonnegative coef: the Erlang-family survival, density and stop-loss, and the
+    chi-square survival at even degrees of freedom.
+
+    The terms run from e^{-t} by factors t / j; where e^{-t} would underflow
+    they are taken in log form, j log t - t - log j!.
+    """
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).ravel()
+    term = np.exp(-t)
+    out = coef[0] * term
+    for j in range(1, len(coef)):
+        term *= t
+        term /= j
+        out += coef[j] * term
+    deep = t > _EXP_FLOOR
+    if deep.any():
+        j = np.arange(float(len(coef)))[:, None]
+        logs = j * np.log(t[deep]) - t[deep] - _log_gamma(j + 1.0)
+        out[deep] = coef @ np.exp(logs)
+    return out.reshape(shape)
+
+
+def _erfcx(v: float) -> float:
+    """The scaled complement exp(v^2) erfc(v) of a scalar, to a few ulps: `math.erfc`
+    while it is a normal number, the asymptotic series past that."""
+    if v < -26.63:  # 2 exp(v^2) overflows
+        return math.inf
+    if v < 26.0:
+        hi = float(np.float32(v))  # v^2 = hi^2 + (v - hi)(v + hi), hi^2 exact
+        return math.exp(hi * hi) * math.exp((v - hi) * (v + hi)) * math.erfc(v)
+    r = -0.5 / (v * v)
+    term = total = 1.0
+    j = 0
+    while abs(term) > 1e-17:
+        j += 1
+        term *= (2 * j - 1) * r
+        total += term
+    return total / (v * math.sqrt(math.pi))
+
+
+@cache
+def _erfcx_pieces() -> np.ndarray:
+    """Coefficients of t^0..t^degree, one column per piece, of the polynomials that
+    interpolate erfcx(z) / y at the Chebyshev nodes of each piece of y, with t in [0, 1]
+    across the piece.  The quotient tends to 1 / (c sqrt(pi)) as z grows, so they keep
+    relative accuracy all the way out."""
+    deg, pieces, c = _ERFCX_DEGREE, _ERFCX_PIECES, _ERFCX_C
+    t = (1.0 + np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))) / 2.0
+    y = (np.arange(pieces)[:, None] + t) / pieces
+    values = np.array([_erfcx(c / v - c) / v for v in y.ravel()]).reshape(y.shape)
+    coef = np.linalg.solve(np.vander(t, increasing=True), values.T)
+    coef.flags.writeable = False
+    return coef
+
+
+def _erfcx_block(z: np.ndarray) -> np.ndarray:
+    """exp(z^2) erfc(z) at each z >= 0, within 2e-15 relative."""
+    coef = _erfcx_pieces()
+    y = _ERFCX_C / (_ERFCX_C + z)
+    t = y * _ERFCX_PIECES
+    piece = t.astype(np.intp)
+    np.minimum(piece, _ERFCX_PIECES - 1, out=piece)
+    t -= piece
+    c = np.take(coef, piece, axis=1)
+    out = c[-1]
+    for row in c[-2::-1]:
+        out *= t
+        out += row
+    out *= y
+    return out
+
+
+def _erfc(z) -> np.ndarray:
+    """erfc at each z, within 2e-15 relative: exp(-z^2) erfcx(|z|), the square
+    split so that no rounding of z^2 reaches the exponent, and 2 minus that below 0."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _BLOCK):
+        b = flat[lo : lo + _BLOCK]
+        a = np.abs(b)
+        hi = np.minimum(a, 27.0).astype(np.float32).astype(float)  # erfc(27) underflows
+        pos = hi - a
+        pos *= a + hi
+        np.exp(pos, out=pos)  # exp(hi^2 - a^2)
+        hi *= hi
+        np.negative(hi, out=hi)
+        pos *= np.exp(hi, out=hi)
+        pos *= _erfcx_block(a)
+        neg = b < 0.0
+        pos[neg] = 2.0 - pos[neg]
+        out[lo : lo + _BLOCK] = pos
+    return out.reshape(z.shape)
 
 
 @dataclass(frozen=True)
@@ -454,26 +640,19 @@ class MixingDistribution:
     def sf(self, x):
         """Survival P(rate > x); accepts scalars or arrays."""
         arr = np.asarray(x, dtype=float)
-        if self.kind == "exponential":
-            out = np.where(arr <= 0.0, 1.0, np.exp(-self.params[0] * np.maximum(arr, 0.0)))
-        elif self.kind == "erlang":
-            shape, beta = self.params
-            out = np.where(arr <= 0.0, 1.0, special.gammaincc(shape, beta * np.maximum(arr, 0.0)))
-        elif self.kind == "erlang_mixture":
-            beta = self.params[0]
-            t = beta * np.maximum(arr, 0.0)
-            out = np.zeros_like(arr)
-            for i, q in enumerate(self.weights):
-                if q > 0.0:
-                    out = out + q * special.gammaincc(i + 1.0, t)
-            out = np.where(arr <= 0.0, 1.0, out)
+        parts = self._erlang_parts()
+        if parts is not None:
+            # P(Gamma(i+1, beta) > x) = e^{-t} sum_{j<=i} t^j / j!, so t^j / j! weighs P(shape > j)
+            weights, beta = parts
+            tails = np.cumsum(weights[::-1])[::-1]
+            out = np.where(arr <= 0.0, 1.0, _poisson_sum(tails, beta * np.maximum(arr, 0.0)))
         elif self.kind == "pareto":
             alpha, theta = self.params
             out = np.where(arr <= 0.0, 1.0, (theta / (theta + np.maximum(arr, 0.0))) ** alpha)
         elif self.kind == "lognormal":
             m, s = self.params
             safe = np.maximum(arr, np.finfo(float).tiny)
-            out = np.where(arr <= 0.0, 1.0, 0.5 * special.erfc((np.log(safe) - m) / (s * math.sqrt(2.0))))
+            out = np.where(arr <= 0.0, 1.0, 0.5 * _erfc((np.log(safe) - m) / (s * math.sqrt(2.0))))
         elif self.kind == "degenerate":
             out = np.where(arr < self.params[0], 1.0, 0.0)
         else:
@@ -514,8 +693,7 @@ class MixingDistribution:
         parts = self._erlang_parts()
         if parts is not None:
             weights, beta = parts
-            k, y = np.arange(1.0, len(weights) + 1.0), beta * arr[..., None]
-            out = beta * (np.exp(special.xlogy(k - 1.0, y) - y - special.gammaln(k)) @ weights)
+            out = beta * _poisson_sum(np.asarray(weights), beta * arr)
         elif self.kind == "pareto":
             alpha, theta = self.params
             out = alpha * theta**alpha / (theta + arr) ** (alpha + 1.0)
@@ -532,11 +710,9 @@ class MixingDistribution:
         """E[(rate - x)+] for x > 0, in closed form for the absolutely continuous kinds."""
         parts = self._erlang_parts()
         if parts is not None:
+            # the integral of the survival past x: t^j / j! weighs sum_{l >= j} P(shape > l) / beta
             weights, beta = parts
-            k = np.arange(1.0, len(weights) + 1.0)
-            y = beta * x
-            terms = k / beta * special.gammaincc(k + 1.0, y) - x * special.gammaincc(k, y)
-            return float(np.dot(weights, terms))
+            return float(_poisson_sum(np.cumsum(np.cumsum(weights[::-1]))[::-1], beta * x)) / beta
         if self.kind == "pareto":
             alpha, theta = self.params
             return theta * (theta / (theta + x)) ** (alpha - 1.0) / (alpha - 1.0)
@@ -545,9 +721,11 @@ class MixingDistribution:
             d = (m - math.log(x)) / s
             if d < 0.0:  # past the median the two terms below nearly cancel
                 u = -d / math.sqrt(2.0)
-                gap = special.erfcx(u - s / math.sqrt(2.0)) - special.erfcx(u)
+                gap = _erfcx(u - s / math.sqrt(2.0)) - _erfcx(u)
                 return 0.5 * x * math.exp(-0.5 * d * d) * gap
-            return math.exp(m + 0.5 * s * s) * special.ndtr(d + s) - x * special.ndtr(d)
+            # Phi(v) = erfc(-v / sqrt 2) / 2
+            return 0.5 * (math.exp(m + 0.5 * s * s) * math.erfc(-(d + s) / math.sqrt(2.0))
+                          - x * math.erfc(-d / math.sqrt(2.0)))
         raise ValueError(f"no stop-loss transform for mixing kind {self.kind!r}")
 
     def grid_tail(self, a: int, n: int) -> float:
@@ -580,7 +758,30 @@ def erlangm_to_nbm(weights: Sequence[float], beta: float) -> NbmSpec:
 
 
 def _poisson_logpmf(lam, x: np.ndarray) -> np.ndarray:
-    return special.xlogy(x, lam) - lam - special.gammaln(x + 1.0)
+    # x log(lam) - lam - log x!, with x log(lam) = 0 at x = 0 for every lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(x > 0.0, x * np.log(lam), 0.0)
+    out -= lam
+    out -= _log_gamma(x + 1.0)
+    return out
+
+
+def _poisson_sf(x: int, lam: np.ndarray) -> np.ndarray:
+    """P(Poisson(lam) > x) at each rate from positive masses: their sum upward from x + 1
+    where x >= lam, the masses falling by lam / j or faster; else 1 minus the masses to
+    x, which leave a complement of order 1."""
+    out = np.empty_like(lam)
+    low = lam > x
+    out[low] = 1.0 - np.exp(_poisson_logpmf(lam[low, None], np.arange(x + 1.0))).sum(axis=1)
+    rates = lam[~low]
+    term = np.exp(_poisson_logpmf(rates, float(x + 1)))
+    total, j = term.copy(), x + 1
+    while np.any(term > 1e-17 * total):
+        j += 1
+        term *= rates / j
+        total += term
+    out[~low] = total
+    return out
 
 
 def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
@@ -646,10 +847,9 @@ def _poisson_gamma_quad(mix: MixingDistribution, x: int, h) -> float:
     # Poisson kernel from its peak at rate = x, as x log1p(d/x) - d + peak with d = rate - x,
     # so no terms of size x log x cancel; peak = x log x - x - log x!
     if x < 20:
-        peak = float(special.xlogy(x, x) - x - special.gammaln(x + 1.0))
-    else:  # Stirling's series, whose first neglected term is below 2e-15
-        r = 1.0 / (x * x)
-        peak = -0.5 * math.log(2.0 * math.pi * x) - (1 / 12 - (1 / 360 - (1 / 1260 - r / 1680) * r) * r) / x
+        peak = (x * math.log(x) if x > 0 else 0.0) - x - math.lgamma(x + 1.0)
+    else:
+        peak = -0.5 * math.log(2.0 * math.pi * x) - _stirling_series(x)
 
     def integrand(t: np.ndarray, s: np.ndarray) -> np.ndarray:
         lam = t / s
@@ -679,7 +879,7 @@ def _mp_sf(mix: MixingDistribution, x: int) -> float:
     atoms = _atoms(mix)
     if atoms is not None:
         rates, masses = atoms
-        return float(np.dot(masses, special.pdtrc(x, rates)))
+        return float(np.dot(masses, _poisson_sf(x, rates)))
     return _poisson_gamma_quad(mix, x, mix.sf)
 
 

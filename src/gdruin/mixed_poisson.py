@@ -9,9 +9,10 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   truncated by the pmf-floor rule.  The sum ends at k_hi, the last index
   whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by probing up from
   the mode (u-1)n in steps of one standard deviation.  It starts at the
-  first such index only when the NegBin mass below it is under 1e-9
-  (`betainc`), else at k = 0; at n = 500 and the default floor that
-  certificate keeps k = 0 for every u checked (1..10, 20, 100, 300, 500).
+  first such index only when the NegBin mass below it, the sum of the
+  window's masses there, is under 1e-9, else at k = 0; at n = 500 and the
+  default floor that certificate keeps k = 0 for every u checked (1..10,
+  20, 100, 300, 500).
 * method 2 replaces the series by a Monte Carlo average of Cbar at NegBin
   draws, with a sample standard error.
 
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .distributions import (
     DiscretePmf,
@@ -207,9 +207,9 @@ def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
     sigma = math.sqrt(u * n * (n + 1.0))
     span = int(mean + 12.0 * sigma) + 64
     step = int(sigma) + 1
-    top = min((u - 1) * n + step, span)
-    while top < span and np.exp(_nb_logpmf(float(u), p, float(top))) > cfg.pmf_floor:
-        top = min(top + step, span)
+    probes = np.arange((u - 1) * n + step, span, step, dtype=float)
+    past = np.flatnonzero(np.exp(_nb_logpmf(float(u), p, probes)) <= cfg.pmf_floor)
+    top = int(probes[past[0]]) if past.size else span
     x = np.arange(top + 1, dtype=float)
     pmf = np.exp(_nb_logpmf(float(u), p, x))
     above = np.nonzero(pmf > cfg.pmf_floor)[0]
@@ -222,7 +222,7 @@ def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
     k_lo = int(above[0])
     if k_lo > 0:
         # drop the lower stub only when its mass is certifiably negligible
-        below_mass = float(special.betainc(u, k_lo, p))
+        below_mass = float(pmf[:k_lo].sum())
         if below_mass >= _LOWER_MASS_TOL:
             k_lo = 0
     return k_lo, k_hi, pmf

@@ -16,7 +16,8 @@ table in place:
 
 * lags below the block size B = 256 are dense nonnegative products: one
   B x B inverse-Toeplitz gemv per block of B terms, plus one gemv for the
-  lags that reach back into the previous block;
+  lags that reach back into the previous block.  The inverse is the first B
+  terms of c0 / (1 - c0 F(z)), built in 8 doublings of two convolutions;
 * lags in [s, 2s), for each level s = B 2^m <= W, form one FFT product of the
   finished source block x[e-s, e) with f_s..f_{2s-1}.  It is made when block
   e starts (e a multiple of s) and added to the pending terms x[e, e+2s-1),
@@ -105,11 +106,7 @@ class RenewalSolver:
         if self._width < math.inf:
             self._past = float(weights.tail(-(-self._width // _B) * _B) / self._total)
         self._near_f = self.lags(0, 2 * _B)
-        tau = np.empty(_B)  # first B terms of c0 / (1 - c0 F(z))
-        tau[0] = self.c0
-        for t in range(1, _B):
-            tau[t] = self.c0 * np.dot(self._near_f[1 : t + 1], tau[t - 1 :: -1])
-        self._tau = tau
+        self._tau = self.c0 * _inverse_head(self.c0 * self._near_f)
         self._levels: dict[int, tuple] = {}  # s -> (spectrum, powers, last lag)
         self._x = np.zeros(0)
         self._done = 0
@@ -200,6 +197,19 @@ class RenewalSolver:
         with np.errstate(divide="ignore"):
             tilted = np.exp(np.log(f[s - 1 :]) + t * np.arange(s, top + 1))
         return np.fft.rfft(tilted, 2 * s), np.exp(-t * np.arange(2 * s)), top
+
+
+def _inverse_head(g: np.ndarray) -> np.ndarray:
+    """The first B terms of 1 / (1 - G(z)), G(z) = sum_{i >= 1} g_i z^i with g_0 = 0, by
+    doubling: with the first h terms H known, the next h are H times the part of G H
+    that H's own terms reach there, two nonnegative products."""
+    inv = np.empty(_B)
+    inv[0], h = 1.0, 1
+    while h < _B:
+        reach = np.convolve(g[1 : 2 * h], inv[:h])[h - 1 : 2 * h - 1]
+        inv[h : 2 * h] = np.convolve(inv[:h], reach)[:h]
+        h *= 2
+    return inv
 
 
 def _tilt(c0: float, f: np.ndarray) -> float:

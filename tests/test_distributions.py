@@ -35,11 +35,17 @@ from gdruin.distributions import (
     _GK_KRONROD,
     _GK_NODES,
     QuadratureError,
+    _erfc,
+    _erfcx,
+    _erfcx_block,
+    _log_gamma,
+    _log_gamma_range,
     _mp_masses,
     _mp_sf,
     _nb_logpmf,
     _nbm_masses,
     _poisson_gamma_quad,
+    _poisson_sf,
     equilibrium,
 )
 
@@ -398,3 +404,141 @@ def test_integral_x_max_of_any_type_equals_int_x_max(name):
         claims = _CLAIM_BUILDERS[name](x_max)
         np.testing.assert_array_equal(claims.pmf, ref.pmf)
         assert claims.tail_mass == ref.tail_mass
+
+
+# -- special functions against 40-digit mpmath -----------------------------------
+#
+# Each helper is checked over the arguments the package reads.  Tolerances are
+# stated in the scale of the helper's own rounding: a few ulps of the largest
+# log Gamma for the NegBin kernel, whose three log Gamma values cancel.
+
+
+def _rel(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    return np.abs(got - ref) / np.abs(ref)
+
+
+def test_log_gamma_against_mpmath():
+    z = np.unique(np.r_[np.arange(1.0, 200.0), np.round(np.geomspace(200, 1e7, 120))])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.loggamma(int(v))) for v in z])
+    ulps = np.abs(_log_gamma(z) - ref) / np.spacing(np.maximum(np.abs(ref), np.spacing(1.0)))
+    assert ulps.max() <= 4.0
+    # the sliced range and the elementwise form are one function
+    np.testing.assert_array_equal(_log_gamma_range(5000), _log_gamma(np.arange(1.0, 5001.0)))
+
+
+@pytest.mark.parametrize("k, p", [(1, 0.3), (7, 0.9), (500, 1 / 501), (1000, 0.002), (1000, 0.7)])
+def test_nb_logpmf_against_mpmath_to_three_hundred_thousand(k, p):
+    top = 300_000 - k
+    x = np.arange(top + 1.0)
+    log_pmf = _nb_logpmf(float(k), p, x)
+    picks = np.unique(np.r_[0, 1, 5, np.round(np.geomspace(1, top, 30))]).astype(int)
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        ref = [float(mpmath.log(mpmath.binomial(k + i - 1, i)) + k * mpmath.log(q) + i * mpmath.log(1 - q))
+               for i in picks]
+    err = np.abs(log_pmf[picks] - ref)
+    assert np.all(err <= 8 * np.spacing(_log_gamma(k + picks.astype(float)))), err.max()
+    # the sliced window and the elementwise kernel give the same bits
+    np.testing.assert_array_equal(log_pmf[picks], _nb_logpmf(float(k), p, picks.astype(float)))
+
+
+@pytest.mark.parametrize(
+    "k, p, x",
+    [(1, 0.3, 10), (5, 0.5, 100), (300, 0.05, 1500), (1000, 0.7, 100), (50, 0.9, 20),
+     (1000, 0.5, 2000), (2, 0.999, 40), (500, 1 / 501, 300_000), (1000, 0.002, 400_000)],
+)
+def test_nb_sf_against_mpmath(k, p, x):
+    """Relative error of P(NegBin(k, p) > x) = sum_{i<k} C(x+i, i) (1-p)^(x+1) p^i."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        ref = float(mpmath.fsum(mpmath.binomial(x + i, i) * q**i for i in range(k)) * (1 - q) ** (x + 1))
+    got = nb_sf(k, p, x)
+    assert got <= 1.0
+    # k masses, each within a few ulps of log Gamma(k + x) in the log
+    assert _rel(got, min(ref, 1.0)) <= 16 * np.spacing(math.lgamma(k + x + 1.0)) + 1e-14
+
+
+def test_erlang_family_against_mpmath():
+    """Survival for shapes 1..50 and t in [0, 800], the density and the stop-loss."""
+    t = np.r_[0.0, np.geomspace(1e-3, 800.0, 40)]
+    with mpmath.workdps(40):
+        for shape in range(1, 51):
+            got = MixingDistribution.erlang(shape, 1.0).sf(t)
+            ref = np.array([float(mpmath.gammainc(shape, v, mpmath.inf, regularized=True)) for v in t])
+            live = ref > 1e-300
+            # term by term from e^{-t} below t = 700, in log form above
+            tol = np.where(t[live] < 700.0, 2e-15, 2e-13)
+            assert np.all(_rel(got[live], ref[live]) <= tol), shape
+        mix = MixingDistribution.erlang_mixture((0.2, 0.0, 0.5, 0.3), 2.5)
+        lam = np.array([1e-3, 0.1, 1.0, 4.0, 20.0, 120.0])
+        beta = mpmath.mpf(2.5)
+
+        def gamma_sf(k, v):
+            return mpmath.gammainc(k, beta * v, mpmath.inf, regularized=True)
+
+        for v, pdf in zip(lam, mix._pdf(lam)):
+            v = mpmath.mpf(v)
+            ref = sum(w * beta**k * v ** (k - 1) * mpmath.exp(-beta * v) / mpmath.factorial(k - 1)
+                      for k, w in zip(range(1, 5), mix.weights))
+            assert _rel(pdf, float(ref)) <= 4e-15
+            ref = sum(w * (k / beta * gamma_sf(k + 1, v) - v * gamma_sf(k, v))
+                      for k, w in zip(range(1, 5), mix.weights))
+            assert _rel(mix._stop_loss(float(v)), float(ref)) <= 4e-15
+
+
+def test_erfc_and_erfcx_against_mpmath():
+    z = np.linspace(-6.0, 26.5, 1301)
+    v = np.r_[np.linspace(0.0, 30.0, 301), np.geomspace(30.0, 1e4, 100)]
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.erfc(mpmath.mpf(a))) for a in z])
+        ref_x = np.array([float(mpmath.erfc(mpmath.mpf(a)) * mpmath.exp(mpmath.mpf(a) ** 2)) for a in v])
+    assert _rel(_erfc(z), ref).max() <= 2e-15
+    assert _rel(_erfcx_block(v), ref_x).max() <= 2e-15
+    assert _rel([_erfcx(a) for a in v], ref_x).max() <= 1e-15
+    # below 0 the scalar form is 2 exp(v^2) - erfcx(-v), until that overflows
+    with mpmath.workdps(40):
+        for a in (-0.5, -5.0, -26.0):
+            ref = float(mpmath.erfc(mpmath.mpf(a)) * mpmath.exp(mpmath.mpf(a) ** 2))
+            assert _rel(_erfcx(a), ref) <= 1e-15
+    assert _erfcx(-27.0) == math.inf
+    # the blocks of a long array are evaluated as one
+    long = np.linspace(-3.0, 9.0, 20_000)
+    np.testing.assert_array_equal(_erfc(long)[9_000:9_100], _erfc(long[9_000:9_100]))
+
+
+def test_poisson_tail_against_mpmath():
+    lam = np.array([0.0, 1e-3, 0.5, 1.0, 3.7, 10.0, 50.0, 200.0, 1000.0])
+    with mpmath.workdps(40):
+        for x in (0, 1, 5, 10, 49, 50, 100, 250, 999, 1000, 1500):
+            got = _poisson_sf(x, lam)
+            assert got[0] == 0.0
+            ref = np.array([float(mpmath.gammainc(x + 1, 0, v, regularized=True)) for v in lam[1:]])
+            live = ref > 1e-300
+            # each mass within a few ulps of x log(rate) + rate + log x! in the log
+            assert np.all(_rel(got[1:][live], ref[live]) <= 2e-12), x
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [MixingDistribution.pareto(3.0, 1.0), MixingDistribution.lognormal(-1.0, 1.0),
+     MixingDistribution.lognormal(0.5, 0.4)],
+    ids=["pareto", "lognormal", "narrow_lognormal"],
+)
+def test_continuous_stop_loss_against_mpmath(mix):
+    """E[(rate - x)+] in the bulk and deep in the tail; the lognormal's two closed forms
+    meet at its median."""
+    xs = [0.01, 0.3, 1.0, math.exp(mix.params[0]) if mix.kind == "lognormal" else 2.0, 5.0, 40.0, 300.0]
+    with mpmath.workdps(60):  # the lognormal reference cancels past the median
+        for x in xs:
+            x_ = mpmath.mpf(x)
+            if mix.kind == "pareto":
+                alpha, theta = (mpmath.mpf(v) for v in mix.params)
+                ref = theta * (theta / (theta + x_)) ** (alpha - 1) / (alpha - 1)
+            else:
+                m, s = (mpmath.mpf(v) for v in mix.params)
+                d = (m - mpmath.log(x_)) / s
+                ref = mpmath.exp(m + s * s / 2) * mpmath.ncdf(d + s) - x_ * mpmath.ncdf(d)
+            if ref > 1e-300:
+                assert _rel(mix._stop_loss(x), float(ref)) <= 1e-13, x

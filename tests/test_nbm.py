@@ -125,8 +125,9 @@ def _short_sum_specs(seed: int, count: int, size: int) -> list[NbmSpec]:
 
 @pytest.mark.parametrize("spec", _short_sum_specs(7, 3, 4) + _short_sum_specs(8, 1, 30))
 def test_psi_nbm_keeps_relative_accuracy_in_the_deep_tail(spec):
-    # read as a tail past the last weight, that rounding floored psi_nbm near 2.6e-16
-    claims = nbm_claims_pmf(spec, tail_tol=1e-300)
+    # read as a tail past the last weight, that rounding floored psi_nbm near 2.6e-16;
+    # the claims are stored through u = 400, so E reads no survival from the declared tail
+    claims = nbm_claims_pmf(spec, x_max=400)
     psi = psi_recursion(claims, 400)
     assert psi[400] < 1e-70
     for u in (50, 100, 200, 400):

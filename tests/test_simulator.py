@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gdruin import (
     MixingDistribution,
@@ -25,6 +26,7 @@ from gdruin import (
     simulate_paths,
     simulate_single,
 )
+from gdruin.simulate import _chi2_sf
 
 GEO_CLAIMS = geometric_pmf(0.6, tail_tol=1e-30)
 MP_CLAIMS = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-24)
@@ -191,3 +193,11 @@ def test_short_horizon_censors_unfinished_paths():
     )
     assert res.censored > 0
     assert res.ruin_count == 0  # psi(30) ~ 4e-6; nothing ruins in 64 steps here
+
+
+def test_chi_square_p_value_matches_scipy():
+    """P(chi^2_dof > x) for dof = 1..200 and x in [0, 1000], against scipy.stats."""
+    xs = np.r_[0.0, np.geomspace(1e-3, 1000.0, 60), np.linspace(5.0, 995.0, 34)]
+    for dof in range(1, 201):
+        got = np.array([_chi2_sf(x, dof) for x in xs])
+        np.testing.assert_allclose(got, stats.chi2.sf(xs, dof), rtol=1e-12, atol=0.0)
