@@ -13,10 +13,8 @@ from .distributions import (
     MixingDistribution,
     NbmSpec,
     QuadratureError,
-    erlangm_to_nbm,
     geometric_pmf,
     mp_claims_pmf,
-    nb_sf,
     nbm_claims_pmf,
 )
 from .mixed_poisson import (
@@ -60,8 +58,6 @@ __all__ = [
     "MixingDistribution",
     "QuadratureError",
     "GridBudgetError",
-    "nb_sf",
-    "erlangm_to_nbm",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",

@@ -199,14 +199,14 @@ class _Model:
 def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
     """SIM column: one simulator pass per claim law, read at every u.
 
-    The paths and the stop rule do not depend on u, so ``psi_at(u)`` of a
-    single pass equals a separate run at each u.  While the stop rule cannot
+    The paths and the stop rule do not depend on u, so one pass serves
+    every u through ``psi_at(u)``.  While the stop rule cannot
     certify itself within the stored claim support, the support doubles,
     up to the claim builder's cap (GridBudgetError).
     """
     claims = model.claims(deep=True)
     while True:
-        cfg = SimConfig(claims=claims, u=0, replications=job.reps, seed=job.seed)
+        cfg = SimConfig(claims=claims, replications=job.reps, seed=job.seed)
         try:
             res = simulate_paths(cfg)
         except ValueError:

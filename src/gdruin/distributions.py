@@ -39,8 +39,6 @@ __all__ = [
     "NbmSpec",
     "QuadratureError",
     "GridBudgetError",
-    "nb_sf",
-    "erlangm_to_nbm",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",
@@ -225,7 +223,9 @@ def equilibrium(claims: DiscretePmf, w: int) -> np.ndarray:
     """The equilibrium (ladder-height) law f_e(x) = P(Y > x) / E(Y) on the cells
     x = 0..w-1, the last cell holding P(Y_e >= w-1); the simulator's severity
     check bins against it."""
-    cells = np.array([claims.sf(x) for x in range(w)])
+    cells = np.full(w, claims.tail_mass)
+    stored = min(w, claims.survival.size)
+    cells[:stored] = claims.survival[:stored]
     cells[-1] += max(0.0, claims.mean - math.fsum(cells.tolist()))
     return cells / claims.mean
 
@@ -233,13 +233,6 @@ def equilibrium(claims: DiscretePmf, w: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Negative binomial machinery
 # ---------------------------------------------------------------------------
-
-
-def _check_nb_args(k: int, p: float) -> None:
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
 
 
 # log Gamma(j) at j = 1..19, where Stirling's series falls short of double precision
@@ -318,16 +311,6 @@ def _nb_logpmf(k, p: float, x) -> np.ndarray:
     out += k * math.log(p)
     out += x * math.log1p(-p)
     return out
-
-
-def nb_sf(k: int, p: float, x: int) -> float:
-    """P(NegBin(k, p) > x), computed without cancellation."""
-    _check_nb_args(k, p)
-    if x < 0:
-        return 1.0
-    # fewer than k successes in the first x + k trials: P(NegBin(x+1, 1-p) <= k-1), a sum
-    # whose rounding may pass 1 where nearly all the mass is in it
-    return min(1.0, float(np.exp(_nb_logpmf(x + 1.0, 1.0 - p, np.arange(float(k)))).sum()))
 
 
 @dataclass(frozen=True)
@@ -678,7 +661,10 @@ class MixingDistribution:
     def as_nbm(self) -> NbmSpec | None:
         """NBM(weights, beta/(beta+1)) for Erlang-family mixing at rate beta; None otherwise."""
         parts = self._erlang_parts()
-        return None if parts is None else erlangm_to_nbm(*parts)
+        if parts is None:
+            return None
+        weights, beta = parts
+        return NbmSpec(weights, beta / (beta + 1.0))
 
     def cdf(self, x):
         """P(rate <= x)."""
@@ -748,13 +734,6 @@ class MixingDistribution:
             return float(np.dot(levels, np.maximum(ends - starts, 0.0)))
         x = a / n
         return n * self._stop_loss(x) + self.sf(x) / 2.0 + self._pdf(x) / (12.0 * n)
-
-
-def erlangm_to_nbm(weights: Sequence[float], beta: float) -> NbmSpec:
-    """Erlang-mixture rate with rate parameter beta gives NBM(pi, beta/(beta+1))."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    return NbmSpec(tuple(float(q) for q in weights), beta / (beta + 1.0))
 
 
 def _poisson_logpmf(lam, x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,10 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
 
 * method 1 evaluates the coefficient series directly,
       psi(u) ~= sum_k Cbar_{k,n} nb(u, 1/(1+n))(k),
-  truncated by the pmf-floor rule.  The sum ends at k_hi, the last index
-  whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by probing up from
-  the mode (u-1)n in steps of one standard deviation.  It starts at the
-  first such index only when the NegBin mass below it, the sum of the
-  window's masses there, is under 1e-9, else at k = 0; at n = 500 and the
-  default floor that certificate keeps k = 0 for every u checked (1..10,
-  20, 100, 300, 500).
+  truncated by the pmf-floor rule: the grid approximation is the NBM series
+  at p_n, so it sums over the window of `nbm.psi_nbm`, from k = 0 to k_hi,
+  the last index whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by
+  probing up from the mode (u-1)n in steps of one standard deviation.
 * method 2 replaces the series by a Monte Carlo average of Cbar at NegBin
   draws, with a sample standard error.
 
@@ -39,8 +36,8 @@ from .distributions import (
     DiscretePmf,
     MixingDistribution,
     mp_claims_pmf,
-    _nb_logpmf,
 )
+from .nbm import _series_window
 from .recursion import psi_recursion
 from .renewal import RenewalSolver, TableCache, Weights
 
@@ -60,8 +57,6 @@ __all__ = [
 _GRID_TOL = 1e-16
 _HEAD = 1 << 16
 _PIECE = 1 << 10
-# Mass certificate for starting the method-1 sum above k = 0.
-_LOWER_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -194,40 +189,6 @@ def mp_coefficients(
 # -- method 1: truncated series ----------------------------------------------
 
 
-def _series_window(u: int, cfg: MpApproxConfig) -> tuple[int, int, np.ndarray]:
-    """Indices [k_lo, k_hi] passing the pmf floor, plus the pmf values on 0..top >= k_hi.
-
-    NegBin(u, 1/(1+n)) is unimodal with mode (u-1)n, so past the mode a point at
-    or below the floor bounds every later one: top is the first of mode + sigma,
-    mode + 2 sigma, ... at or below the floor, capped at the span mean + 12 sigma + 64.
-    """
-    n = cfg.n
-    p = 1.0 / (1.0 + n)
-    mean = u * n
-    sigma = math.sqrt(u * n * (n + 1.0))
-    span = int(mean + 12.0 * sigma) + 64
-    step = int(sigma) + 1
-    probes = np.arange((u - 1) * n + step, span, step, dtype=float)
-    past = np.flatnonzero(np.exp(_nb_logpmf(float(u), p, probes)) <= cfg.pmf_floor)
-    top = int(probes[past[0]]) if past.size else span
-    x = np.arange(top + 1, dtype=float)
-    pmf = np.exp(_nb_logpmf(float(u), p, x))
-    above = np.nonzero(pmf > cfg.pmf_floor)[0]
-    if above.size == 0:
-        raise ValueError(
-            f"every NegBin({u}, 1/{n + 1}) mass is below pmf_floor={cfg.pmf_floor}; "
-            "lower the floor or the grid refinement"
-        )
-    k_hi = int(above[-1])
-    k_lo = int(above[0])
-    if k_lo > 0:
-        # drop the lower stub only when its mass is certifiably negligible
-        below_mass = float(pmf[:k_lo].sum())
-        if below_mass >= _LOWER_MASS_TOL:
-            k_lo = 0
-    return k_lo, k_hi, pmf
-
-
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
     """Truncated coefficient series at surplus u."""
     if int(u) != u or u < 0:
@@ -238,9 +199,14 @@ def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> floa
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
     if u == 0:
         return elam
-    k_lo, k_hi, pmf = _series_window(u, cfg)
-    seq = mp_coefficients(mix, cfg, k_hi)
-    return float(np.dot(seq.cbar_n[k_lo : k_hi + 1], pmf[k_lo : k_hi + 1]))
+    pmf = _series_window(u, 1.0 / (1.0 + cfg.n), cfg.pmf_floor)
+    if not pmf.size:
+        raise ValueError(
+            f"every NegBin({u}, 1/{cfg.n + 1}) mass is below pmf_floor={cfg.pmf_floor}; "
+            "lower the floor or the grid refinement"
+        )
+    seq = mp_coefficients(mix, cfg, pmf.size - 1)
+    return float(np.dot(seq.cbar_n[: pmf.size], pmf))
 
 
 # -- method 2: Monte Carlo over the mixing index ------------------------------

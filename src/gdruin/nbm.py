@@ -18,6 +18,12 @@ costs O(K log^2 K) for K terms.  The sequence equals (1-rho) Fbar_{N*}(k) for
 a compound truncated-geometric N*, which is exposed separately as a
 cross-check (built by a direct Panjer loop).
 
+The series is summed over one window, k = 0..k_hi, with k_hi the last
+index whose NegBin(u, 1-p) mass is above a floor.  `psi_nbm` takes the floor
+that leaves at most 1e-12 of NegBin mass past k_hi; method 1 in
+`mixed_poisson` is the same series at p_n = n/(n+1) with grid coefficients,
+and sums it over the same window at its pmf floor.
+
 Coefficient tables are cached per spec and extended in place in quarter
 octaves, to at most 1.25 times the terms read, so repeated psi queries at
 different surpluses share one table; the cache keeps the tables of the 8
@@ -32,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NbmSpec, nb_sf, _nb_logpmf
+from .distributions import NbmSpec, _nb_logpmf
 from .renewal import RenewalSolver, TableCache, Weights
 
 __all__ = [
@@ -46,6 +52,8 @@ __all__ = [
 
 # Neglected NegBin(u, 1-p) tail mass in the psi series.
 _SERIES_TOL = 1e-12
+# Points per probe call while a series window looks for its floor.
+_PROBES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,18 +151,42 @@ def compound_geo_zero_mass(pi: Sequence[float], p: float, rho: float) -> float:
 # -- psi evaluation ------------------------------------------------------------
 
 
-def _series_k_hi(u: int, p: float) -> int:
-    # smallest power-of-two-ish bound with NegBin(u, 1-p) tail below tolerance
-    k_hi = max(64, int(u * p / (1.0 - p)))
-    while nb_sf(u, 1.0 - p, k_hi) >= _SERIES_TOL:
-        k_hi *= 2
-        if k_hi > 1 << 28:
-            raise RuntimeError("series truncation bound exceeded 2^28 terms")
-    return k_hi
+def _series_step(u: int, q: float) -> tuple[int, int]:
+    """The mode of NegBin(u, q), (u-1)(1-q)/q rounded down, and the probe step floor(sigma) + 1."""
+    odds = (1.0 - q) / q
+    return int((u - 1) * odds), int(math.sqrt(u * odds / q)) + 1
+
+
+def _series_window(u: int, q: float, floor: float) -> np.ndarray:
+    """NegBin(u, q) masses on 0..k_hi, k_hi the last index whose mass exceeds ``floor``.
+
+    NegBin(u, q) is unimodal, so past the mode a point at or below the floor bounds
+    every later one: top is the first of mode + sigma, mode + 2 sigma, ... at or below
+    the floor, and the pmf is evaluated once on 0..top.  The masses past the mode fall
+    to 0 and the floor is positive, so the probes need no cap.  The array is empty
+    when no mass exceeds the floor.
+    """
+    mode, step = _series_step(u, q)
+    j = 1
+    while True:
+        probes = mode + step * np.arange(j, j + _PROBES, dtype=float)
+        past = np.flatnonzero(np.exp(_nb_logpmf(float(u), q, probes)) <= floor)
+        if past.size:
+            break
+        j += _PROBES
+    pmf = np.exp(_nb_logpmf(float(u), q, np.arange(probes[past[0]] + 1.0)))
+    above = np.flatnonzero(pmf > floor)
+    return pmf[: above[-1] + 1] if above.size else pmf[:0]
 
 
 def psi_nbm(spec: NbmSpec, u: int) -> float:
-    """Ruin probability at integer surplus u for NBM(pi, p) claims."""
+    """Ruin probability at integer surplus u for NBM(pi, p) claims.
+
+    The series runs over k = 0..k_hi, the window of NegBin(u, 1-p) masses above a
+    floor.  Past x0 = mode + sigma the mass ratio r(x) = (x+u)/(x+1) p falls, so
+    the masses past a k_hi >= x0 sum to at most floor / (1 - r(x0)), and the
+    floor 1e-12 (1 - r(x0)) leaves out at most 1e-12 of NegBin mass.
+    """
     if int(u) != u or u < 0:
         raise ValueError("u must be a nonnegative integer")
     u = int(u)
@@ -163,8 +195,14 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
     if u == 0:
         return c0
-    k_hi = _series_k_hi(u, spec.p)
-    seq = cbar_sequence(spec, k_hi)
-    x = np.arange(k_hi + 1, dtype=float)
-    weights = np.exp(_nb_logpmf(float(u), 1.0 - spec.p, x))
-    return float(np.dot(seq.cbar, weights))
+    q = 1.0 - spec.p
+    mode, step = _series_step(u, q)
+    x0 = mode + step
+    pmf = _series_window(u, q, _SERIES_TOL * (1.0 - (x0 + u) / (x0 + 1.0) * spec.p))
+    k_hi = pmf.size - 1
+    if k_hi < x0:
+        raise RuntimeError(
+            f"NegBin({u}, {q}) window ends at {k_hi}, before {x0}, where its tail "
+            f"bound starts; the series tail past it is not certified below {_SERIES_TOL:.0e}"
+        )
+    return float(np.dot(cbar_sequence(spec, k_hi).cbar, pmf))

@@ -12,9 +12,8 @@ One pass therefore serves every surplus level.  Each path's final running
 maximum (its level when the stop rule or the horizon ends it) goes into
 ``SimResult.level_hist``.  Ruin at u >= 1 is a final level of at least u and
 ruin at u = 0 is at least one record, so ``SimResult.psi_at(u)`` reads the
-ruin count at any u from ``level_hist`` or ``k_hist[0]``; ``ruin_count``,
-``psi_hat`` and ``psi_se`` are that reading at ``SimConfig.u``.  The scalar
-walk `simulate_single` tracks first passage at u itself, as the oracle.
+ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
+`simulate_single` tracks first passage at u itself, as the oracle.
 
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
@@ -55,17 +54,14 @@ _STOP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Simulation request: claims, initial surplus, and sampling plan."""
+    """Simulation request: claims and sampling plan; one run serves every surplus."""
 
     claims: DiscretePmf
-    u: int
     replications: int
     horizon: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.u) != self.u or self.u < 0:
-            raise ValueError("u must be a nonnegative integer")
         if int(self.replications) != self.replications or self.replications < 1:
             raise ValueError("replications must be a positive integer")
         if int(self.horizon) != self.horizon or self.horizon < 1:
@@ -74,7 +70,7 @@ class SimConfig:
             raise ValueError("seed must be a nonnegative integer")
         if not self.claims.mean < 1.0:
             raise ValueError("net profit condition requires mean < 1")
-        for name in ("u", "replications", "horizon", "seed"):
+        for name in ("replications", "horizon", "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
 
@@ -85,7 +81,6 @@ class SimResult:
     config: SimConfig
     censored: int
     stop_bound: int
-    miss_probability: float
     k_hist: np.ndarray
     level_hist: np.ndarray
     record_severity_hist: np.ndarray
@@ -103,22 +98,10 @@ class SimResult:
 
     def psi_at(self, u: int) -> tuple[float, float]:
         """Estimate of psi(u) and its binomial standard error, floored at 1/r,
-        for any surplus u; equal to that of a run with ``SimConfig.u = u``."""
+        for any surplus u."""
         r = self.config.replications
         psi_hat = self._count(u) / r
         return psi_hat, math.sqrt(max(psi_hat * (1.0 - psi_hat), 1.0 / r) / r)
-
-    @property
-    def ruin_count(self) -> int:
-        return self._count(self.config.u)
-
-    @property
-    def psi_hat(self) -> float:
-        return self.psi_at(self.config.u)[0]
-
-    @property
-    def psi_se(self) -> float:
-        return self.psi_at(self.config.u)[1]
 
 
 @dataclass
@@ -245,7 +228,6 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
         config=cfg,
         censored=censored,
         stop_bound=b,
-        miss_probability=_STOP_TOL,
         k_hist=k_hist,
         level_hist=level_hist,
         record_severity_hist=sev_hist,

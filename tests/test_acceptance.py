@@ -207,7 +207,7 @@ def test_criterion_8_simulator_distributional_laws(capsys):
     }
     for label, claims in cases.items():
         res = simulate_paths(
-            SimConfig(claims=claims, u=2, replications=100_000, seed=1)
+            SimConfig(claims=claims, replications=100_000, seed=1)
         )
         counts = check_record_count_law(res, claims)
         assert counts.p_value > 0.01, (label, counts.p_value)

@@ -199,13 +199,9 @@ def simulator_passes(monkeypatch):
     return passes
 
 
-def _sim_per_u(claims, u_max, reps, seed):
-    return [
-        simulate_paths(
-            SimConfig(claims=claims, u=u, replications=reps, seed=seed)
-        ).psi_hat
-        for u in range(u_max + 1)
-    ]
+def _sim_readings(claims, u_max, reps, seed):
+    res = simulate_paths(SimConfig(claims=claims, replications=reps, seed=seed))
+    return [res.psi_at(u)[0] for u in range(u_max + 1)]
 
 
 def test_all_job_simulates_once_for_every_u(simulator_passes):
@@ -215,7 +211,7 @@ def test_all_job_simulates_once_for_every_u(simulator_passes):
     assert len(simulator_passes) == 1
     # the default tail 1e-12 leaves 65 support points, enough to certify the stop rule
     claims = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-12)
-    assert [row["SIM"] for row in table.rows] == _sim_per_u(claims, 10, 2000, 0)
+    assert [row["SIM"] for row in table.rows] == _sim_readings(claims, 10, 2000, 0)
 
 
 def test_all_job_doubles_the_claim_support_until_the_stop_rule_certifies(simulator_passes):
@@ -226,9 +222,9 @@ def test_all_job_doubles_the_claim_support_until_the_stop_rule_certifies(simulat
     assert len(simulator_passes) == 1
     mix = MixingDistribution.erlang_mixture((0.6, 0.1, 0.3), 2.0)
     with pytest.raises(ValueError, match="smaller tail tolerance"):
-        _sim_per_u(mp_claims_pmf(mix, tail_tol=1e-12), 0, 10, 0)
+        _sim_readings(mp_claims_pmf(mix, tail_tol=1e-12), 0, 10, 0)
     claims = mp_claims_pmf(mix, x_max=129)  # twice the 65 points, less one
-    assert [row["SIM"] for row in table.rows] == _sim_per_u(claims, 10, 2000, 0)
+    assert [row["SIM"] for row in table.rows] == _sim_readings(claims, 10, 2000, 0)
 
 
 def test_lognormal_all_job_runs_and_its_exact_column_falls(capsys):
@@ -247,7 +243,7 @@ def test_simulate_verb_simulates_once_for_every_u(simulator_passes, capsys):
     assert len(simulator_passes) == 1
     rows = json.loads(capsys.readouterr().out)["rows"]
     claims = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-12)
-    assert [row["SIM"] for row in rows] == _sim_per_u(claims, 10, 2000, 9)
+    assert [row["SIM"] for row in rows] == _sim_readings(claims, 10, 2000, 9)
 
 
 @pytest.mark.parametrize("mix", ["erlang:2,3", "lognormal:-1,1"])

@@ -24,10 +24,8 @@ from gdruin import (
     DiscretePmf,
     MixingDistribution,
     NbmSpec,
-    erlangm_to_nbm,
     geometric_pmf,
     mp_claims_pmf,
-    nb_sf,
     nbm_claims_pmf,
 )
 from gdruin.distributions import (
@@ -44,10 +42,17 @@ from gdruin.distributions import (
     _mp_sf,
     _nb_logpmf,
     _nbm_masses,
+    _nbm_sf,
     _poisson_gamma_quad,
     _poisson_sf,
     equilibrium,
 )
+
+
+def _negbin_sf(k, p, x):
+    """P(NegBin(k, p) > x) as the survival of the one-weight mixture NBM((0, .., 0, 1), p)."""
+    return _nbm_sf(NbmSpec((0.0,) * (k - 1) + (1.0,), p), x)
+
 
 nb_args = st.tuples(
     st.integers(min_value=1, max_value=300),
@@ -71,7 +76,7 @@ def test_nb_pmf_matches_scipy(args):
 @settings(max_examples=200, deadline=None)
 def test_nb_sf_matches_scipy(args):
     k, p, x = args
-    assert nb_sf(k, p, x) == pytest.approx(sps.nbinom.sf(x, k, p), rel=1e-10, abs=1e-300)
+    assert _negbin_sf(k, p, x) == pytest.approx(sps.nbinom.sf(x, k, p), rel=1e-10, abs=1e-300)
 
 
 def test_nb_pmf_small_cases_by_hand():
@@ -170,7 +175,7 @@ def test_erlang_mixture_to_nbm_identity(beta):
     # mixing a Poisson rate over a mixture of Erlangs gives exactly an NBM law
     weights = (0.25, 0.5, 0.25)
     mix = MixingDistribution.erlang_mixture(weights, beta)
-    spec = erlangm_to_nbm(weights, beta)
+    spec = mix.as_nbm()
     assert spec.p == pytest.approx(beta / (beta + 1.0), rel=1e-15)
     xs = np.arange(30.0)
     np.testing.assert_allclose(_mp_masses(mix, xs), _nbm_masses(spec, xs), rtol=1e-12, atol=1e-300)
@@ -454,7 +459,7 @@ def test_nb_sf_against_mpmath(k, p, x):
     with mpmath.workdps(40):
         q = mpmath.mpf(p)
         ref = float(mpmath.fsum(mpmath.binomial(x + i, i) * q**i for i in range(k)) * (1 - q) ** (x + 1))
-    got = nb_sf(k, p, x)
+    got = _negbin_sf(k, p, x)
     assert got <= 1.0
     # k masses, each within a few ulps of log Gamma(k + x) in the log
     assert _rel(got, min(ref, 1.0)) <= 16 * np.spacing(math.lgamma(k + x + 1.0)) + 1e-14

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from gdruin import (
     MixingDistribution,
@@ -32,7 +32,7 @@ from gdruin import (
     psi_pk,
     psi_recursion,
 )
-from gdruin import mixed_poisson
+from gdruin import mixed_poisson, nbm
 from gdruin.distributions import _nb_logpmf
 from gdruin.renewal import RenewalSolver, TableCache
 
@@ -419,48 +419,45 @@ def test_method1_rejects_hopeless_floor():
         psi_mp_method1(ERLANG, 5, MpApproxConfig(n=500, pmf_floor=0.9))
 
 
-def _full_span_window(u, cfg):
-    """Reference window: the pmf on the whole span mean + 12 sigma + 64."""
-    n = cfg.n
-    sigma = math.sqrt(u * n * (n + 1.0))
-    x = np.arange(int(u * n + 12.0 * sigma) + 64 + 1, dtype=float)
-    pmf = np.exp(_nb_logpmf(float(u), 1.0 / (1.0 + n), x))
-    above = np.nonzero(pmf > cfg.pmf_floor)[0]
-    if above.size == 0:
-        raise ValueError("every NegBin mass is below pmf_floor")
-    k_hi, k_lo = int(above[-1]), int(above[0])
-    if k_lo > 0 and special.betainc(u, k_lo, 1.0 / (1.0 + n)) >= mixed_poisson._LOWER_MASS_TOL:
-        k_lo = 0
-    return k_lo, k_hi, pmf
+def _full_span_window(u, n, floor):
+    """Reference window: the pmf on 0..end, end past the mode where the pmf has
+    underflowed to 0, cut after its last mass above the floor."""
+    q = 1.0 / (1.0 + n)
+    end = max(64, 2 * u * n)
+    while np.exp(_nb_logpmf(float(u), q, float(end))) > 0.0:
+        end *= 2
+    pmf = np.exp(_nb_logpmf(float(u), q, np.arange(end + 1.0)))
+    above = np.flatnonzero(pmf > floor)
+    return pmf[: above[-1] + 1] if above.size else pmf[:0]
 
 
 @pytest.mark.parametrize("floor", [1e-5, 1e-9, 1e-13])
 @pytest.mark.parametrize("n", [1, 10, 500, 1000])
 @pytest.mark.parametrize("u", [1, 2, 10, 50, 500])
 def test_series_window_matches_the_full_span(u, n, floor):
-    cfg = MpApproxConfig(n=n, pmf_floor=floor)
-    k_lo, k_hi, pmf = _full_span_window(u, cfg)
-    lo, hi, got = mixed_poisson._series_window(u, cfg)
-    assert (lo, hi) == (k_lo, k_hi)
-    np.testing.assert_array_equal(got[: hi + 1], pmf[: k_hi + 1])
+    ref = _full_span_window(u, n, floor)
+    got = nbm._series_window(u, 1.0 / (1.0 + n), floor)
+    assert got.size == ref.size  # the same k_hi
+    np.testing.assert_array_equal(got, ref)
 
 
-def test_series_window_capped_at_the_span():
-    # the geometric law at n = 500 is still above 1e-13 at the span's end
+def test_method1_window_has_no_span_cap():
+    # NegBin(1, 1/501) stays above 1e-13 well past mean + 12 sigma + 64, with 2e-6 of
+    # its mass there
     cfg = MpApproxConfig(n=500, pmf_floor=1e-13)
-    k_lo, k_hi, pmf = _full_span_window(1, cfg)
-    assert k_hi == pmf.size - 1
-    lo, hi, got = mixed_poisson._series_window(1, cfg)
-    assert (lo, hi) == (k_lo, k_hi)
-    np.testing.assert_array_equal(got[: hi + 1], pmf)
+    pmf = _full_span_window(1, cfg.n, cfg.pmf_floor)
+    assert pmf.size - 1 > int(500 + 12.0 * math.sqrt(500 * 501.0)) + 64
+    cbar = mp_coefficients(PARETO, cfg, pmf.size - 1).cbar_n[: pmf.size]
+    ref = math.fsum((cbar * pmf).tolist())
+    assert psi_mp_method1(PARETO, 1, cfg) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_series_window_raises_when_the_peak_is_below_the_floor():
-    cfg = MpApproxConfig(n=500, pmf_floor=1e-4)  # the peak at u = 1000 is about 2.5e-5
-    with pytest.raises(ValueError):
-        _full_span_window(1000, cfg)
+    # the peak of NegBin(1000, 1/501) is about 2.5e-5: the window is empty and method 1 raises
+    assert _full_span_window(1000, 500, 1e-4).size == 0
+    assert nbm._series_window(1000, 1.0 / 501.0, 1e-4).size == 0
     with pytest.raises(ValueError, match="below pmf_floor"):
-        mixed_poisson._series_window(1000, cfg)
+        psi_mp_method1(ERLANG, 1000, MpApproxConfig(n=500, pmf_floor=1e-4))
 
 
 def test_series_window_evaluates_only_up_to_its_top(monkeypatch):
@@ -470,10 +467,9 @@ def test_series_window_evaluates_only_up_to_its_top(monkeypatch):
         points.append(np.size(x))
         return _nb_logpmf(k, p, x)
 
-    monkeypatch.setattr(mixed_poisson, "_nb_logpmf", counted)
+    monkeypatch.setattr(nbm, "_nb_logpmf", counted)
     u, n = 500, 500
-    _, k_hi, _ = mixed_poisson._series_window(u, MpApproxConfig(n=n))
-    # the full span mean + 12 sigma + 64 would be 384,363 points for k_hi = 267,758
+    k_hi = nbm._series_window(u, 1.0 / (1.0 + n), 1e-5).size - 1
     assert sum(points) <= k_hi + math.sqrt(u * n * (n + 1.0)) + 65
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from gdruin import (
     NbmSpec,
@@ -22,6 +23,8 @@ from gdruin import (
     psi_pk,
     psi_recursion,
 )
+from gdruin import nbm
+from gdruin.distributions import _nb_logpmf
 
 SPECS = [
     NbmSpec((1.0,), 0.6),
@@ -132,6 +135,38 @@ def test_psi_nbm_keeps_relative_accuracy_in_the_deep_tail(spec):
     assert psi[400] < 1e-70
     for u in (50, 100, 200, 400):
         assert psi_nbm(spec, u) == pytest.approx(psi[u], rel=1e-10, abs=0.0), u
+
+
+@pytest.mark.parametrize("u", [1, 10, 100, 500])
+@pytest.mark.parametrize("p", [0.505, 0.6, 0.75, 0.97])
+def test_psi_nbm_window_leaves_out_at_most_1e12_of_negbin_mass(p, u, monkeypatch):
+    spec = NbmSpec((1.0,), p)
+    k_read = []
+
+    def recorded(spec, k_max):
+        k_read.append(k_max)
+        return cbar_sequence(spec, k_max)
+
+    monkeypatch.setattr(nbm, "cbar_sequence", recorded)
+    got = psi_nbm(spec, u)
+    (k_hi,) = k_read
+    assert stats.nbinom.sf(k_hi, u, 1.0 - p) <= 1e-12
+    # the full span runs past the mode to where the pmf has underflowed to 0
+    end = 64
+    while end < 4 * u * p / (1.0 - p) or np.exp(_nb_logpmf(float(u), 1.0 - p, float(end))) > 0.0:
+        end *= 2
+    pmf = np.exp(_nb_logpmf(float(u), 1.0 - p, np.arange(end + 1.0)))
+    full = math.fsum((cbar_sequence(spec, end).cbar * pmf).tolist())
+    # Cbar is nonincreasing, so a left-out NegBin mass of 1e-12 moves psi by at most
+    # 1e-12 relative: 3.0e-13 at p = 0.505, u = 1
+    assert got == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_psi_nbm_refuses_a_window_short_of_its_tail_bound(monkeypatch):
+    # at a tolerance of 1 the floor 1 - r(x0) = 0.097 is above the NegBin(10, 0.3) peak
+    monkeypatch.setattr(nbm, "_SERIES_TOL", 1.0)
+    with pytest.raises(RuntimeError, match="not certified"):
+        psi_nbm(NbmSpec((0.5, 0.5), 0.7), 10)
 
 
 def test_psi_nbm_invariants():

@@ -2,13 +2,16 @@
 exactly what its library modules export.
 
 A stale string in an ``__all__`` list breaks only ``from gdruin import *``
-at run time; these tests make it fail the suite instead.  A fresh process
+at run time; these tests make it fail the suite instead.  The same holds
+for the functions the benchmark's tracer times: a deleted one fails here
+with its name.  A fresh process
 that runs the CLI loads numpy and no part of scipy: every run of ``gdruin``
 pays for its imports.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -31,6 +34,26 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"gdruin.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def _traced_targets() -> list[tuple[str, str]]:
+    """The (module, function) pairs of ``TARGETS`` in ``bench/tracer.py``, read without
+    importing the benchmark."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError(f"no TARGETS in {tracer}")
+
+
+def test_traced_functions_resolve():
+    targets = _traced_targets()
+    assert targets
+    missing = [
+        f"{module}.{func}" for module, func in targets
+        if not callable(getattr(importlib.import_module(f"gdruin.{module}"), func, None))
+    ]
+    assert missing == []
 
 
 def test_package_exports_the_library_modules():

@@ -39,22 +39,24 @@ REPS = 60_000
 
 @pytest.mark.parametrize("u", [0, 2, 6])
 def test_estimate_brackets_geometric_closed_form(u):
-    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, u=u, replications=REPS, seed=0))
+    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=REPS, seed=0))
     ref = psi_geometric_closed(0.6, u)
-    assert abs(res.psi_hat - ref) < 4.0 * res.psi_se
+    psi_hat, psi_se = res.psi_at(u)
+    assert abs(psi_hat - ref) < 4.0 * psi_se
     assert res.identity_mismatches == 0
     assert res.censored == 0
 
 
 def test_estimate_brackets_mixed_poisson_reference():
-    res = simulate_paths(SimConfig(claims=MP_CLAIMS, u=1, replications=20_000, seed=11))
+    res = simulate_paths(SimConfig(claims=MP_CLAIMS, replications=20_000, seed=11))
     ref = psi_recursion(MP_CLAIMS, 1)[1]
-    assert abs(res.psi_hat - ref) < 4.0 * res.psi_se
+    psi_hat, psi_se = res.psi_at(1)
+    assert abs(psi_hat - ref) < 4.0 * psi_se
     assert res.identity_mismatches == 0
 
 
 def test_one_pass_brackets_the_recursion_at_every_u():
-    res = simulate_paths(SimConfig(claims=MP_CLAIMS, u=0, replications=REPS, seed=0))
+    res = simulate_paths(SimConfig(claims=MP_CLAIMS, replications=REPS, seed=0))
     ref = psi_recursion(MP_CLAIMS, 10)
     for u in range(11):
         psi_hat, psi_se = res.psi_at(u)
@@ -69,22 +71,25 @@ def test_one_pass_brackets_the_recursion_at_every_u():
     "claims", [GEO_CLAIMS, MP_CLAIMS, NBM_CLAIMS], ids=["geo", "mp", "nbm"]
 )
 def test_one_pass_equals_a_run_per_u(claims, horizon):
-    # 5000 replications span two chunks; at horizon 64 many paths are censored
-    cfg = SimConfig(claims=claims, u=3, replications=5000, horizon=horizon, seed=5)
+    # 5000 replications span two chunks; at horizon 64 many paths are censored.  A run
+    # takes no surplus, so a run meant for any one u is a rerun of the same pass.
+    cfg = SimConfig(claims=claims, replications=5000, horizon=horizon, seed=5)
     res = simulate_paths(cfg)
     if horizon == 64:
         assert res.censored > 0
     assert res.level_hist.sum() == cfg.replications
-    assert res.psi_at(cfg.u) == (res.psi_hat, res.psi_se)
-    for u in range(41):
-        single = simulate_paths(
-            SimConfig(claims=claims, u=u, replications=5000, horizon=horizon, seed=5)
-        )
-        assert res.psi_at(u) == (single.psi_hat, single.psi_se), u
+    rerun = simulate_paths(SimConfig(claims=claims, replications=5000, horizon=horizon, seed=5))
+    readings = [res.psi_at(u) for u in range(41)]
+    assert readings == [rerun.psi_at(u) for u in range(41)]
+    # one ruin count per u, nonincreasing in u, read as a binomial estimate
+    counts = [round(psi * cfg.replications) for psi, _ in readings]
+    assert counts[0] == cfg.replications - res.k_hist[0]
+    assert counts[1:] == [int(res.level_hist[u:].sum()) for u in range(1, 41)]
+    assert counts == sorted(counts, reverse=True)
 
 
 def test_levels_past_the_deepest_path_read_zero():
-    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, u=0, replications=500, seed=3))
+    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=500, seed=3))
     deepest = res.level_hist.size - 1
     assert res.level_hist[deepest] > 0
     assert res.psi_at(deepest)[0] > 0.0
@@ -95,7 +100,7 @@ def test_levels_past_the_deepest_path_read_zero():
 
 
 def test_stop_bound_is_the_first_negligible_surplus():
-    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, u=0, replications=8, seed=5))
+    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=8, seed=5))
     psi = psi_recursion(GEO_CLAIMS, res.stop_bound)
     assert psi[res.stop_bound] < 1e-9
     assert psi[res.stop_bound - 1] >= 1e-9
@@ -104,12 +109,12 @@ def test_stop_bound_is_the_first_negligible_surplus():
 def test_truncated_claims_are_rejected_for_stopping():
     shallow = geometric_pmf(0.6, tail_tol=1e-6)
     with pytest.raises(ValueError):
-        simulate_paths(SimConfig(claims=shallow, u=1, replications=10, seed=0))
+        simulate_paths(SimConfig(claims=shallow, replications=10, seed=0))
 
 
 def test_net_profit_is_required():
     with pytest.raises(ValueError):
-        SimConfig(claims=geometric_pmf(0.4), u=1, replications=10, seed=0)
+        SimConfig(claims=geometric_pmf(0.4), replications=10, seed=0)
 
 
 # -- distributional laws -----------------------------------------------------------
@@ -119,7 +124,7 @@ def test_net_profit_is_required():
 def geo_run():
     # fixed seed for determinism; the law itself was screened over many
     # seeds and at 1e6 paths, where all three p-values sit well above 0.1
-    return simulate_paths(SimConfig(claims=GEO_CLAIMS, u=2, replications=100_000, seed=1))
+    return simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=100_000, seed=1))
 
 
 def test_record_counts_follow_the_geometric_law(geo_run):
@@ -189,10 +194,10 @@ def test_single_paths_agree_with_vector_engine_in_law():
 
 def test_short_horizon_censors_unfinished_paths():
     res = simulate_paths(
-        SimConfig(claims=GEO_CLAIMS, u=30, replications=500, horizon=64, seed=2)
+        SimConfig(claims=GEO_CLAIMS, replications=500, horizon=64, seed=2)
     )
     assert res.censored > 0
-    assert res.ruin_count == 0  # psi(30) ~ 4e-6; nothing ruins in 64 steps here
+    assert res.psi_at(30)[0] == 0.0  # psi(30) ~ 4e-6; nothing ruins in 64 steps here
 
 
 def test_chi_square_p_value_matches_scipy():
