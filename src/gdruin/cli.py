@@ -37,6 +37,7 @@ from .distributions import (
     MixingDistribution,
     NbmSpec,
     QuadratureError,
+    _whole_number,
     mp_claims_pmf,
     nbm_claims_pmf,
 )
@@ -89,9 +90,7 @@ class JobSpec:
     reps: int = 100_000
 
     def __post_init__(self):
-        if int(self.u_max) != self.u_max or self.u_max < 0:
-            raise ValueError("--u-max must be a nonnegative integer")
-        self.u_max = int(self.u_max)
+        self.u_max = _whole_number(self.u_max, "--u-max")
         if not math.isfinite(self.floor) or self.floor <= 0:
             raise ValueError("--floor must be positive")
 

@@ -9,9 +9,12 @@ Claim amounts live on {0, 1, 2, ...}.  Three representations matter here:
   k = 1, 2, ...  The family is closed under the equilibrium transform,
   which is what makes the coefficient recursion for ruin probabilities work.
 * :class:`MixingDistribution` -- a nonnegative law for a random Poisson
-  rate.  The induced mixed Poisson claim distribution either collapses to
-  an NBM (Erlang-type mixing), has a closed form (atomic mixing) or takes
-  QUADPACK's adaptive G10/K21 quadrature (Piessens et al., 1983), in numpy.
+  rate, in four families: Erlang mixtures (exponential and Erlang laws are
+  one-component ones), tables of atoms (the point mass is one atom),
+  Pareto and lognormal.  The induced mixed Poisson claim distribution
+  either collapses to an NBM (Erlang mixing), has a closed form (atomic
+  mixing) or takes QUADPACK's adaptive G10/K21 quadrature (Piessens et
+  al., 1983), in numpy.
 
 The special functions these need are private helpers here, in numpy and
 `math` only, each written for the slice of arguments the package reads:
@@ -99,6 +102,18 @@ def _read_pairs(path: str) -> list[tuple[float, float]]:
             except ValueError:
                 continue
     return pairs
+
+
+def _whole_number(x, name: str, least: int = 0) -> int:
+    """``x`` as an int; ValueError naming ``name`` unless it is a whole number of at
+    least ``least``, 0 or 1 (so also for inf and nan)."""
+    try:
+        k = int(x)
+    except (OverflowError, ValueError):  # inf, nan
+        k = None
+    if k is None or k != x or k < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +206,12 @@ class DiscretePmf:
             return 0.0
         return float(self.pmf[x])
 
-    def sf(self, x: int) -> float:
-        """P(Y > x); the declared tail mass beyond the stored support."""
-        if x < 0:
-            return 1.0
-        if x >= self.support_max:
-            return float(self.tail_mass)
-        return float(self.survival[x])
+    def sf(self, x):
+        """P(Y > x) at integers x, scalars or arrays; the declared tail mass beyond the
+        stored support, which ``survival[support_max]`` holds."""
+        arr = np.asarray(x)
+        out = np.where(arr < 0, 1.0, self.survival[np.clip(arr, 0, self.support_max)])
+        return float(out) if out.ndim == 0 else out
 
 
 def geometric_pmf(p: float, tail_tol: float = 1e-12) -> DiscretePmf:
@@ -223,9 +237,7 @@ def equilibrium(claims: DiscretePmf, w: int) -> np.ndarray:
     """The equilibrium (ladder-height) law f_e(x) = P(Y > x) / E(Y) on the cells
     x = 0..w-1, the last cell holding P(Y_e >= w-1); the simulator's severity
     check bins against it."""
-    cells = np.full(w, claims.tail_mass)
-    stored = min(w, claims.survival.size)
-    cells[:stored] = claims.survival[:stored]
+    cells = claims.sf(np.arange(w))
     cells[-1] += max(0.0, claims.mean - math.fsum(cells.tolist()))
     return cells / claims.mean
 
@@ -382,9 +394,7 @@ def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> Disc
         while x_max - lo > 1 and x_max <= _SUPPORT_CAP:  # sf(lo) >= tail_tol > sf(x_max)
             mid = (lo + x_max) // 2
             lo, x_max = (lo, mid) if sf(mid) < tail_tol else (mid, x_max)
-    elif int(x_max) != x_max or x_max < 0:
-        raise ValueError("x_max must be a nonnegative integer")
-    x_max = int(x_max)
+    x_max = _whole_number(x_max, "x_max")
     if x_max > _SUPPORT_CAP:
         raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP} points")
     return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)
@@ -519,11 +529,15 @@ def _erfc(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixingDistribution:
-    """Nonnegative law for a random Poisson rate.
+    """Nonnegative law for a random Poisson rate, in one of four families.
 
-    Use the classmethod constructors.  ``kind`` selects the family, ``params``
-    carries its parameters, ``weights`` is only used by the Erlang mixture,
-    and ``atoms`` holds (support, cdf) tuples for tabulated laws.
+    ``kind`` names the family: ``"erlang_mixture"`` (``weights`` on the Erlang
+    shapes 1, 2, ... and ``params`` = (beta,)), ``"atoms"`` (``atoms`` holds
+    the (support, cdf) tuples of a tabulated law), ``"pareto"`` and
+    ``"lognormal"`` (``params`` their parameters).  Use the classmethod
+    constructors: exponential and Erlang laws are one-component Erlang
+    mixtures, and the point mass is a one-atom table, so equal laws are equal
+    values and share every cache entry.
     """
 
     kind: str
@@ -535,19 +549,14 @@ class MixingDistribution:
 
     @classmethod
     def exponential(cls, beta: float) -> "MixingDistribution":
-        """Exponential rate law with rate beta (mean 1/beta)."""
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return cls("exponential", (float(beta),))
+        """Exponential rate law with rate beta (mean 1/beta): Erlang shape 1."""
+        return cls.erlang_mixture((1.0,), beta)
 
     @classmethod
     def erlang(cls, shape: int, beta: float) -> "MixingDistribution":
         """Erlang(shape, beta): sum of `shape` exponentials of rate beta."""
-        if int(shape) != shape or shape < 1:
-            raise ValueError("shape must be a positive integer")
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        return cls("erlang", (int(shape), float(beta)))
+        shape = _whole_number(shape, "shape", least=1)
+        return cls.erlang_mixture((0.0,) * (shape - 1) + (1.0,), beta)
 
     @classmethod
     def erlang_mixture(cls, weights: Sequence[float], beta: float) -> "MixingDistribution":
@@ -577,10 +586,10 @@ class MixingDistribution:
 
     @classmethod
     def degenerate(cls, value: float) -> "MixingDistribution":
-        """Point mass: the plain Poisson(value) case."""
+        """Point mass, the plain Poisson(value) case: a one-atom table."""
         if value < 0.0:
             raise ValueError("value must be nonnegative")
-        return cls("degenerate", (float(value),))
+        return cls.from_cdf_table((value,), (1.0,))
 
     @classmethod
     def from_cdf_table(cls, support: Sequence[float], cdf: Sequence[float]) -> "MixingDistribution":
@@ -595,7 +604,7 @@ class MixingDistribution:
             raise ValueError("cdf values must be nondecreasing within [0, 1]")
         if abs(cs[-1] - 1.0) > 1e-9:
             raise ValueError("cdf must reach 1 at the last support point")
-        return cls("user_cdf", atoms=(xs, cs))
+        return cls("atoms", atoms=(xs, cs))
 
     @classmethod
     def load_cdf_table(cls, path: str) -> "MixingDistribution":
@@ -607,10 +616,8 @@ class MixingDistribution:
 
     @property
     def mean(self) -> float:
-        parts = self._erlang_parts()
-        if parts is not None:
-            weights, beta = parts
-            return math.fsum((i + 1) * q for i, q in enumerate(weights)) / beta
+        if self.kind == "erlang_mixture":
+            return math.fsum((i + 1) * q for i, q in enumerate(self.weights)) / self.params[0]
         if self.kind == "pareto":
             alpha, theta = self.params
             return theta / (alpha - 1.0) if alpha > 1.0 else math.inf
@@ -623,12 +630,10 @@ class MixingDistribution:
     def sf(self, x):
         """Survival P(rate > x); accepts scalars or arrays."""
         arr = np.asarray(x, dtype=float)
-        parts = self._erlang_parts()
-        if parts is not None:
+        if self.kind == "erlang_mixture":
             # P(Gamma(i+1, beta) > x) = e^{-t} sum_{j<=i} t^j / j!, so t^j / j! weighs P(shape > j)
-            weights, beta = parts
-            tails = np.cumsum(weights[::-1])[::-1]
-            out = np.where(arr <= 0.0, 1.0, _poisson_sum(tails, beta * np.maximum(arr, 0.0)))
+            tails = np.cumsum(self.weights[::-1])[::-1]
+            out = np.where(arr <= 0.0, 1.0, _poisson_sum(tails, self.params[0] * np.maximum(arr, 0.0)))
         elif self.kind == "pareto":
             alpha, theta = self.params
             out = np.where(arr <= 0.0, 1.0, (theta / (theta + np.maximum(arr, 0.0))) ** alpha)
@@ -636,8 +641,6 @@ class MixingDistribution:
             m, s = self.params
             safe = np.maximum(arr, np.finfo(float).tiny)
             out = np.where(arr <= 0.0, 1.0, 0.5 * _erfc((np.log(safe) - m) / (s * math.sqrt(2.0))))
-        elif self.kind == "degenerate":
-            out = np.where(arr < self.params[0], 1.0, 0.0)
         else:
             xs, cs = self.atoms  # type: ignore[misc]
             idx = np.searchsorted(np.asarray(xs), arr, side="right")
@@ -647,39 +650,19 @@ class MixingDistribution:
             return float(out)
         return out
 
-    def _erlang_parts(self) -> tuple[tuple[float, ...], float] | None:
-        """(weights on Erlang shapes 1, 2, ..., beta) for Erlang-family kinds; None otherwise."""
-        if self.kind == "exponential":
-            return (1.0,), self.params[0]
-        if self.kind == "erlang":
-            shape, beta = self.params
-            return (0.0,) * (int(shape) - 1) + (1.0,), beta
-        if self.kind == "erlang_mixture":
-            return self.weights, self.params[0]
-        return None
-
     def as_nbm(self) -> NbmSpec | None:
-        """NBM(weights, beta/(beta+1)) for Erlang-family mixing at rate beta; None otherwise."""
-        parts = self._erlang_parts()
-        if parts is None:
+        """NBM(weights, beta/(beta+1)) for Erlang mixing at rate beta; None otherwise."""
+        if self.kind != "erlang_mixture":
             return None
-        weights, beta = parts
-        return NbmSpec(weights, beta / (beta + 1.0))
-
-    def cdf(self, x):
-        """P(rate <= x)."""
-        out = 1.0 - np.asarray(self.sf(x))
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
+        beta = self.params[0]
+        return NbmSpec(self.weights, beta / (beta + 1.0))
 
     def _pdf(self, lam):
         """Density, only defined for the absolutely continuous kinds; accepts scalars or arrays."""
         arr = np.asarray(lam, dtype=float)
-        parts = self._erlang_parts()
-        if parts is not None:
-            weights, beta = parts
-            out = beta * _poisson_sum(np.asarray(weights), beta * arr)
+        if self.kind == "erlang_mixture":
+            beta = self.params[0]
+            out = beta * _poisson_sum(np.asarray(self.weights), beta * arr)
         elif self.kind == "pareto":
             alpha, theta = self.params
             out = alpha * theta**alpha / (theta + arr) ** (alpha + 1.0)
@@ -694,11 +677,10 @@ class MixingDistribution:
 
     def _stop_loss(self, x: float) -> float:
         """E[(rate - x)+] for x > 0, in closed form for the absolutely continuous kinds."""
-        parts = self._erlang_parts()
-        if parts is not None:
+        if self.kind == "erlang_mixture":
             # the integral of the survival past x: t^j / j! weighs sum_{l >= j} P(shape > l) / beta
-            weights, beta = parts
-            return float(_poisson_sum(np.cumsum(np.cumsum(weights[::-1]))[::-1], beta * x)) / beta
+            beta = self.params[0]
+            return float(_poisson_sum(np.cumsum(np.cumsum(self.weights[::-1]))[::-1], beta * x)) / beta
         if self.kind == "pareto":
             alpha, theta = self.params
             return theta * (theta / (theta + x)) ** (alpha - 1.0) / (alpha - 1.0)
@@ -717,14 +699,14 @@ class MixingDistribution:
     def grid_tail(self, a: int, n: int) -> float:
         """The grid survival sum sum_{j >= a} sf(j/n), for a >= 1, in closed form.
 
-        Atomic laws (degenerate and cdf-table) give an exact step sum; a
-        cdf table's mass below 1 (at most 1e-9) sits at no finite rate and
-        is left out, as ``mean`` leaves it out.  The continuous kinds use
-        Euler-Maclaurin, n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n),
-        whose first neglected term is pdf''(a/n)/(720 n^3).
+        Atomic laws give an exact step sum; a table's mass below 1 (at most
+        1e-9) sits at no finite rate and is left out, as ``mean`` leaves it
+        out.  The continuous kinds use Euler-Maclaurin,
+        n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n), whose first
+        neglected term is pdf''(a/n)/(720 n^3).
         """
-        if self.kind in ("degenerate", "user_cdf"):
-            xs, cs = self.atoms if self.kind == "user_cdf" else ((self.params[0],), (1.0,))
+        if self.kind == "atoms":
+            xs, cs = self.atoms  # type: ignore[misc]
             xs = np.asarray(xs)
             # first grid index j with j/n >= x for each atom x, by the comparison sf makes
             ends = np.ceil(xs * n)
@@ -767,8 +749,8 @@ def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
     """Mixed Poisson masses P(X = x) = E[ e^{-rate} rate^x / x! ] at each of the
     nonnegative integers x.
 
-    Erlang-type mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a
-    closed form; Pareto and lognormal mixing take one G10/K21 quadrature per x,
+    Erlang mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a closed
+    form; Pareto and lognormal mixing take one G10/K21 quadrature per x,
     certified to relative tolerance 1e-10 (:class:`QuadratureError` if not).
     """
     spec = mix.as_nbm()
@@ -782,13 +764,11 @@ def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
 
 
 def _atoms(mix: MixingDistribution) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rates, masses) of degenerate and cdf-table mixing; None otherwise."""
-    if mix.kind == "degenerate":
-        return np.array(mix.params), np.ones(1)
-    if mix.kind == "user_cdf":
-        xs, cs = mix.atoms  # type: ignore[misc]
-        return np.asarray(xs), np.diff(np.concatenate(([0.0], cs)))
-    return None
+    """(rates, masses) of atomic mixing; None otherwise."""
+    if mix.kind != "atoms":
+        return None
+    xs, cs = mix.atoms  # type: ignore[misc]
+    return np.asarray(xs), np.diff(np.concatenate(([0.0], cs)))
 
 
 def _gauss_kronrod(f, edges: np.ndarray) -> tuple[float, float]:
@@ -850,8 +830,8 @@ def _poisson_gamma_quad(mix: MixingDistribution, x: int, h) -> float:
 
 
 def _mp_sf(mix: MixingDistribution, x: int) -> float:
-    """P(X > x), certified to relative accuracy: closed forms for Erlang-type
-    and atomic mixing, a positive Poisson-Gamma integral otherwise."""
+    """P(X > x), certified to relative accuracy: closed forms for Erlang and
+    atomic mixing, a positive Poisson-Gamma integral otherwise."""
     spec = mix.as_nbm()
     if spec is not None:
         return _nbm_sf(spec, x)

@@ -32,11 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    DiscretePmf,
-    MixingDistribution,
-    mp_claims_pmf,
-)
+from .distributions import DiscretePmf, MixingDistribution, _whole_number, mp_claims_pmf
 from .nbm import _series_window
 from .recursion import psi_recursion
 from .renewal import RenewalSolver, TableCache, Weights
@@ -76,14 +72,10 @@ class MpApproxConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("m must be a positive integer")
+        object.__setattr__(self, "n", _whole_number(self.n, "n", least=1))
+        object.__setattr__(self, "m", _whole_number(self.m, "m", least=1))
         if not self.pmf_floor > 0.0:
             raise ValueError("pmf_floor must be positive")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +173,8 @@ def mp_coefficients(
     read that no other law's extension blocks.  The cache keeps the 8 most
     recently requested tables (`renewal.TableCache`).
     """
-    if int(k_max) != k_max or k_max < 0:
-        raise ValueError("k_max must be a nonnegative integer")
-    return _coeff_cache.get((mix, cfg.n), int(k_max), lambda: _table(mix, cfg.n))
+    k_max = _whole_number(k_max, "k_max")
+    return _coeff_cache.get((mix, cfg.n), k_max, lambda: _table(mix, cfg.n))
 
 
 # -- method 1: truncated series ----------------------------------------------
@@ -191,9 +182,7 @@ def mp_coefficients(
 
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
     """Truncated coefficient series at surplus u."""
-    if int(u) != u or u < 0:
-        raise ValueError("u must be a nonnegative integer")
-    u = int(u)
+    u = _whole_number(u, "u")
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
@@ -245,9 +234,7 @@ def psi_mp_method2(
     mix: MixingDistribution, u: int, cfg: MpApproxConfig
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the series and its sample standard error."""
-    if int(u) != u or u < 0:
-        raise ValueError("u must be a nonnegative integer")
-    u = int(u)
+    u = _whole_number(u, "u")
     elam = mix.mean
     if not 0.0 < elam < 1.0:
         raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
@@ -271,7 +258,6 @@ def psi_mp_exact_reference(mix: MixingDistribution, u_max: int) -> np.ndarray:
     with the certified survival past them as declared tail, and runs the
     recursion, which keeps relative accuracy at every u.
     """
-    if int(u_max) != u_max or u_max < 0:
-        raise ValueError("u_max must be a nonnegative integer")
-    claims = mp_claims_pmf(mix, x_max=max(int(u_max), 1))
+    u_max = _whole_number(u_max, "u_max")
+    claims = mp_claims_pmf(mix, x_max=max(u_max, 1))
     return psi_recursion(claims, u_max)

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import NbmSpec, _nb_logpmf
+from .distributions import NbmSpec, _nb_logpmf, _whole_number
 from .renewal import RenewalSolver, TableCache, Weights
 
 __all__ = [
@@ -97,9 +97,7 @@ def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
     The array is a view of the spec's cached table, which grows in place.
     Requires the net profit condition E(N)(1-p)/p < 1.
     """
-    if int(k_max) != k_max or k_max < 0:
-        raise ValueError("k_max must be a nonnegative integer")
-    k_max = int(k_max)
+    k_max = _whole_number(k_max, "k_max")
     seq = _coeff_cache.get(spec, k_max, lambda: _table(spec))
     return replace(seq, cbar=seq.cbar[: k_max + 1])
 
@@ -187,9 +185,7 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     the masses past a k_hi >= x0 sum to at most floor / (1 - r(x0)), and the
     floor 1e-12 (1 - r(x0)) leaves out at most 1e-12 of NegBin mass.
     """
-    if int(u) != u or u < 0:
-        raise ValueError("u must be a nonnegative integer")
-    u = int(u)
+    u = _whole_number(u, "u")
     c0 = spec.claim_mean
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")

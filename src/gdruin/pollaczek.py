@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .distributions import DiscretePmf
+from .distributions import DiscretePmf, _whole_number
 
 __all__ = ["psi_pk"]
 
@@ -38,9 +38,7 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
     mu = claims.mean
     if not 0.0 < mu < 1.0:
         raise ValueError(f"series requires 0 < mean < 1, got {mu}")
-    if int(u) != u or u < 0:
-        raise ValueError("u must be a nonnegative integer")
-    u = int(u)
+    u = _whole_number(u, "u")
     if u == 0:
         return mu
     if claims.tail_mass > 0.0 and claims.support_max < u - 1:
@@ -52,9 +50,9 @@ def psi_pk(claims: DiscretePmf, u: int, tail_tol: float = 1e-10) -> float:
 
     # mu^(k_cut+1)/(1-mu) < tail_tol
     k_cut = max(1, math.ceil(math.log(tail_tol * (1.0 - mu)) / math.log(mu)))
-    # the ladder-height pmf P(Y > y) / mu on the window 0..u-1, zero-padded to width u
-    head = claims.survival[:u] / mu
-    step = np.pad(head, (0, u - head.size))
+    # the ladder-height pmf P(Y > y) / mu on the window 0..u-1; past a support with
+    # zero tail it is 0
+    step = claims.sf(np.arange(u)) / mu
     conv = step
     terms = []
     for k in range(1, k_cut + 1):

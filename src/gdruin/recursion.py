@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distributions import DiscretePmf
+from .distributions import DiscretePmf, _whole_number
 from .renewal import RenewalSolver, Weights
 
 __all__ = ["psi_recursion", "psi_geometric_closed", "convert_cb_to_gd"]
@@ -42,9 +42,7 @@ def psi_recursion(claims: DiscretePmf, u_max: int) -> np.ndarray:
     survival value the ladder form reads is stored rather than bounded by the
     declared tail.
     """
-    if int(u_max) != u_max or u_max < 0:
-        raise ValueError("u_max must be a nonnegative integer")
-    u_max = int(u_max)
+    u_max = _whole_number(u_max, "u_max")
     solver = _ladder(claims)
     if u_max >= 1 and claims.tail_mass > 0.0 and claims.support_max < u_max - 1:
         # with zero declared tail the stored survivals are exact at any depth
@@ -104,9 +102,7 @@ def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> float:
     u_max = psi.size - 1
     if u_max == 0:
         return 0.0
-    sf = np.full(u_max, claims.tail_mass)
-    head = min(u_max, claims.support_max)
-    sf[:head] = claims.survival[:head]
+    sf = claims.sf(np.arange(u_max))
     lead = claims.pmf[0] * psi[1:]
     defect = lead - psi[:-1] + sf
     scale = lead + psi[:-1] + sf

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DiscretePmf, _poisson_sum, equilibrium
+from .distributions import DiscretePmf, _poisson_sum, _whole_number, equilibrium
 from .recursion import _ladder, _psi
 
 __all__ = [
@@ -62,16 +62,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.replications) != self.replications or self.replications < 1:
-            raise ValueError("replications must be a positive integer")
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ValueError("horizon must be a positive integer")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        for name, least in (("replications", 1), ("horizon", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole_number(getattr(self, name), name, least))
         if not self.claims.mean < 1.0:
             raise ValueError("net profit condition requires mean < 1")
-        for name in ("replications", "horizon", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +84,10 @@ class SimResult:
     def _count(self, u: int) -> int:
         """Paths ruined from surplus u: a final running maximum of at least u
         for u >= 1, at least one record for u = 0."""
-        if int(u) != u or u < 0:
-            raise ValueError("u must be a nonnegative integer")
+        u = _whole_number(u, "u")
         if u == 0:
             return self.config.replications - int(self.k_hist[0])
-        return int(self.level_hist[int(u):].sum())
+        return int(self.level_hist[u:].sum())
 
     def psi_at(self, u: int) -> tuple[float, float]:
         """Estimate of psi(u) and its binomial standard error, floored at 1/r,

@@ -182,7 +182,7 @@ def reproduce_tables(
             })
         meta = {
             "table": name,
-            "mixing": f"{mix.kind}{mix.params}",
+            "mixing": repr(mix),
             "n": cfg.n,
             "m": cfg.m,
             "pmf_floor": cfg.pmf_floor,

@@ -308,6 +308,25 @@ def test_cli_flag_beats_config_value(tmp_path, capsys):
 # -- main(): failures --------------------------------------------------------------
 
 
+def test_every_mixing_spec_parses_to_one_of_four_families(tmp_path):
+    table = tmp_path / "mix.csv"
+    table.write_text("lambda,cdf\n0.1,0.2\n0.3,0.5\n0.77,1\n")
+    specs = {
+        "exp:1.5": MixingDistribution.exponential(1.5),
+        "exponential:1.5": MixingDistribution.exponential(1.5),
+        "erlang:2,3": MixingDistribution.erlang(2, 3.0),
+        "erlang_mixture:0.4,0.6;2.5": MixingDistribution.erlang_mixture((0.4, 0.6), 2.5),
+        "pareto:3,1": MixingDistribution.pareto(3.0, 1.0),
+        "lognormal:-1,1": MixingDistribution.lognormal(-1.0, 1.0),
+        "degenerate:0.8": MixingDistribution.degenerate(0.8),
+        f"cdf_file:{table}": MixingDistribution.from_cdf_table((0.1, 0.3, 0.77), (0.2, 0.5, 1.0)),
+    }
+    for text, mix in specs.items():
+        parsed = gdruin.cli._parse_mix(text)
+        assert parsed == mix
+        assert parsed.kind in ("erlang_mixture", "atoms", "pareto", "lognormal")
+
+
 def test_unknown_mixing_kind_exits_2(capsys):
     assert main(["exact", "--mix", "weibull:1,2"]) == 2
     assert "unknown mixing kind" in capsys.readouterr().err

@@ -10,6 +10,7 @@ package's own G10/K21 quadrature is checked against scipy.integrate.quad.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -23,11 +24,23 @@ from scipy import stats as sps
 from gdruin import (
     DiscretePmf,
     MixingDistribution,
+    MpApproxConfig,
     NbmSpec,
+    SimConfig,
+    cbar_sequence,
     geometric_pmf,
     mp_claims_pmf,
+    mp_coefficients,
     nbm_claims_pmf,
+    psi_mp_exact_reference,
+    psi_mp_method1,
+    psi_mp_method2,
+    psi_nbm,
+    psi_pk,
+    psi_recursion,
+    simulate_paths,
 )
+from gdruin.cli import JobSpec
 from gdruin.distributions import (
     _GK_GAUSS,
     _GK_KRONROD,
@@ -45,6 +58,7 @@ from gdruin.distributions import (
     _nbm_sf,
     _poisson_gamma_quad,
     _poisson_sf,
+    _whole_number,
     equilibrium,
 )
 
@@ -220,6 +234,20 @@ def test_other_mixing_laws_have_no_nbm_form(mix):
 # -- mixing laws -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "mix, general",
+    [
+        (MixingDistribution.exponential(2.0), MixingDistribution.erlang_mixture((1,), 2.0)),
+        (MixingDistribution.erlang(2, 3.0), MixingDistribution.erlang_mixture((0, 1), 3.0)),
+        (MixingDistribution.degenerate(0.6), MixingDistribution.from_cdf_table((0.6,), (1,))),
+    ],
+    ids=["exponential", "erlang", "degenerate"],
+)
+def test_special_laws_are_built_in_their_general_form(mix, general):
+    assert mix == general and hash(mix) == hash(general)
+    assert mix.kind in ("erlang_mixture", "atoms")
+
+
 def test_mixing_survival_against_scipy():
     xs = np.linspace(0.0, 8.0, 33)
     cases = [
@@ -230,7 +258,6 @@ def test_mixing_survival_against_scipy():
     ]
     for mix, frozen in cases:
         np.testing.assert_allclose(mix.sf(xs), frozen.sf(xs), rtol=1e-10, atol=1e-14)
-        np.testing.assert_allclose(mix.cdf(xs), frozen.cdf(xs), rtol=1e-10, atol=1e-14)
 
 
 def test_mixing_means():
@@ -409,6 +436,49 @@ def test_integral_x_max_of_any_type_equals_int_x_max(name):
         claims = _CLAIM_BUILDERS[name](x_max)
         np.testing.assert_array_equal(claims.pmf, ref.pmf)
         assert claims.tail_mass == ref.tail_mass
+
+
+def _sim_result():
+    return simulate_paths(SimConfig(geometric_pmf(0.75), 50, seed=1))
+
+
+_ERLANG = MixingDistribution.erlang(2, 3.0)
+_NBM = NbmSpec((0.5, 0.5), 0.7)
+# every entry point that takes a whole-number argument: (name in the message, call)
+_WHOLE_ARGS = {
+    "psi_pk": ("u", lambda x: psi_pk(geometric_pmf(0.75), x)),
+    "psi_nbm": ("u", lambda x: psi_nbm(_NBM, x)),
+    "psi_mp_method1": ("u", lambda x: psi_mp_method1(_ERLANG, x, MpApproxConfig(n=50))),
+    "psi_mp_method2": ("u", lambda x: psi_mp_method2(_ERLANG, x, MpApproxConfig(n=50, m=10))),
+    "SimResult.psi_at": ("u", lambda x: _sim_result().psi_at(x)),
+    "psi_recursion": ("u_max", lambda x: psi_recursion(geometric_pmf(0.75), x)),
+    "psi_mp_exact_reference": ("u_max", lambda x: psi_mp_exact_reference(_ERLANG, x)),
+    "JobSpec": ("--u-max", lambda x: JobSpec(method="exact", u_max=x)),
+    "cbar_sequence": ("k_max", lambda x: cbar_sequence(_NBM, x)),
+    "mp_coefficients": ("k_max", lambda x: mp_coefficients(_ERLANG, MpApproxConfig(n=50), x)),
+    "mp_claims_pmf": ("x_max", lambda x: mp_claims_pmf(_ERLANG, x_max=x)),
+    "erlang": ("shape", lambda x: MixingDistribution.erlang(x, 3.0)),
+    "MpApproxConfig.n": ("n", lambda x: MpApproxConfig(n=x)),
+    "MpApproxConfig.m": ("m", lambda x: MpApproxConfig(m=x)),
+    "SimConfig.replications": ("replications", lambda x: SimConfig(geometric_pmf(0.75), x)),
+    "SimConfig.horizon": ("horizon", lambda x: SimConfig(geometric_pmf(0.75), 10, horizon=x)),
+    "SimConfig.seed": ("seed", lambda x: SimConfig(geometric_pmf(0.75), 10, seed=x)),
+}
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan, 2.5, -1])
+@pytest.mark.parametrize("entry", list(_WHOLE_ARGS))
+def test_whole_number_arguments_reject_what_is_not_one(entry, x):
+    name, call = _WHOLE_ARGS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a (nonnegative|positive) integer$"):
+        call(x)
+
+
+def test_whole_number_returns_the_int():
+    assert [_whole_number(v, "k") for v in (0, 3.0, np.int64(7), np.float64(2.0))] == [0, 3, 7, 2]
+    assert type(_whole_number(np.float64(2.0), "k")) is int
+    with pytest.raises(ValueError, match="^k must be a positive integer$"):
+        _whole_number(0, "k", least=1)
 
 
 # -- special functions against 40-digit mpmath -----------------------------------

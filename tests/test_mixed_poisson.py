@@ -186,6 +186,12 @@ def test_heavy_tail_grid_reads_past_the_head():
         np.testing.assert_allclose(-np.diff(fbar), seq.renewal.lags(lo + 1, hi), rtol=1e-9)
 
 
+def test_equal_laws_share_one_table():
+    cfg = MpApproxConfig(n=50)
+    general = MixingDistribution.erlang_mixture((0, 1), 3.0)
+    assert mp_coefficients(ERLANG, cfg, 100) is mp_coefficients(general, cfg, 100)
+
+
 def test_mass_at_rate_zero_has_no_grid():
     with pytest.raises(ValueError):
         mp_coefficients(MixingDistribution.degenerate(0.0), MpApproxConfig(n=10), 0)
