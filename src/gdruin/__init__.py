@@ -9,7 +9,6 @@ independent Monte Carlo oracle for everything.
 
 from .distributions import (
     DiscretePmf,
-    GridBudgetError,
     MixingDistribution,
     NbmSpec,
     QuadratureError,
@@ -57,7 +56,6 @@ __all__ = [
     "NbmSpec",
     "MixingDistribution",
     "QuadratureError",
-    "GridBudgetError",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",

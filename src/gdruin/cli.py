@@ -33,10 +33,8 @@ from pathlib import Path
 
 from .distributions import (
     DiscretePmf,
-    GridBudgetError,
     MixingDistribution,
     NbmSpec,
-    QuadratureError,
     _whole_number,
     mp_claims_pmf,
     nbm_claims_pmf,
@@ -182,13 +180,11 @@ class _Model:
             return f"cb(p={self.job.p}, pmf={self.job.pmf_file})"
         return f"gd(pmf={self.job.pmf_file})"
 
-    def claims(self, deep: bool = False, x_max: int | None = None) -> DiscretePmf:
-        """Claim pmf for the recursion or PK window, or deep for simulation:
-        to the builder's tail tolerance, or through ``x_max``."""
+    def claims(self, x_max: int | None = None) -> DiscretePmf:
+        """Claim pmf on 0..``x_max`` (the E and PK window), or without
+        ``x_max`` to the builder's tail tolerance (the simulator's)."""
         if self._claims is not None:
             return self._claims
-        if not deep:
-            x_max = max(self.job.u_max, 1)
         return self._build(x_max=x_max)
 
 
@@ -201,9 +197,9 @@ def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
     The paths and the stop rule do not depend on u, so one pass serves
     every u through ``psi_at(u)``.  While the stop rule cannot
     certify itself within the stored claim support, the support doubles,
-    up to the claim builder's cap (GridBudgetError).
+    up to the claim builder's cap (a RuntimeError).
     """
-    claims = model.claims(deep=True)
+    claims = model.claims()
     while True:
         cfg = SimConfig(claims=claims, replications=job.reps, seed=job.seed)
         try:
@@ -211,7 +207,7 @@ def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
         except ValueError:
             if claims.tail_mass == 0.0:
                 raise
-            claims = model.claims(deep=True, x_max=2 * claims.support_max + 1)
+            claims = model.claims(x_max=2 * claims.support_max + 1)
             continue
         return [res.psi_at(u)[0] for u in us]
 
@@ -244,10 +240,10 @@ def run(job: JobSpec) -> ResultTable:
         t0 = time.perf_counter()
         col = _METHOD_COLUMN[method]
         if method == "exact":
-            vec = psi_recursion(model.claims(), job.u_max)
+            vec = psi_recursion(model.claims(max(job.u_max, 1)), job.u_max)
             values[col] = [float(v) for v in vec]
         elif method == "pk":
-            claims = model.claims()
+            claims = model.claims(max(job.u_max, 1))
             values[col] = [psi_pk(claims, u, tail_tol=1e-12) for u in us]
         elif method == "nbm":
             values[col] = [psi_nbm(model.nbm_spec, u) for u in us]
@@ -430,16 +426,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         table = run(JobSpec(**{f.name: getattr(args, f.name) for f in fields(JobSpec)}))
+        text = table.to_csv() if args.format == "csv" else table.to_json()
         out = _resolve_out(args.out)
         if out is None:
-            text = table.to_csv() if args.format == "csv" else table.to_json()
             sys.stdout.write(text)
         else:
             out.parent.mkdir(parents=True, exist_ok=True)
-            table.write(out, fmt=args.format)
+            out.write_text(text)
             print(f"wrote {out}", file=sys.stderr)
         return 0
-    except (QuadratureError, GridBudgetError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"gdruin: numeric budget: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

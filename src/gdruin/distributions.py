@@ -41,7 +41,6 @@ __all__ = [
     "MixingDistribution",
     "NbmSpec",
     "QuadratureError",
-    "GridBudgetError",
     "geometric_pmf",
     "nbm_claims_pmf",
     "mp_claims_pmf",
@@ -78,10 +77,6 @@ _MIN_SUPPORT = 64
 
 class QuadratureError(RuntimeError):
     """Adaptive integration could not certify the requested tolerance."""
-
-
-class GridBudgetError(RuntimeError):
-    """A claim-support vector exceeded its size cap before its tail was resolved."""
 
 
 def _read_pairs(path: str) -> list[tuple[float, float]]:
@@ -396,7 +391,7 @@ def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> Disc
             lo, x_max = (lo, mid) if sf(mid) < tail_tol else (mid, x_max)
     x_max = _whole_number(x_max, "x_max")
     if x_max > _SUPPORT_CAP:
-        raise GridBudgetError(f"claim support exceeds {_SUPPORT_CAP} points")
+        raise RuntimeError(f"claim support exceeds {_SUPPORT_CAP} points")
     return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)
 
 

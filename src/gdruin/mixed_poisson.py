@@ -23,16 +23,22 @@ points stops there, and its survival is evaluated only up to the doubling
 piece that reaches the stop; any other keeps those points and reads values
 past them on demand, with the tail sums past them in closed form
 (`MixingDistribution.grid_tail`), so no law is too heavy-tailed to grid.
+
+An `MpCoefficientSeq` holds three fields: ``cbar_n``, a view of the table
+whose first term is exactly E(Lambda), read as psi(0) by both methods;
+``grid_points``, the grid values the law stores; and ``renewal``, the
+solver, whose ``total`` is the grid sum sum_j Fbar(j/n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .distributions import DiscretePmf, MixingDistribution, _whole_number, mp_claims_pmf
+from .distributions import MixingDistribution, _whole_number, mp_claims_pmf
 from .nbm import _series_window
 from .recursion import psi_recursion
 from .renewal import RenewalSolver, TableCache, Weights
@@ -83,15 +89,14 @@ class MpCoefficientSeq:
     """Grid coefficients for one mixing law at one refinement.
 
     ``cbar_n[k]`` is Cbar_{k,n}, a read-only view of the law's renewal
-    table; ``grid_sum`` is the raw survival sum sum_j Fbar(j/n) over the
-    whole grid, and ``grid_points`` the number of grid values the law
-    stores: J for a grid that stops at J points, else 2^16.  The grid
-    equilibrium weights f_Ne(i) = Fbar((i-1)/n) / grid_sum and their tails
-    are ``renewal.lags`` and ``renewal.survival``.
+    table, and ``grid_points`` the number of grid values the law stores: J
+    for a grid that stops at J points, else 2^16.  The raw survival sum
+    sum_j Fbar(j/n) over the whole grid is ``renewal.total``; the grid
+    equilibrium weights f_Ne(i) = Fbar((i-1)/n) / renewal.total and their
+    tails are ``renewal.lags`` and ``renewal.survival``.
     """
 
     cbar_n: np.ndarray
-    grid_sum: float
     grid_points: int
     renewal: RenewalSolver = field(repr=False)
 
@@ -153,14 +158,7 @@ def _table(mix: MixingDistribution, n: int):
     else:
         raise ValueError("mixing law has no mass above 0")
     solver = RenewalSolver(elam, grid)
-    points = min(grid.size, _HEAD)
-
-    def wrap(cbar: np.ndarray) -> MpCoefficientSeq:
-        return MpCoefficientSeq(
-            cbar_n=cbar, grid_sum=solver.total, grid_points=points, renewal=solver
-        )
-
-    return solver, wrap
+    return solver, partial(MpCoefficientSeq, grid_points=min(grid.size, _HEAD), renewal=solver)
 
 
 def mp_coefficients(
@@ -183,11 +181,8 @@ def mp_coefficients(
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
     """Truncated coefficient series at surplus u."""
     u = _whole_number(u, "u")
-    elam = mix.mean
-    if not 0.0 < elam < 1.0:
-        raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
     if u == 0:
-        return elam
+        return float(mp_coefficients(mix, cfg, 0).cbar_n[0])
     pmf = _series_window(u, 1.0 / (1.0 + cfg.n), cfg.pmf_floor)
     if not pmf.size:
         raise ValueError(
@@ -235,11 +230,8 @@ def psi_mp_method2(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the series and its sample standard error."""
     u = _whole_number(u, "u")
-    elam = mix.mean
-    if not 0.0 < elam < 1.0:
-        raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
     if u == 0:
-        return elam, 0.0
+        return float(mp_coefficients(mix, cfg, 0).cbar_n[0]), 0.0
     z = _negbin_draws(u, cfg.n, cfg.m, cfg.seed, rng_stream=u)
     seq = mp_coefficients(mix, cfg, int(z.max()))
     vals = seq.cbar_n[z]

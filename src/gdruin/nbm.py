@@ -27,13 +27,17 @@ and sums it over the same window at its pmf floor.
 Coefficient tables are cached per spec and extended in place in quarter
 octaves, to at most 1.25 times the terms read, so repeated psi queries at
 different surpluses share one table; the cache keeps the tables of the 8
-most recently requested specs (`renewal.TableCache`).
+most recently requested specs (`renewal.TableCache`).  A `CoefficientSeq`
+holds two fields: ``cbar``, a view of the table whose first term is exactly
+Cbar_0 (so psi(0) is read from it, and the net profit condition is checked
+once, where a table is built), and ``renewal``, the solver that built it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -60,19 +64,13 @@ _PROBES = 16
 class CoefficientSeq:
     """Cbar coefficients of one mixture spec, with the solver that built them.
 
-    ``cbar`` is a read-only view of the spec's cached table.  The equilibrium
-    weights f_Ne(i) and their tails Fbar_Ne(k) are ``renewal.lags`` and
-    ``renewal.survival``.
+    ``cbar`` is a read-only view of the spec's cached table; ``cbar[0]`` is
+    Cbar_0 = E(N)(1-p)/p exactly.  The equilibrium weights f_Ne(i) and their
+    tails Fbar_Ne(k) are ``renewal.lags`` and ``renewal.survival``.
     """
 
-    source: NbmSpec
     cbar: np.ndarray
-    rho: float
     renewal: RenewalSolver = field(repr=False)
-
-    @property
-    def c0(self) -> float:
-        return float(self.cbar[0])
 
 
 def _table(spec: NbmSpec):
@@ -81,11 +79,7 @@ def _table(spec: NbmSpec):
     if not 0.0 < c0 < 1.0:
         raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
     solver = RenewalSolver(c0, Weights(spec.weight_survival()[:-1]))
-
-    def wrap(cbar: np.ndarray) -> CoefficientSeq:
-        return CoefficientSeq(source=spec, cbar=cbar, rho=1.0 - c0, renewal=solver)
-
-    return solver, wrap
+    return solver, partial(CoefficientSeq, renewal=solver)
 
 
 _coeff_cache = TableCache()
@@ -119,8 +113,7 @@ def nstar_sequence(pi_e: Sequence[float], rho: float, k_max: int) -> NStarSeq:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    k_max = _whole_number(k_max, "k_max")
     fn = np.zeros(k_max + 1)
     w = np.asarray(pi_e, dtype=float)
     m = min(k_max, w.size)
@@ -186,11 +179,8 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     floor 1e-12 (1 - r(x0)) leaves out at most 1e-12 of NegBin mass.
     """
     u = _whole_number(u, "u")
-    c0 = spec.claim_mean
-    if not 0.0 < c0 < 1.0:
-        raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
     if u == 0:
-        return c0
+        return float(cbar_sequence(spec, 0).cbar[0])
     q = 1.0 - spec.p
     mode, step = _series_step(u, q)
     x0 = mode + step

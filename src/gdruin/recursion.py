@@ -128,8 +128,7 @@ def psi_geometric_closed(p: float, u: int) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    if u < 0:
-        raise ValueError("u must be nonnegative")
+    u = _whole_number(u, "u")
     if p <= 0.5:
         return 1.0
     return ((1.0 - p) / p) ** (u + 1)

@@ -9,7 +9,8 @@ equilibrium law of the claims.  The simulator tracks all of that per path
 and exposes chi-square checks against those laws.
 
 One pass therefore serves every surplus level.  Each path's final running
-maximum (its level when the stop rule or the horizon ends it) goes into
+maximum (its level when the stop rule or the horizon ends it; the horizon
+is the constant ``SimConfig.horizon``, 100,000 steps) goes into
 ``SimResult.level_hist``.  Ruin at u >= 1 is a final level of at least u and
 ruin at u = 0 is at least one record, so ``SimResult.psi_at(u)`` reads the
 ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,15 +56,20 @@ _STOP_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Simulation request: claims and sampling plan; one run serves every surplus."""
+    """Simulation request: claims and sampling plan; one run serves every surplus.
+
+    Every path stops after at most ``horizon`` steps, a constant of the
+    simulator; a path still short of its stop rule there is censored.
+    """
+
+    horizon: ClassVar[int] = 100_000
 
     claims: DiscretePmf
     replications: int
-    horizon: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("replications", 1), ("horizon", 1), ("seed", 0)):
+        for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name, least))
         if not self.claims.mean < 1.0:
             raise ValueError("net profit condition requires mean < 1")
@@ -229,10 +236,9 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     )
 
 
-def simulate_single(
-    claims: DiscretePmf, u: int, rng: np.random.Generator, horizon: int = 100_000
-) -> PathStats:
-    """Scalar reference walk of one path; the vectorized engine mirrors this."""
+def simulate_single(claims: DiscretePmf, u: int, rng: np.random.Generator) -> PathStats:
+    """Scalar reference walk of one path, up to ``SimConfig.horizon`` steps; the
+    vectorized engine mirrors this."""
     b = _stop_bound(claims)
     cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
     z = 0
@@ -241,7 +247,7 @@ def simulate_single(
     tau = None
     severity = None
     stats = PathStats(ruined=False, tau=None, severity=None)
-    for t in range(1, horizon + 1):
+    for t in range(1, SimConfig.horizon + 1):
         y = int(np.searchsorted(cdf, rng.random(), side="right"))
         z += min(y, claims.support_max) - 1
         if z >= lvl:

@@ -1,8 +1,9 @@
 """Result tables and the three bundled benchmark configurations.
 
 :class:`ResultTable` is the serialization unit of the command line: an
-ordered set of per-surplus rows plus deterministic metadata, written as CSV
-(five decimal places, publication style) or JSON (full precision).
+ordered set of per-surplus rows plus deterministic metadata, rendered as CSV
+text (five decimal places, publication style) or JSON text (full
+precision).  The package writes these formats and reads neither back.
 
 ``reproduce_tables`` runs the three standard mixed Poisson configurations
 (Erlang(2,3), Pareto(3,1), Lognormal(-1,1) mixing; n = 500, m = 1000) and
@@ -39,17 +40,6 @@ class ResultTable:
     rows: list[dict]
     meta: dict = field(default_factory=dict)
 
-    def write(self, path: str | Path, fmt: str | None = None) -> Path:
-        path = Path(path)
-        fmt = fmt or ("json" if path.suffix == ".json" else "csv")
-        if fmt == "csv":
-            path.write_text(self.to_csv())
-        elif fmt == "json":
-            path.write_text(self.to_json())
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        return path
-
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:
@@ -72,28 +62,6 @@ class ResultTable:
             indent=2,
             sort_keys=False,
         ) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ResultTable":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        columns = lines[0].split(",")
-        rows = []
-        for ln in lines[1:]:
-            row: dict = {}
-            for col, cell in zip(columns, ln.split(",")):
-                if cell == "":
-                    row[col] = None
-                elif col == "u":
-                    row[col] = int(cell)
-                else:
-                    row[col] = float(cell)
-            rows.append(row)
-        return cls(columns=columns, rows=rows, meta={})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        obj = json.loads(text)
-        return cls(columns=obj["columns"], rows=obj["rows"], meta=obj["meta"])
 
 
 # -- benchmark configurations --------------------------------------------------
@@ -191,7 +159,7 @@ def reproduce_tables(
         }
         table = ResultTable(columns=list(_TABLE_COLUMNS), rows=rows, meta=meta)
         if out_dir is not None:
-            table.write(Path(out_dir) / f"table_{name}.csv", fmt="csv")
+            (Path(out_dir) / f"table_{name}.csv").write_text(table.to_csv())
         out[name] = table
     return out
 

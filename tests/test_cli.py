@@ -7,6 +7,8 @@ captured, so the assertions cover the exact bytes a shell user would see.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import time
@@ -26,14 +28,17 @@ from gdruin import (
     simulate_paths,
 )
 from gdruin.cli import JobSpec, _build_parser, main, run
-from gdruin.tables import (
-    REFERENCE_TABLES,
-    ResultTable,
-    max_abs_delta,
-    reproduce_tables,
-)
+from gdruin.tables import REFERENCE_TABLES, ResultTable, max_abs_delta, reproduce_tables
 
 ERLANG_ARGS = ["--mix", "erlang:2,3", "--u-max", "4"]
+
+
+def _csv_rows(text: str) -> list[dict]:
+    """The rows of CSV output, each cell a float or, when blank, None."""
+    return [
+        {col: float(cell) if cell else None for col, cell in row.items()}
+        for row in csv.DictReader(io.StringIO(text))
+    ]
 
 
 # -- run(): table assembly ---------------------------------------------------------
@@ -115,21 +120,6 @@ def test_relative_error_columns_use_the_reference():
 # -- serialization -----------------------------------------------------------------
 
 
-def test_csv_round_trip_is_byte_stable():
-    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=8))
-    text = table.to_csv()
-    again = ResultTable.from_csv(text).to_csv()
-    assert text == again
-
-
-def test_json_round_trip_preserves_everything():
-    table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=4))
-    obj = ResultTable.from_json(table.to_json())
-    assert obj.columns == table.columns
-    assert obj.meta == table.meta
-    assert obj.rows == table.rows
-
-
 def test_csv_cells_have_five_decimals():
     table = run(JobSpec(method="exact", mix="erlang:2,3", u_max=2))
     for line in table.to_csv().splitlines()[1:]:
@@ -145,10 +135,10 @@ def test_main_writes_csv_to_stdout(capsys):
     rc = main(["exact", *ERLANG_ARGS])
     assert rc == 0
     out = capsys.readouterr().out
-    parsed = ResultTable.from_csv(out)
-    assert parsed.columns == ["u", "E"]
-    assert len(parsed.rows) == 5
-    assert parsed.rows[0]["E"] == pytest.approx(2 / 3, abs=5e-6)
+    assert out.splitlines()[0] == "u,E"
+    rows = _csv_rows(out)
+    assert len(rows) == 5
+    assert rows[0]["E"] == pytest.approx(2 / 3, abs=5e-6)
 
 
 def test_main_json_format(capsys):
@@ -165,8 +155,7 @@ def test_main_writes_file_and_env_redirect(tmp_path, monkeypatch, capsys):
     assert rc == 0
     target = tmp_path / "sub" / "result.csv"
     assert target.exists()
-    parsed = ResultTable.from_csv(target.read_text())
-    assert len(parsed.rows) == 5
+    assert len(_csv_rows(target.read_text())) == 5
     capsys.readouterr()
 
 
@@ -175,9 +164,9 @@ def test_main_simulate_verb(capsys):
         ["simulate", "--mix", "erlang:2,3", "--u-max", "2", "--reps", "2000", "--seed", "9"]
     )
     assert rc == 0
-    parsed = ResultTable.from_csv(capsys.readouterr().out)
-    assert parsed.columns == ["u", "SIM"]
-    assert 0.0 <= parsed.rows[2]["SIM"] <= 1.0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "u,SIM"
+    assert 0.0 <= _csv_rows(out)[2]["SIM"] <= 1.0
 
 
 @pytest.fixture
@@ -276,8 +265,8 @@ def test_main_pmf_file_model(tmp_path, capsys):
     f.write_text("value,probability\n# claims\n0,0.5\n\n1,0.2\n2,0.2\n2,0.1\n")
     rc = main(["exact", "--pmf-file", str(f), "--u-max", "3"])
     assert rc == 0
-    parsed = ResultTable.from_csv(capsys.readouterr().out)
-    assert parsed.rows[0]["E"] == pytest.approx(0.8, abs=1e-9)  # mean of the pmf
+    rows = _csv_rows(capsys.readouterr().out)
+    assert rows[0]["E"] == pytest.approx(0.8, abs=1e-9)  # mean of the pmf
 
 
 def test_cdf_file_mixing_skips_header_comment_and_blank_rows(tmp_path, capsys):
@@ -294,7 +283,7 @@ def test_config_file_fills_unset_arguments(tmp_path, capsys):
     cfg.write_text("# comment\nmix = erlang:2,3\nu-max = 2\n")
     rc = main(["exact", "--config", str(cfg)])
     assert rc == 0
-    assert len(ResultTable.from_csv(capsys.readouterr().out).rows) == 3
+    assert len(_csv_rows(capsys.readouterr().out)) == 3
 
 
 def test_cli_flag_beats_config_value(tmp_path, capsys):
@@ -302,7 +291,7 @@ def test_cli_flag_beats_config_value(tmp_path, capsys):
     cfg.write_text("mix = erlang:2,3\nu_max = 9\n")
     rc = main(["exact", "--config", str(cfg), "--u-max", "1"])
     assert rc == 0
-    assert len(ResultTable.from_csv(capsys.readouterr().out).rows) == 2
+    assert len(_csv_rows(capsys.readouterr().out)) == 2
 
 
 # -- main(): failures --------------------------------------------------------------
@@ -389,10 +378,10 @@ def test_nbm_on_non_erlang_mixing_exits_2(capsys):
 def test_heavy_tail_mixing_runs(capsys):
     # no mixing law is too heavy-tailed for the grid, however slowly it decays
     assert main(["mp1", "--mix", "pareto:2.1,1", "--u-max", "2"]) == 0
-    table = ResultTable.from_csv(capsys.readouterr().out)
-    assert [row["u"] for row in table.rows] == [0, 1, 2]
-    assert table.rows[0]["N1"] == pytest.approx(1.0 / 1.1, abs=5e-6)
-    assert table.rows[0]["N1"] > table.rows[1]["N1"] > table.rows[2]["N1"] > 0.0
+    rows = _csv_rows(capsys.readouterr().out)
+    assert [row["u"] for row in rows] == [0, 1, 2]
+    assert rows[0]["N1"] == pytest.approx(1.0 / 1.1, abs=5e-6)
+    assert rows[0]["N1"] > rows[1]["N1"] > rows[2]["N1"] > 0.0
 
 
 def test_pareto_all_job_exits_3_at_the_support_cap(capsys):
@@ -479,9 +468,9 @@ def test_reproduced_columns_hit_published_digits(produced_tables, name):
     assert max_abs_delta(tables[name], "E") < 5e-5
     assert max_abs_delta(tables[name], "N1") < 5e-4
     # the file on disk carries the same reference digits we validated against
-    written = ResultTable.from_csv((out / f"table_{name}.csv").read_text())
+    written = _csv_rows((out / f"table_{name}.csv").read_text())
     refs = REFERENCE_TABLES[name]
-    for row in written.rows:
+    for row in written:
         u = int(row["u"])
         assert row["E_ref"] == pytest.approx(refs["E"][u], abs=1e-9)
         assert row["N1_ref"] == pytest.approx(refs["N1"][u], abs=1e-9)

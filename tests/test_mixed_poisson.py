@@ -82,7 +82,7 @@ def test_grid_sum_has_riemann_bounds(mix):
     n = 50
     seq = mp_coefficients(mix, MpApproxConfig(n=n), 10)
     lo = n * mix.mean
-    assert lo - 1e-6 <= seq.grid_sum <= lo + 1.0
+    assert lo - 1e-6 <= seq.renewal.total <= lo + 1.0
 
 
 def _direct_tail(mix: MixingDistribution, n: int, a: int, b: int) -> float:
@@ -127,7 +127,7 @@ def test_grid_tail_of_an_atomic_law_is_the_finite_sum(mix):
         assert mix.grid_tail(a, n) == math.fsum(sf[a:].tolist())
     seq = mp_coefficients(mix, MpApproxConfig(n=n), 0)
     assert seq.grid_points == 1 << 16
-    assert seq.grid_sum == math.fsum(sf.tolist())
+    assert seq.renewal.total == math.fsum(sf.tolist())
 
 
 def test_heavy_tail_n1_error_halves_per_doubling():
@@ -148,7 +148,7 @@ def test_heavy_tail_grid_certifies_truncation():
     # whole grid: two million points summed directly, plus their remainder
     seq = mp_coefficients(PARETO, MpApproxConfig(n=500), 10)
     assert seq.grid_points == 1 << 16
-    assert seq.grid_sum == pytest.approx(
+    assert seq.renewal.total == pytest.approx(
         _direct_tail(PARETO, 500, 0, 2_000_000), rel=1e-15, abs=0.0
     )
 
@@ -161,9 +161,9 @@ def test_grid_matches_mixing_survival():
     sf = np.asarray(mix.sf(np.arange(size + 1, dtype=float) / cfg.n))
     # the grid stops at the first survival value below 1e-16
     assert sf[-1] < 1e-16 <= sf[-2]
-    assert seq.grid_sum == pytest.approx(math.fsum(sf[:-1].tolist()), rel=1e-14)
+    assert seq.renewal.total == pytest.approx(math.fsum(sf[:-1].tolist()), rel=1e-14)
     f_ne = seq.renewal.lags(0, size + 3)
-    np.testing.assert_allclose(f_ne[1 : size + 1] * seq.grid_sum, sf[:-1], rtol=1e-14)
+    np.testing.assert_allclose(f_ne[1 : size + 1] * seq.renewal.total, sf[:-1], rtol=1e-14)
     assert f_ne[0] == f_ne[-2] == f_ne[-1] == 0.0
     assert seq.renewal.survival(size, size + 2).tolist() == [0.0, 0.0]
 
@@ -175,7 +175,7 @@ def test_heavy_tail_grid_reads_past_the_head():
     seq = mp_coefficients(HEAVY, MpApproxConfig(n=n), 0)
     assert seq.grid_points == 1 << 16
     total = _direct_tail(HEAVY, n, 0, 1 << 21)
-    assert seq.grid_sum == pytest.approx(total, rel=1e-15, abs=0.0)
+    assert seq.renewal.total == pytest.approx(total, rel=1e-15, abs=0.0)
     for lo, hi in [(5, 700), (65_000, 66_000), (300_100, 300_400), (1_999_000, 2_000_002)]:
         js = np.arange(lo - 1, hi - 1, dtype=float)
         np.testing.assert_allclose(seq.renewal.lags(lo, hi), HEAVY.sf(js / n) / total, rtol=2e-15)
@@ -198,7 +198,7 @@ def test_mass_at_rate_zero_has_no_grid():
     # a point mass away from zero is fine: the grid is 1 up to the atom
     seq = mp_coefficients(MixingDistribution.degenerate(0.5), MpApproxConfig(n=10), 0)
     assert seq.grid_points == 5
-    assert seq.grid_sum == 5.0
+    assert seq.renewal.total == 5.0
     np.testing.assert_array_equal(seq.renewal.lags(1, 7), [0.2] * 5 + [0.0])
 
 
@@ -219,7 +219,7 @@ def test_streamed_grid_matches_the_stored_grid(monkeypatch):
     head = 1 << 16
     assert seq.grid_points == head
     js = np.arange(2 * top, dtype=float)
-    stored = PARETO.sf(js / cfg.n) / seq.grid_sum
+    stored = PARETO.sf(js / cfg.n) / seq.renewal.total
     for lo, hi in [(5, 700), (head - 300, head + 300), (100_000, 2 * top)]:
         lags = seq.renewal.lags(lo, hi)
         np.testing.assert_array_equal(lags, grown[-1].renewal.lags(lo, hi))

@@ -35,34 +35,34 @@ SPECS = [
 SPEC_IDS = ["geo", "two", "three", "four"]
 
 
-def _f_ne(seq) -> np.ndarray:
-    """The equilibrium weights f_Ne(1..K) the solver read."""
-    return seq.renewal.lags(1, len(seq.source.weights) + 1)
+def _f_ne(seq, spec) -> np.ndarray:
+    """The equilibrium weights f_Ne(1..K) the solver read for ``spec``."""
+    return seq.renewal.lags(1, len(spec.weights) + 1)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cbar_equals_scaled_compound_survival(spec):
     k_max = 400
     seq = cbar_sequence(spec, k_max)
-    ns = nstar_sequence(_f_ne(seq), seq.rho, k_max)
+    ns = nstar_sequence(_f_ne(seq, spec), 1 - spec.claim_mean, k_max)
     np.testing.assert_allclose(
-        seq.cbar, seq.c0 * ns.fbar_nstar, rtol=1e-12, atol=1e-15
+        seq.cbar, seq.cbar[0] * ns.fbar_nstar, rtol=1e-12, atol=1e-15
     )
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cbar_invariants(spec):
     seq = cbar_sequence(spec, 300)
-    assert seq.c0 == pytest.approx(spec.claim_mean, rel=1e-15)
+    assert seq.cbar[0] == pytest.approx(spec.claim_mean, rel=1e-15)
     assert np.all(seq.cbar >= 0.0)
     assert np.all(np.diff(seq.cbar) <= 1e-15)
-    assert seq.cbar[-1] < seq.c0
+    assert seq.cbar[-1] < seq.cbar[0]
 
 
 def test_nstar_is_a_probability_law():
     spec = NbmSpec((0.5, 0.5), 0.7)
     seq = cbar_sequence(spec, 600)
-    ns = nstar_sequence(_f_ne(seq), seq.rho, 600)
+    ns = nstar_sequence(_f_ne(seq, spec), 1 - spec.claim_mean, 600)
     assert ns.f_nstar[0] == 0.0
     assert ns.fbar_nstar[0] == 1.0
     total = math.fsum(ns.f_nstar.tolist())
@@ -76,13 +76,13 @@ def test_nstar_is_a_probability_law():
 def test_zero_mass_closed_form_against_convolution(spec):
     """P(S = 0) closed form vs an explicit generating-function sum."""
     seq = cbar_sequence(spec, 800)
-    ns = nstar_sequence(_f_ne(seq), seq.rho, 800)
+    ns = nstar_sequence(_f_ne(seq, spec), 1 - spec.claim_mean, 800)
     assert ns.fbar_nstar[-1] < 1e-14  # truncation safe for the sum below
     p = spec.p
     direct = math.fsum(
         f * p**k for k, f in enumerate(ns.f_nstar.tolist())
     )
-    closed = compound_geo_zero_mass(_f_ne(seq), p, seq.rho)
+    closed = compound_geo_zero_mass(_f_ne(seq, spec), p, 1 - spec.claim_mean)
     assert closed == pytest.approx(direct, rel=1e-12)
 
 

@@ -4,9 +4,10 @@ exactly what its library modules export.
 A stale string in an ``__all__`` list breaks only ``from gdruin import *``
 at run time; these tests make it fail the suite instead.  The same holds
 for the functions the benchmark's tracer times: a deleted one fails here
-with its name.  A fresh process
-that runs the CLI loads numpy and no part of scipy: every run of ``gdruin``
-pays for its imports.
+with its name.  Every name a module imports is used there or re-exported, so
+a deletion cannot leave its imports behind.  A fresh process that runs the
+CLI loads numpy and no part of scipy: every run of ``gdruin`` pays for its
+imports.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 import gdruin
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(gdruin.__path__))
+SOURCES = sorted(Path(gdruin.__file__).parent.glob("*.py"))
 
 
 def test_package_exports_resolve():
@@ -34,6 +36,21 @@ def test_package_exports_resolve():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"gdruin.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_module_imports_are_used(path):
+    """Each name an import binds is read in the module or listed in its ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    module = gdruin if path.stem == "__init__" else importlib.import_module(f"gdruin.{path.stem}")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(module.__all__)) == []
 
 
 def _traced_targets() -> list[tuple[str, str]]:

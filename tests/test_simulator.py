@@ -70,15 +70,16 @@ def test_one_pass_brackets_the_recursion_at_every_u():
 @pytest.mark.parametrize(
     "claims", [GEO_CLAIMS, MP_CLAIMS, NBM_CLAIMS], ids=["geo", "mp", "nbm"]
 )
-def test_one_pass_equals_a_run_per_u(claims, horizon):
+def test_one_pass_equals_a_run_per_u(claims, horizon, monkeypatch):
     # 5000 replications span two chunks; at horizon 64 many paths are censored.  A run
     # takes no surplus, so a run meant for any one u is a rerun of the same pass.
-    cfg = SimConfig(claims=claims, replications=5000, horizon=horizon, seed=5)
+    monkeypatch.setattr(SimConfig, "horizon", horizon)
+    cfg = SimConfig(claims=claims, replications=5000, seed=5)
     res = simulate_paths(cfg)
     if horizon == 64:
         assert res.censored > 0
     assert res.level_hist.sum() == cfg.replications
-    rerun = simulate_paths(SimConfig(claims=claims, replications=5000, horizon=horizon, seed=5))
+    rerun = simulate_paths(SimConfig(claims=claims, replications=5000, seed=5))
     readings = [res.psi_at(u) for u in range(41)]
     assert readings == [rerun.psi_at(u) for u in range(41)]
     # one ruin count per u, nonincreasing in u, read as a binomial estimate
@@ -192,10 +193,9 @@ def test_single_paths_agree_with_vector_engine_in_law():
 # -- censoring ---------------------------------------------------------------------
 
 
-def test_short_horizon_censors_unfinished_paths():
-    res = simulate_paths(
-        SimConfig(claims=GEO_CLAIMS, replications=500, horizon=64, seed=2)
-    )
+def test_short_horizon_censors_unfinished_paths(monkeypatch):
+    monkeypatch.setattr(SimConfig, "horizon", 64)
+    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=500, seed=2))
     assert res.censored > 0
     assert res.psi_at(30)[0] == 0.0  # psi(30) ~ 4e-6; nothing ruins in 64 steps here
 
