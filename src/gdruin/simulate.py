@@ -25,6 +25,27 @@ support to certify that bound; build it with a small tail tolerance.
 Replications are processed in fixed chunks, each with its own counter-based
 generator stream derived from (seed, chunk index), so results are
 reproducible and independent of chunk scheduling.
+
+A chunk of up to 4,096 paths advances in windows of 64 steps, in four
+buffers allocated once per call: the window's uniforms, their bucket
+indices, and two int32 arrays of 65 columns.
+
+- Claims are drawn through a table of 2^16 buckets, built once per call.
+  Bucket b holds the claim that every u in [b, b + 1) / 2^16 draws, or -1
+  when a cdf value lies strictly inside it.  u * 2^16 is exact, so a
+  table read gives clip(searchsorted(cdf, u, "right"), 0, support_max),
+  and only the draws in a -1 bucket are searched: O(1) expected per step
+  instead of O(log S).
+- The walk is stored as offsets from L, the running maximum at the
+  window's start: R_0 = 0 and R_j = Z_j - L, with M its running maximum.
+  Step j is a record iff R_j == M_j, with increment M_j - M_{j-1}; the
+  window ends at level L + M_64 and position L + R_64.  A live path starts
+  a window less than the stop bound below L, so the offsets fit in int32
+  unless stop_bound + 64 (support_max + 1) does not (a support past 2^25),
+  where the walk runs in int64.
+- Records are a small fraction of the steps, so they are read sparsely:
+  one ``flatnonzero`` of R == M, and bincounts over its rows give each
+  path's record count and severity sum and the two severity histograms.
 """
 
 from __future__ import annotations
@@ -51,6 +72,7 @@ __all__ = [
 
 _CHUNK = 4096
 _WINDOW = 64
+_BUCKETS = 1 << 16  # claim table buckets; u * 2^16 is exact
 _STOP_TOL = 1e-9
 
 
@@ -154,11 +176,60 @@ def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return hist
 
 
+def _claim_table(cdf: np.ndarray, support_max: int, dtype) -> np.ndarray:
+    """Claim drawn by every u in bucket b, [b, b + 1) / 2^16, or -1 where a
+    cdf value lies strictly inside the bucket and the claim depends on u."""
+    scaled = cdf * _BUCKETS  # exact, so a cdf value's bucket is its integer part
+    # searchsorted(cdf, b / 2^16, "right"): the cdf values at or below the left edge
+    at_edge = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS + 1)
+    table = np.minimum(np.cumsum(at_edge[:_BUCKETS]), support_max).astype(dtype)
+    table[np.floor(scaled[scaled % 1.0 > 0.0]).astype(np.intp)] = -1
+    return table
+
+
+def _draw_claims(
+    table: np.ndarray, cdf: np.ndarray, support_max: int,
+    u: np.ndarray, index: np.ndarray, out: np.ndarray,
+) -> None:
+    """Write clip(searchsorted(cdf, u, "right"), 0, support_max) to ``out``.
+
+    u * 2^16 is exact, so its integer part is u's bucket; only draws in a
+    bucket that holds a cdf value (-1 in the table) are searched.  ``index``
+    is scratch of u's shape and dtype intp.
+    """
+    np.multiply(u, _BUCKETS, out=index, casting="unsafe")
+    np.take(table, index, out=out, mode="clip")
+    split = np.flatnonzero(out < 0)
+    if split.size:
+        drawn = np.searchsorted(cdf, np.take(u, split), side="right")
+        np.put(out, split, np.minimum(drawn, support_max))
+
+
+def _walk_dtype(stop_bound: int, support_max: int):
+    """int32 when a window's offsets from the running maximum fit in it.
+
+    A live path starts a window less than ``stop_bound`` below its running
+    maximum and moves by -1 to support_max - 1 per step, so every offset
+    and increment is within stop_bound + 64 (support_max + 1) of zero.
+    """
+    bound = stop_bound + _WINDOW * (support_max + 1)
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def simulate_paths(cfg: SimConfig) -> SimResult:
     """Run all replications and aggregate ruin, record, and severity data."""
     claims = cfg.claims
     b = _stop_bound(claims)
     cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
+    dtype = _walk_dtype(b, claims.support_max)
+    table = _claim_table(cdf, claims.support_max, dtype)
+
+    # per-window buffers, reused by every window of every chunk
+    rows = min(_CHUNK, cfg.replications)
+    unif_buf = np.empty((rows, _WINDOW))
+    index_buf = np.empty((rows, _WINDOW), dtype=np.intp)
+    off_buf = np.empty((rows, _WINDOW + 1), dtype=dtype)  # Z - L, column 0 = 0
+    top_buf = np.empty((rows, _WINDOW + 1), dtype=dtype)  # running max of Z - L
 
     censored = 0
     mismatches = 0
@@ -178,39 +249,40 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
         chunk_index += 1
 
         z = np.zeros(size, dtype=np.int64)  # current Z(t)
-        lvl = np.zeros(size, dtype=np.int64)  # running max of Z, = sum of severities
+        lvl = np.zeros(size, dtype=np.int64)  # running max L of Z, = sum of severities
         k = np.zeros(size, dtype=np.int64)  # records so far
         sev_sum = np.zeros(size, dtype=np.int64)
         steps = 0
 
         while z.size:
-            unif = rng.random((z.size, _WINDOW))
-            y = np.searchsorted(cdf, unif, side="right")
-            np.clip(y, 0, claims.support_max, out=y)
-            zp = z[:, None] + np.cumsum(y - 1, axis=1, dtype=np.int64)
-            zmax = np.maximum.accumulate(zp, axis=1)
+            n = z.size
+            unif, off, top = unif_buf[:n], off_buf[:n], top_buf[:n]
+            rng.random(out=unif)
+            # the claims go to top's memory, which is free until the running max
+            draws = top.reshape(-1)[: n * _WINDOW].reshape(n, _WINDOW)
+            _draw_claims(table, cdf, claims.support_max, unif, index_buf[:n], draws)
+            np.subtract(draws, 1, out=off[:, 1:])
+            off[:, 0] = z - lvl
+            np.cumsum(off, axis=1, out=off)
+            off[:, 0] = 0
+            np.maximum.accumulate(off, axis=1, out=top)
 
-            # running max just before each step: records are steps that reach it
-            prev = np.empty_like(zp)
-            prev[:, 0] = lvl
-            np.maximum(lvl[:, None], zmax[:, :-1], out=prev[:, 1:])
-            rec = zp >= prev
-            inc = np.where(rec, zp - prev, 0)
+            # a step is a record iff it reaches the running max, its increment
+            # is how far it lifts it; records are rare, so read them sparsely
+            path, step = np.divmod(np.flatnonzero(off[:, 1:] == top[:, 1:]), _WINDOW)
+            inc = top[path, step + 1] - top[path, step]
+            sev_hist = _grow_add(sev_hist, np.bincount(inc))
+            # path is sorted, so a path's first record here is where path changes;
+            # it is the path's first record of all while k is still 0
+            first = np.flatnonzero(np.diff(path, prepend=-1))
+            first = first[k[path[first]] == 0]
+            first_hist = _grow_add(first_hist, np.bincount(inc[first]))
+            k += np.bincount(path, minlength=n)
+            # float sums of whole numbers below 2^53 are exact
+            sev_sum += np.bincount(path, weights=inc, minlength=n).astype(np.int64)
 
-            new_first = rec.any(axis=1) & (k == 0)
-            if new_first.any():
-                j0 = np.argmax(rec[new_first], axis=1)
-                first_vals = inc[new_first, j0]
-                first_hist = _grow_add(first_hist, np.bincount(first_vals))
-
-            all_sev = inc[rec]
-            if all_sev.size:
-                sev_hist = _grow_add(sev_hist, np.bincount(all_sev))
-            k += rec.sum(axis=1)
-            sev_sum += inc.sum(axis=1)
-
-            z = zp[:, -1]
-            np.maximum(lvl, zmax[:, -1], out=lvl)
+            z = lvl + off[:, -1]
+            lvl += top[:, -1]
             steps += _WINDOW
 
             done = (lvl - z) >= b

@@ -8,8 +8,13 @@ suite runs at larger sizes.
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gdruin import (
@@ -26,7 +31,8 @@ from gdruin import (
     simulate_paths,
     simulate_single,
 )
-from gdruin.simulate import _chi2_sf
+from gdruin import simulate
+from gdruin.simulate import _BUCKETS, _chi2_sf, _claim_table, _draw_claims, _walk_dtype
 
 GEO_CLAIMS = geometric_pmf(0.6, tail_tol=1e-30)
 MP_CLAIMS = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-24)
@@ -37,14 +43,18 @@ REPS = 60_000
 # -- estimates against exact values ----------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def geo_reps_run():
+    return simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=REPS, seed=0))
+
+
 @pytest.mark.parametrize("u", [0, 2, 6])
-def test_estimate_brackets_geometric_closed_form(u):
-    res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=REPS, seed=0))
+def test_estimate_brackets_geometric_closed_form(geo_reps_run, u):
     ref = psi_geometric_closed(0.6, u)
-    psi_hat, psi_se = res.psi_at(u)
+    psi_hat, psi_se = geo_reps_run.psi_at(u)
     assert abs(psi_hat - ref) < 4.0 * psi_se
-    assert res.identity_mismatches == 0
-    assert res.censored == 0
+    assert geo_reps_run.identity_mismatches == 0
+    assert geo_reps_run.censored == 0
 
 
 def test_estimate_brackets_mixed_poisson_reference():
@@ -116,6 +126,120 @@ def test_truncated_claims_are_rejected_for_stopping():
 def test_net_profit_is_required():
     with pytest.raises(ValueError):
         SimConfig(claims=geometric_pmf(0.4), replications=10, seed=0)
+
+
+# -- the window engine: bucketed draws, offsets, pinned output ----------------------
+
+_EDGES = np.arange(_BUCKETS) / _BUCKETS
+# 0, every bucket edge, one ulp below each, and the largest uniform below 1
+_EDGE_UNIFORMS = np.r_[_EDGES, np.nextafter(_EDGES[1:], 0.0), 1.0 - 2.0**-53]
+# the tail of the builder's default vector crowds into the top bucket
+_LOGNORMAL_CDF = np.minimum(
+    np.cumsum(mp_claims_pmf(MixingDistribution.lognormal(-1.0, 1.0)).pmf), 1.0
+)
+
+
+@given(
+    cdf=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.integers(0, _BUCKETS).map(lambda k: k / _BUCKETS)),
+        min_size=1, max_size=40,
+    ).map(sorted).map(np.array),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50).map(np.array),
+)
+@example(cdf=np.array([1.0, 2.0, 3.0, 32768.0, 65535.0, 65536.0]) / _BUCKETS, u=np.array([]))
+@example(cdf=np.minimum(np.cumsum([0.2, 0.0, 0.0, 0.3, 0.0, 0.5]), 1.0), u=np.array([]))
+@example(cdf=np.array([0.0, 0.0, 0.25, 0.5, 0.5]), u=np.array([]))  # a declared tail
+@example(cdf=np.array([0.3, 0.6, 1.0, 1.0]), u=np.array([]))
+@example(cdf=_LOGNORMAL_CDF, u=np.array([]))
+@settings(max_examples=100, deadline=None)
+def test_bucket_lookup_equals_a_search(cdf, u):
+    # the draw the walk makes, at the drawn uniforms, every edge, and every
+    # cdf value with its neighbours below and above
+    u = np.r_[u, _EDGE_UNIFORMS, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)]
+    u = u[u < 1.0]
+    support_max = cdf.size - 1
+    out = np.empty(u.size, dtype=np.int32)
+    table = _claim_table(cdf, support_max, np.int32)
+    _draw_claims(table, cdf, support_max, u, np.empty(u.size, dtype=np.intp), out)
+    np.testing.assert_array_equal(
+        out, np.clip(np.searchsorted(cdf, u, side="right"), 0, support_max)
+    )
+
+
+@pytest.mark.parametrize(
+    "stop_bound, support_max, dtype",
+    [
+        (40, 75, np.int32),
+        (63, (1 << 25) - 2, np.int32),  # stop_bound + 64 (support_max + 1) = 2^31 - 1
+        (64, (1 << 25) - 2, np.int64),  # 2^31
+        (0, 1 << 25, np.int64),  # a support past 2^25 needs int64 at any stop bound
+    ],
+)
+def test_walk_dtype_holds_every_offset(stop_bound, support_max, dtype):
+    assert _walk_dtype(stop_bound, support_max) is dtype
+
+
+def _digest(res) -> str:
+    h = hashlib.sha256()
+    for hist in (res.k_hist, res.level_hist, res.record_severity_hist,
+                 res.first_record_severity_hist):
+        assert hist.dtype == np.int64
+        h.update(f"{hist.size}:".encode())
+        h.update(hist.astype("<i8").tobytes())
+    h.update(f"{res.censored}:{res.stop_bound}".encode())
+    return h.hexdigest()
+
+
+# seed 5, recorded from the engine that searched the cdf at every step
+_PINNED = {
+    ("geo", 1, 100_000): "5348a6d4541e85a60e4c7b0ae9ac3503c0b4916eeb8efbb16a43ce5473b83ae1",
+    ("geo", 4097, 100_000): "1620399aa7ec4fe9cf64835845b0351104a553e006cbf5c224e7737f3f2532fc",
+    ("geo", 20_000, 100_000): "4e2fe15966d5fb2cabf6106239f5742c7c3b1d1bd3d20ee15072073ebb5f589d",
+    ("mp", 1, 100_000): "310ee4e21ec63558e2ea136b7254450473fb6a4d6936ed595f3ab8e215232cb1",
+    ("mp", 4097, 100_000): "87c876b05fb9c8a0c3abb4183def50ad3252866ce4c9d12a5afff92bab1fba8b",
+    ("mp", 20_000, 100_000): "e6c152064ed6fa7f8b25f2f51f8728e3929a73805442bed7bdccd32fa29ebad4",
+    ("nbm", 1, 100_000): "eef5a52196baae397bdc3c9f0c394c9d06c1bcbed296c25a8c311b9b59df2f01",
+    ("nbm", 4097, 100_000): "3238f1d7da3bf05b778495a0e30038033a6d2cf10e5faadb0b4d55c9dd933a41",
+    ("nbm", 20_000, 100_000): "20bd447109b5696f1f3af1065399b40a7d951575bbcc7021f0bd5338b3ec6ec0",
+    ("geo", 1, 64): "6c6ffda3a9175c19cc9ebd44d2859bfa93db4952e882e3a4c4de6f8740b0b1ea",
+    ("geo", 4097, 64): "a6d6aedd07efdcfe7ef9070f2955e0ab9c33ea11046b6e502d48e9d84f2243d5",
+    ("geo", 20_000, 64): "ee2cd2113159d9eafe60a8ee3bf0df56cc9e9ec097c50ac819ab9ab0f5ef2f1d",
+    ("mp", 1, 64): "a1f6eb2adfa4b4a427a9a72f181bd31fbf73beea92a4fe7004499da99fc6c4c3",
+    ("mp", 4097, 64): "ab0ba0ee38fbc8d6c7f52232a182a79bb825eac4c135c5d4119bd333d7f3f09a",
+    ("mp", 20_000, 64): "742e37baca59dd16f43b091ec11288dcf57ed98ef7a690f59795a763a2e36bba",
+    ("nbm", 1, 64): "7dd2ea5f551b11911ccd6c3a8a0aa45bb7f2efa468800095030b9a1b6b64b00d",
+    ("nbm", 4097, 64): "119c9ffdde2e05077099c2a272014d9e947f0ed1deecdde7df3ea51f7c5fa81a",
+    ("nbm", 20_000, 64): "79136488fe86ae570e3e567dd4beb6221b2753e5f30851a34ac488e1b918dcea",
+}
+_NAMED = {"geo": GEO_CLAIMS, "mp": MP_CLAIMS, "nbm": NBM_CLAIMS}
+
+
+@pytest.mark.parametrize("name, reps, horizon", sorted(_PINNED))
+def test_seeded_output_is_pinned(name, reps, horizon, monkeypatch):
+    monkeypatch.setattr(SimConfig, "horizon", horizon)
+    res = simulate_paths(SimConfig(claims=_NAMED[name], replications=reps, seed=5))
+    assert _digest(res) == _PINNED[name, reps, horizon]
+
+
+@pytest.mark.parametrize("horizon", [100_000, 64])
+def test_int64_walk_matches_the_pinned_output(horizon, monkeypatch):
+    monkeypatch.setattr(SimConfig, "horizon", horizon)
+    monkeypatch.setattr(simulate, "_walk_dtype", lambda stop_bound, support_max: np.int64)
+    res = simulate_paths(SimConfig(claims=MP_CLAIMS, replications=4097, seed=5))
+    assert _digest(res) == _PINNED["mp", 4097, horizon]
+
+
+def test_window_memory_is_bounded():
+    # a 4096-path window holds its uniforms, their bucket indices and two
+    # offset arrays; the engine that searched the cdf peaked at 17 MiB here
+    cfg = SimConfig(claims=MP_CLAIMS, replications=20_000, seed=11)
+    tracemalloc.start()
+    try:
+        simulate_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak
 
 
 # -- distributional laws -----------------------------------------------------------
