@@ -23,18 +23,27 @@ above); NegBin and Poisson survivals as sums of positive masses; the Erlang
 survival, density and stop-loss as e^{-t} sum_j c_j t^j / j!; and erfc with
 erfcx, from `math.erfc` on scalars and from piecewise Chebyshev
 interpolants of erfcx on arrays.
+
+The NegBin kernel reads log Gamma(1..N) for its windows from one module
+table, with the same values.  The table grows in quarter octaves to at most
+2^20 entries (8 MB), each time as a new read-only array: only a caller that
+grows it takes the table's lock, and a reader keeps the array it sliced.
+Values past 2^20 are computed per call and not kept.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .renewal import _table_size
 
 __all__ = [
     "DiscretePmf",
@@ -280,41 +289,80 @@ def _log_gamma(z) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _log_gamma_range(n: int) -> np.ndarray:
-    """log Gamma(j) at j = 1..n, the same values as `_log_gamma`."""
+def _log_gamma_extend(head: np.ndarray, n: int) -> np.ndarray:
+    """log Gamma(j) at j = 1..n: ``head`` and then Stirling's series, read-only."""
     out = np.empty(n)
-    out[:19] = _LGAMMA_SMALL[1 : min(n, 19) + 1]
-    if n > 19:
-        _stirling(np.arange(20.0, n + 1.0), out=out[19:])
+    out[: head.size] = head
+    _stirling(np.arange(head.size + 1.0, n + 1.0), out=out[head.size :])
+    out.flags.writeable = False
     return out
+
+
+# The shared log Gamma table, which keeps at most 2^20 entries (8 MB).
+_LG_CAP = 1 << 20
+_LG_LOCK = threading.Lock()
+_lg_table = _log_gamma_extend(_LGAMMA_SMALL[1:], 19)
+
+
+def _log_gamma_table(n: int) -> np.ndarray:
+    """log Gamma(j) at j = 1..n as entry j - 1, read-only, the same values as `_log_gamma`.
+
+    A slice of the module table, which only a caller that grows it locks: it grows
+    to the quarter-octave size `renewal._table_size` gives, up to 2^20 entries, as a
+    new array, so a reader holding a slice of the old one needs no lock.  Entries past
+    2^20 are computed the same way per call and not kept.
+    """
+    global _lg_table
+    table = _lg_table
+    if n > table.size:
+        with _LG_LOCK:
+            table = _lg_table
+            if table.size < min(n, _LG_CAP):
+                table = _lg_table = _log_gamma_extend(table, min(_table_size(n - 1), _LG_CAP))
+        if n > table.size:
+            return _log_gamma_extend(table, n)
+    return table[:n]
 
 
 def _nb_logpmf(k, p: float, x) -> np.ndarray:
     """log P(NegBin(k, p) = x) = log C(k+x-1, x) + k log p + x log(1-p), for a positive
     integer k, or a column of them for one row per k, at increasing nonnegative integers x.
 
-    The series windows read x = 0..top: there, unless some k exceeds 2 (top + 1), log Gamma
-    is evaluated once over 1..max k + top and sliced; elsewhere in one call at every k + x,
-    k and x + 1.  Either way each log Gamma is within a few ulps, so the kernel is as safe
-    for k + x in the millions as `_log_gamma` is.
+    The series windows read x = 0..w-1, passed as ``range(w)`` (or as that array):
+    there, unless some k exceeds 2w, the log Gamma values are slices of the shared
+    table (`_log_gamma_table`), and a scalar k allocates only the output and one
+    scratch array.  Elsewhere log Gamma is evaluated in one call at every k + x, k and
+    x + 1.  Both forms take the same log Gamma values in the same order of operations,
+    so they give the same bits, each within a few ulps of the largest log Gamma: the
+    kernel is as safe for k + x in the millions as `_log_gamma` is.
     """
     k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    width = x.size
-    if x.ndim == 1 and width and x[0] == 0.0 and x[-1] == width - 1 and k.max() <= 2 * width:
-        lg = _log_gamma_range(int(k.max()) + width - 1)  # lg[j - 1] = log Gamma(j)
+    if isinstance(x, range):
+        width = len(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        whole = x.ndim == 1 and x.size and x[0] == 0.0 and x[-1] == x.size - 1
+        width = x.size if whole else 0
+    if width and k.max() <= 2 * width:
+        lg = _log_gamma_table(int(k.max()) + width - 1)  # lg[j - 1] = log Gamma(j)
         ki = k.astype(np.intp) - 1
         if k.ndim == 0:
-            out = lg[int(ki) : int(ki) + width] - lg[ki]
+            out = np.subtract(lg[int(ki) : int(ki) + width], lg[ki])
         else:
             out = sliding_window_view(lg, width)[ki[:, 0]]
             out -= lg[ki]
         out -= lg[:width]
-    else:
-        kx = k + x
-        lg = _log_gamma(np.concatenate((kx.ravel(), k.ravel(), x.ravel() + 1.0)))
-        out = lg[: kx.size].reshape(kx.shape) - lg[kx.size : kx.size + k.size].reshape(k.shape)
-        out -= lg[kx.size + k.size :].reshape(x.shape)
+        out += k * math.log(p)
+        scratch = np.arange(width, dtype=float)
+        scratch *= math.log1p(-p)
+        out += scratch
+        return out
+    if isinstance(x, range):
+        x = np.arange(float(width))
+    kx = k + x
+    lg = _log_gamma(np.concatenate((kx.ravel(), k.ravel(), x.ravel() + 1.0)))
+    out = lg[: kx.size].reshape(kx.shape) - lg[kx.size : kx.size + k.size].reshape(k.shape)
+    out -= lg[kx.size + k.size :].reshape(x.shape)
     out += k * math.log(p)
     out += x * math.log1p(-p)
     return out
@@ -372,7 +420,7 @@ def _nbm_sf(spec: NbmSpec, y: int) -> float:
     # P(NegBin(k, p) > y) = sum_{i<k} P(NegBin(y+1, 1-p) = i), so the mixture weighs
     # mass i by P(N > i)
     tails = spec.weight_survival()[:-1]
-    masses = np.exp(_nb_logpmf(y + 1.0, 1.0 - spec.p, np.arange(float(tails.size))))
+    masses = np.exp(_nb_logpmf(y + 1.0, 1.0 - spec.p, range(tails.size)))
     return min(1.0, float(np.dot(tails, masses)))
 
 

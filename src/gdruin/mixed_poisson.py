@@ -11,7 +11,9 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   the last index whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by
   probing up from the mode (u-1)n in steps of one standard deviation.
 * method 2 replaces the series by a Monte Carlo average of Cbar at NegBin
-  draws, with a sample standard error.
+  draws, with a sample standard error.  The uniforms are drawn in row slices
+  of one reused buffer of 2^15 values, the same stream as whole blocks, so
+  a call holds O(m) memory for any u.
 
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
@@ -59,6 +61,8 @@ __all__ = [
 _GRID_TOL = 1e-16
 _HEAD = 1 << 16
 _PIECE = 1 << 10
+# Values in method 2's reused buffer of uniforms.
+_DRAW_BUFFER = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,10 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
     """m draws of NegBin(u, 1/(1+n)) as sums of u inverse-cdf geometric draws.
 
     The explicit inverse transform keeps output identical across generator
-    library versions; the stream is keyed by (seed, stream index).
+    library versions; the stream is keyed by (seed, stream index).  The stream
+    fills (m, cols) blocks of columns row by row, and each block is drawn in
+    slices of whole rows (or, for a row longer than the buffer, of one row)
+    into one reused buffer of at most 2^15 values.
     """
     if seed is None:
         ss = np.random.SeedSequence()
@@ -210,18 +217,22 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
     lq = math.log1p(-1.0 / (1.0 + n))  # log of the geometric miss probability
     # integer-valued sums below 2^53, so exact in float64 in any order
     total = np.zeros(m)
-    # draw in column blocks so u in the hundreds stays memory-friendly
-    step = max(1, (1 << 22) // max(m, 1))
-    done = 0
-    while done < u:
+    step = max(1, (1 << 22) // m)
+    buf = np.empty(min(_DRAW_BUFFER, m * min(step, u)))
+    for done in range(0, u, step):
         cols = min(step, u - done)
-        unif = rng.random((m, cols))
-        np.negative(unif, out=unif)
-        np.log1p(unif, out=unif)
-        np.divide(unif, lq, out=unif)
-        np.floor(unif, out=unif)
-        total += unif.sum(axis=1)
-        done += cols
+        width = min(cols, buf.size)
+        rows = buf.size // width
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            for c in range(0, cols, width):
+                unif = buf[: (hi - lo) * min(width, cols - c)].reshape(hi - lo, -1)
+                rng.random(out=unif)
+                np.negative(unif, out=unif)
+                np.log1p(unif, out=unif)
+                np.divide(unif, lq, out=unif)
+                np.floor(unif, out=unif)
+                total[lo:hi] += unif.sum(axis=1)
     return total.astype(np.int64)
 
 

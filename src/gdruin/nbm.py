@@ -22,7 +22,11 @@ The series is summed over one window, k = 0..k_hi, with k_hi the last
 index whose NegBin(u, 1-p) mass is above a floor.  `psi_nbm` takes the floor
 that leaves at most 1e-12 of NegBin mass past k_hi; method 1 in
 `mixed_poisson` is the same series at p_n = n/(n+1) with grid coefficients,
-and sums it over the same window at its pmf floor.
+and sums it over the same window at its pmf floor.  The window is the log
+kernel over 0..top, its log Gamma values sliced from the shared table in
+`distributions`, exponentiated in place (its left tail, where the masses
+underflow, set to 0.0); k_hi is looked for in the last probe step before
+top, where the mass crosses the floor.
 
 Coefficient tables are cached per spec and extended in place in quarter
 octaves, to at most 1.25 times the terms read, so repeated psi queries at
@@ -58,6 +62,9 @@ __all__ = [
 _SERIES_TOL = 1e-12
 # Points per probe call while a series window looks for its floor.
 _PROBES = 16
+# exp of a log mass below this is exactly 0.0: it is 4.9 below -745.13, where
+# exp starts to round to 0.0.
+_UNDERFLOW = -750.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +160,15 @@ def _series_window(u: int, q: float, floor: float) -> np.ndarray:
 
     NegBin(u, q) is unimodal, so past the mode a point at or below the floor bounds
     every later one: top is the first of mode + sigma, mode + 2 sigma, ... at or below
-    the floor, and the pmf is evaluated once on 0..top.  The masses past the mode fall
-    to 0 and the floor is positive, so the probes need no cap.  The array is empty
-    when no mass exceeds the floor.
+    the floor.  The masses past the mode fall to 0 and the floor is positive, so the
+    probes need no cap.  The log pmf is evaluated once on 0..top and exponentiated in
+    place.  Left of the mode it rises, with steps far above its rounding wherever it
+    is below `_UNDERFLOW`, so a bisection finds where it passes that, and the masses
+    before are set to 0.0, which is what exp gives there, by numpy's slow underflow
+    path.  The probe before top was above the floor (unless top is the first), so k_hi
+    is looked for in the last step before top, and in the whole window only when that
+    step holds no mass above the floor.  The array is empty when no mass exceeds the
+    floor.
     """
     mode, step = _series_step(u, q)
     j = 1
@@ -165,9 +178,16 @@ def _series_window(u: int, q: float, floor: float) -> np.ndarray:
         if past.size:
             break
         j += _PROBES
-    pmf = np.exp(_nb_logpmf(float(u), q, np.arange(probes[past[0]] + 1.0)))
-    above = np.flatnonzero(pmf > floor)
-    return pmf[: above[-1] + 1] if above.size else pmf[:0]
+    top = int(probes[past[0]])
+    pmf = _nb_logpmf(float(u), q, range(top + 1))
+    start = int(np.searchsorted(pmf[:mode], _UNDERFLOW))
+    pmf[:start] = 0.0
+    np.exp(pmf[start:], out=pmf[start:])
+    lo = max(top - step, 0)
+    above = np.flatnonzero(pmf[lo:] > floor)
+    if not above.size:
+        lo, above = 0, np.flatnonzero(pmf > floor)
+    return pmf[: lo + above[-1] + 1] if above.size else pmf[:0]
 
 
 def psi_nbm(spec: NbmSpec, u: int) -> float:

@@ -19,8 +19,9 @@ ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
 the chance of any further record is below 1e-9 (psi computed by the exact
-recursion).  The claim distribution must therefore carry enough stored
-support to certify that bound; build it with a small tail tolerance.
+recursion, once per claim law while it is alive).  The claim distribution
+must therefore carry enough stored support to certify that bound; build it
+with a small tail tolerance.
 
 Replications are processed in fixed chunks, each with its own counter-based
 generator stream derived from (seed, chunk index), so results are
@@ -51,6 +52,7 @@ indices, and two int32 arrays of 65 columns.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -169,6 +171,24 @@ def _stop_bound(claims: DiscretePmf) -> int:
         u_max *= 2
 
 
+# Stop bound and claim cdf per claim law, held only while the law is alive.
+_walk_laws: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _walk_law(claims: DiscretePmf) -> tuple[int, np.ndarray]:
+    """The stop bound and the read-only claim cdf of ``claims``, computed once per law.
+
+    A `DiscretePmf` hashes by identity, and the memo holds it weakly.  Two threads
+    that meet a new law at once may both compute it, to the same values.
+    """
+    law = _walk_laws.get(claims)
+    if law is None:
+        cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
+        cdf.flags.writeable = False
+        law = _walk_laws[claims] = (_stop_bound(claims), cdf)
+    return law
+
+
 def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if counts.size > hist.size:
         hist = np.pad(hist, (0, counts.size - hist.size))
@@ -219,8 +239,7 @@ def _walk_dtype(stop_bound: int, support_max: int):
 def simulate_paths(cfg: SimConfig) -> SimResult:
     """Run all replications and aggregate ruin, record, and severity data."""
     claims = cfg.claims
-    b = _stop_bound(claims)
-    cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
+    b, cdf = _walk_law(claims)
     dtype = _walk_dtype(b, claims.support_max)
     table = _claim_table(cdf, claims.support_max, dtype)
 
@@ -311,8 +330,7 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
 def simulate_single(claims: DiscretePmf, u: int, rng: np.random.Generator) -> PathStats:
     """Scalar reference walk of one path, up to ``SimConfig.horizon`` steps; the
     vectorized engine mirrors this."""
-    b = _stop_bound(claims)
-    cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
+    b, cdf = _walk_law(claims)
     z = 0
     lvl = 0
     ruined = False

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -44,6 +46,7 @@ from gdruin import (
     psi_recursion,
     simulate_paths,
 )
+from gdruin import distributions, nbm
 from gdruin.cli import JobSpec
 from gdruin.distributions import (
     _GK_GAUSS,
@@ -54,7 +57,7 @@ from gdruin.distributions import (
     _erfcx,
     _erfcx_block,
     _log_gamma,
-    _log_gamma_range,
+    _log_gamma_table,
     _mp_masses,
     _mp_sf,
     _nb_logpmf,
@@ -512,8 +515,74 @@ def test_log_gamma_against_mpmath():
         ref = np.array([float(mpmath.loggamma(int(v))) for v in z])
     ulps = np.abs(_log_gamma(z) - ref) / np.spacing(np.maximum(np.abs(ref), np.spacing(1.0)))
     assert ulps.max() <= 4.0
-    # the sliced range and the elementwise form are one function
-    np.testing.assert_array_equal(_log_gamma_range(5000), _log_gamma(np.arange(1.0, 5001.0)))
+    # the table and the elementwise form are one function
+    np.testing.assert_array_equal(_log_gamma_table(5000), _log_gamma(np.arange(1.0, 5001.0)))
+
+
+def test_log_gamma_table_equals_the_elementwise_form_bit_for_bit():
+    n = 1 << 18
+    table = _log_gamma_table(n)
+    ref = _log_gamma(np.arange(1.0, n + 1.0))
+    np.testing.assert_array_equal(table, ref)
+    # across the switch to Stirling's series (j = 20) and to its one-term form (j = 2000)
+    for j in (19, 20, 1999, 2000, 2001):
+        assert table[j - 1] == ref[j - 1] == _log_gamma(float(j))
+    assert not table.flags.writeable
+
+
+def _quarter_octave(size):
+    e = size.bit_length() - 3
+    return size >= 64 and size % (1 << e) == 0 and 4 <= size >> e <= 7
+
+
+def test_log_gamma_table_grows_in_quarter_octaves_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(distributions, "_lg_table", _log_gamma_table(19))
+    kept = []
+    for n in (20, 64, 65, 1000, 1001, 40_000, 300_001, 1 << 20, (1 << 20) + 3000):
+        got = _log_gamma_table(n)
+        assert got.size == n
+        kept.append(distributions._lg_table.size)
+        assert _quarter_octave(kept[-1]) and min(n, 1 << 20) <= kept[-1] <= 1 << 20, kept
+    assert kept == sorted(kept) and kept[-1] == 1 << 20
+    # past the cap the entries are computed the same way and not kept
+    np.testing.assert_array_equal(got[-5000:], _log_gamma(np.arange(n - 4999.0, n + 1.0)))
+    assert distributions._lg_table.size == 1 << 20
+
+
+def test_series_windows_match_single_thread_while_the_table_grows(monkeypatch):
+    us = [10, 40, 90, 160, 250, 360, 490, 500]
+    q = 1.0 / 501.0
+    monkeypatch.setattr(distributions, "_lg_table", _log_gamma_table(19))
+    ref = {u: nbm._series_window(u, q, 1e-9) for u in us}
+    kept = distributions._lg_table.size
+
+    def window(u):
+        try:
+            start.wait(timeout=30)
+            got[u] = nbm._series_window(u, q, 1e-9)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):  # each round grows the table from 19 entries again
+            monkeypatch.setattr(distributions, "_lg_table", _log_gamma_table(19))
+            got, errors = {}, []
+            start = threading.Barrier(len(us))
+            threads = [threading.Thread(target=window, args=(u,)) for u in us]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not errors, errors
+            assert not any(t.is_alive() for t in threads)
+            for u in us:
+                np.testing.assert_array_equal(got[u], ref[u])
+            # a growth that replaced a larger table would keep less than one thread read
+            assert distributions._lg_table.size == kept
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("k, p", [(1, 0.3), (7, 0.9), (500, 1 / 501), (1000, 0.002), (1000, 0.7)])

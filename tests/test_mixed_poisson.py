@@ -10,6 +10,7 @@ package code.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import threading
@@ -479,6 +480,39 @@ def test_series_window_evaluates_only_up_to_its_top(monkeypatch):
     assert sum(points) <= k_hi + math.sqrt(u * n * (n + 1.0)) + 65
 
 
+def _sha256(values):
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_series_window_past_the_log_gamma_table_is_pinned():
+    # u + top is about 1.12M, past the 2^20 log Gamma values the table keeps; the
+    # digest is recorded from the window that evaluated Stirling's series per call
+    pmf = nbm._series_window(2000, 1.0 / 501.0, 1e-9)
+    assert pmf.size == 1_101_804
+    assert _sha256(pmf) == "9d7588deb139e11ebf8b2a2bc5c9e614bad6861a17f32b951e16ed9f11dbe079"
+
+
+# recorded from the windows that evaluated log Gamma by Stirling's series per call
+_SWEEP_PINNED = {
+    "N1": "ea442492090d0b87903096a9d0df52b0e34076e37c40bb553c8ca092227d2593",
+    "N2": "606afe576a3592977a51f24cf38955f91517140a5a9e6b3ebb442ba528f0a9ea",
+    "NBM": "87adb8319e0ab00dea2187e722ee49b810c512213f952e2ff0365c1a1f739d13",
+}
+
+
+@pytest.mark.parametrize("method", sorted(_SWEEP_PINNED))
+def test_sweep_output_is_pinned(method):
+    cfg = MpApproxConfig(n=500, m=1000, seed=1)
+    us = range(10, 501, 70)
+    if method == "N1":
+        values = [psi_mp_method1(ERLANG, u, cfg) for u in us]
+    elif method == "N2":
+        values = [v for u in us for v in psi_mp_method2(ERLANG, u, cfg)]
+    else:
+        values = [psi_nbm(ERLANG.as_nbm(), u) for u in us]
+    assert _sha256(values) == _SWEEP_PINNED[method]
+
+
 # -- method 2 -----------------------------------------------------------------------
 
 
@@ -528,6 +562,18 @@ def test_negbin_draws_match_the_integer_reference(u, n, m):
     got = mixed_poisson._negbin_draws(u, n, m, 11, rng_stream=u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, _reference_draws(u, n, m, 11, u))
+
+
+def test_negbin_draws_use_a_bounded_buffer():
+    # the (m, u) block of uniforms was 4 MB here; the buffer holds 2^15 values
+    mixed_poisson._negbin_draws(5, 500, 10, 11, rng_stream=5)  # first-call set-up
+    tracemalloc.start()
+    try:
+        mixed_poisson._negbin_draws(500, 500, 1000, 11, rng_stream=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- the surplus argument ------------------------------------------------------------

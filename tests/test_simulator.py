@@ -305,6 +305,26 @@ def test_first_passage_is_a_final_level_of_at_least_u(u):
         assert stats.ruined == reached
 
 
+def test_single_walks_take_the_stop_bound_once_per_claim_law(monkeypatch):
+    bounds = []
+
+    def counted(claims):
+        bounds.append(claims)
+        return stop_bound(claims)
+
+    stop_bound = simulate._stop_bound
+    monkeypatch.setattr(simulate, "_stop_bound", counted)
+    claims = geometric_pmf(0.6, tail_tol=1e-30)  # a law no other test has walked
+    rng = np.random.default_rng(3)
+    h = hashlib.sha256()
+    for _ in range(200):
+        s = simulate_single(claims, 2, rng)
+        h.update(repr((s.ruined, s.tau, s.severity, s.record_times, s.record_severities)).encode())
+    assert bounds == [claims]
+    # recorded from the walk that took the bound on every call
+    assert h.hexdigest() == "4c8015116fc6eb2ed5efca79b177892a3bc2b273dfd6b17fc161d6e9f0179faf"
+
+
 def test_single_paths_agree_with_vector_engine_in_law():
     rng = np.random.default_rng(7)
     n = 3000
