@@ -29,6 +29,11 @@ table, with the same values.  The table grows in quarter octaves to at most
 2^20 entries (8 MB), each time as a new read-only array: only a caller that
 grows it takes the table's lock, and a reader keeps the array it sliced.
 Values past 2^20 are computed per call and not kept.
+
+One inverse-cdf sampler serves the simulator's claims and method 2's NegBin
+blocks: a table of 2^16 buckets over a nondecreasing cdf in [0, 1] gives the
+draw of every uniform in a bucket that holds no cdf value, and only the
+rest are searched.
 """
 
 from __future__ import annotations
@@ -244,6 +249,59 @@ def equilibrium(claims: DiscretePmf, w: int) -> np.ndarray:
     cells = claims.sf(np.arange(w))
     cells[-1] += max(0.0, claims.mean - math.fsum(cells.tolist()))
     return cells / claims.mean
+
+
+# ---------------------------------------------------------------------------
+# Inverse-cdf draws through a bucket table
+# ---------------------------------------------------------------------------
+
+_BUCKETS = 1 << 16  # inverse-cdf table buckets; u * 2^16 is exact
+_TABLE_PIECE = 1 << 12  # cdf values per piece while a table is built
+
+
+def _claim_table(cdf: np.ndarray, support_max: int, dtype) -> np.ndarray:
+    """Value drawn by every u in bucket b, [b, b + 1) / 2^16, or -1 where a
+    cdf value lies strictly inside the bucket and the value depends on u.
+
+    ``cdf`` must be nondecreasing in [0, 1]: a value above 1.0 has no bucket.
+    The table is built in int32 from pieces of the cdf, so it needs no
+    scratch of the cdf's length.
+    """
+    # entry b: searchsorted(cdf, b / 2^16, "right"), the cdf values at or below
+    # the left edge; the cdf is sorted, so it is the index past the last value
+    # whose bucket edge ceil(2^16 cdf) is at most b
+    table = np.zeros(_BUCKETS + 1, dtype=np.int32)
+    split = np.zeros(_BUCKETS, dtype=bool)
+    for lo in range(0, cdf.size, _TABLE_PIECE):
+        scaled = cdf[lo : lo + _TABLE_PIECE] * _BUCKETS  # exact
+        edge = np.ceil(scaled).astype(np.intp)
+        split[edge[edge != scaled] - 1] = True
+        last = np.flatnonzero(np.diff(edge, append=_BUCKETS + 1))  # the last of each edge
+        table[edge[last]] = lo + last + 1
+    np.maximum.accumulate(table, out=table)
+    table = table[:_BUCKETS]
+    np.minimum(table, support_max, out=table)
+    table[split] = -1
+    return table.astype(dtype, copy=False)
+
+
+def _draw_claims(
+    table: np.ndarray, cdf: np.ndarray, support_max: int,
+    u: np.ndarray, index: np.ndarray, out: np.ndarray,
+) -> None:
+    """Write clip(searchsorted(cdf, u, "right"), 0, support_max) to ``out``.
+
+    ``table`` is `_claim_table` of the same nondecreasing ``cdf`` in [0, 1].
+    u * 2^16 is exact, so its integer part is u's bucket; only draws in a
+    bucket that holds a cdf value (-1 in the table) are searched.  ``index``
+    is scratch of u's shape and dtype intp.
+    """
+    np.multiply(u, _BUCKETS, out=index, casting="unsafe")
+    np.take(table, index, out=out, mode="clip")
+    split = np.flatnonzero(out < 0)
+    if split.size:
+        drawn = np.searchsorted(cdf, np.take(u, split), side="right")
+        np.put(out, split, np.minimum(drawn, support_max))
 
 
 # ---------------------------------------------------------------------------

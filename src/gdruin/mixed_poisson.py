@@ -11,9 +11,15 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   the last index whose NegBin(u, 1/(1+n)) mass exceeds the floor, found by
   probing up from the mode (u-1)n in steps of one standard deviation.
 * method 2 replaces the series by a Monte Carlo average of Cbar at NegBin
-  draws, with a sample standard error.  The uniforms are drawn in row slices
-  of one reused buffer of 2^15 values, the same stream as whole blocks, so
-  a call holds O(m) memory for any u.
+  draws, with a sample standard error.  A NegBin(u, q) draw is the sum of
+  u mod 32 inverse-cdf geometric draws and u // 32 NegBin(32, q) draws, each
+  of those one uniform read through the bucket table of the NegBin(32, q)
+  cdf (`distributions._claim_table`, the simulator's sampler), built once per
+  n and kept for the last 4 n.  So a call spends m (u mod 32 + u // 32)
+  uniforms, not m u, and for u < 32 it draws exactly what u geometric draws
+  per sample did.  The uniforms are drawn in row slices of one reused buffer
+  of 2^15 values, the same stream as whole blocks, so a call holds O(m)
+  memory for any u.
 
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
@@ -35,13 +41,20 @@ solver, whose ``total`` is the grid sum sum_j Fbar(j/n).
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .distributions import MixingDistribution, _whole_number, mp_claims_pmf
-from .nbm import _series_window
+from .distributions import (
+    MixingDistribution,
+    _claim_table,
+    _draw_claims,
+    _whole_number,
+    mp_claims_pmf,
+)
+from .nbm import _certified_window, _series_window
 from .recursion import psi_recursion
 from .renewal import RenewalSolver, TableCache, Weights
 
@@ -63,6 +76,10 @@ _HEAD = 1 << 16
 _PIECE = 1 << 10
 # Values in method 2's reused buffer of uniforms.
 _DRAW_BUFFER = 1 << 15
+# Method 2 draws NegBin(u, q) in blocks of NegBin(_BLOCK, q), whose window leaves
+# out at most _BLOCK_TOL of its mass.
+_BLOCK = 32
+_BLOCK_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -200,14 +217,65 @@ def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> floa
 # -- method 2: Monte Carlo over the mixing index ------------------------------
 
 
-def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
-    """m draws of NegBin(u, 1/(1+n)) as sums of u inverse-cdf geometric draws.
+def _own_pages(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` in anonymous pages of its own, outside the heap.
 
-    The explicit inverse transform keeps output identical across generator
-    library versions; the stream is keyed by (seed, stream index).  The stream
-    fills (m, cols) blocks of columns row by row, and each block is drawn in
-    slices of whole rows (or, for a row longer than the buffer, of one row)
-    into one reused buffer of at most 2^15 values.
+    A table kept for the life of the process but built mid-sweep would sit among
+    the heap's short-lived arrays and keep the space around it from being reused
+    or returned: held in the heap, the 0.7 MB block table of n = 500 raised the
+    peak resident memory of a u = 10..500 sweep by about 2 MB.
+    """
+    out = np.frombuffer(mmap.mmap(-1, a.nbytes), dtype=a.dtype)
+    out[:] = a
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=4)
+def _block_law(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf of NegBin(_BLOCK, 1/(1+n)) and its int32 bucket table, read-only.
+
+    The masses are the window that leaves out at most 1e-16 of the law, summed in
+    place and divided by their total, so the last cdf value is exactly 1.0 and
+    every uniform draws a point of the window.  The window is dropped once the two
+    are copied to pages of their own; the tables of the last 4 n are kept.
+    """
+    q = 1.0 / (1.0 + n)
+    cdf = _certified_window(_BLOCK, q, 1.0 - q, _BLOCK_TOL)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cdf = _own_pages(cdf)
+    return cdf, _own_pages(_claim_table(cdf, cdf.size - 1, np.int32))
+
+
+def _uniform_slices(rng: np.random.Generator, m: int, cols: int, buf: np.ndarray):
+    """Fill (m, cols) of the stream into ``buf`` and yield each (lo, hi, uniforms).
+
+    The stream fills (m, step) blocks of columns row by row, step = 2^22 // m, and
+    each block is drawn in slices of whole rows (or, for a row longer than the
+    buffer, of one row), the same stream as whole blocks.
+    """
+    step = max(1, (1 << 22) // m)
+    for done in range(0, cols, step):
+        block = min(step, cols - done)
+        width = min(block, buf.size)
+        rows = buf.size // width
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            for c in range(0, block, width):
+                unif = buf[: (hi - lo) * min(width, block - c)].reshape(hi - lo, -1)
+                rng.random(out=unif)
+                yield lo, hi, unif
+
+
+def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
+    """m draws of NegBin(u, 1/(1+n)): u mod 32 geometric draws plus u // 32 blocks.
+
+    One stream, keyed by (seed, stream index), first gives u mod 32 columns, each
+    an inverse-cdf geometric draw, then u // 32 columns, each a NegBin(32, 1/(1+n))
+    draw through the bucket table of `_block_law`.  The explicit inverse transforms
+    keep output identical across generator library versions.  The uniforms go
+    through one reused buffer of at most 2^15 values.
     """
     if seed is None:
         ss = np.random.SeedSequence()
@@ -215,24 +283,26 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
         ss = np.random.SeedSequence((int(seed), rng_stream))
     rng = np.random.Generator(np.random.Philox(ss))
     lq = math.log1p(-1.0 / (1.0 + n))  # log of the geometric miss probability
+    geometric, blocks = u % _BLOCK, u // _BLOCK
+    if blocks:
+        cdf, table = _block_law(n)  # before the buffers, so its scratch and theirs do not add up
     # integer-valued sums below 2^53, so exact in float64 in any order
     total = np.zeros(m)
     step = max(1, (1 << 22) // m)
-    buf = np.empty(min(_DRAW_BUFFER, m * min(step, u)))
-    for done in range(0, u, step):
-        cols = min(step, u - done)
-        width = min(cols, buf.size)
-        rows = buf.size // width
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            for c in range(0, cols, width):
-                unif = buf[: (hi - lo) * min(width, cols - c)].reshape(hi - lo, -1)
-                rng.random(out=unif)
-                np.negative(unif, out=unif)
-                np.log1p(unif, out=unif)
-                np.divide(unif, lq, out=unif)
-                np.floor(unif, out=unif)
-                total[lo:hi] += unif.sum(axis=1)
+    buf = np.empty(min(_DRAW_BUFFER, m * min(step, max(geometric, blocks))))
+    for lo, hi, unif in _uniform_slices(rng, m, geometric, buf):
+        np.negative(unif, out=unif)
+        np.log1p(unif, out=unif)
+        np.divide(unif, lq, out=unif)
+        np.floor(unif, out=unif)
+        total[lo:hi] += unif.sum(axis=1)
+    if blocks:
+        size = min(buf.size, m * min(step, blocks))
+        index, drawn = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int32)
+        for lo, hi, unif in _uniform_slices(rng, m, blocks, buf[:size]):
+            idx, out = (a[: unif.size].reshape(unif.shape) for a in (index, drawn))
+            _draw_claims(table, cdf, cdf.size - 1, unif, idx, out)
+            total[lo:hi] += out.sum(axis=1)
     return total.astype(np.int64)
 
 

@@ -190,25 +190,33 @@ def _series_window(u: int, q: float, floor: float) -> np.ndarray:
     return pmf[: lo + above[-1] + 1] if above.size else pmf[:0]
 
 
+def _certified_window(u: int, q: float, p: float, tol: float) -> np.ndarray:
+    """NegBin(u, q) masses on 0..k_hi, leaving out at most ``tol`` of mass past k_hi.
+
+    Past x0 = mode + sigma the mass ratio r(x) = (x+u)/(x+1) p, p = 1 - q, falls,
+    so the masses past a k_hi >= x0 sum to at most floor / (1 - r(x0)), and the
+    floor tol (1 - r(x0)) leaves out at most tol.  p comes with q so that each
+    caller keeps its own rounding of the pair.
+    """
+    mode, step = _series_step(u, q)
+    x0 = mode + step
+    pmf = _series_window(u, q, tol * (1.0 - (x0 + u) / (x0 + 1.0) * p))
+    if pmf.size - 1 < x0:
+        raise RuntimeError(
+            f"NegBin({u}, {q}) window ends at {pmf.size - 1}, before {x0}, where its "
+            f"tail bound starts; the tail past it is not certified below {tol:.0e}"
+        )
+    return pmf
+
+
 def psi_nbm(spec: NbmSpec, u: int) -> float:
     """Ruin probability at integer surplus u for NBM(pi, p) claims.
 
-    The series runs over k = 0..k_hi, the window of NegBin(u, 1-p) masses above a
-    floor.  Past x0 = mode + sigma the mass ratio r(x) = (x+u)/(x+1) p falls, so
-    the masses past a k_hi >= x0 sum to at most floor / (1 - r(x0)), and the
-    floor 1e-12 (1 - r(x0)) leaves out at most 1e-12 of NegBin mass.
+    The series runs over k = 0..k_hi, the window of NegBin(u, 1-p) masses above
+    a floor that leaves out at most 1e-12 of NegBin mass (`_certified_window`).
     """
     u = _whole_number(u, "u")
     if u == 0:
         return float(cbar_sequence(spec, 0).cbar[0])
-    q = 1.0 - spec.p
-    mode, step = _series_step(u, q)
-    x0 = mode + step
-    pmf = _series_window(u, q, _SERIES_TOL * (1.0 - (x0 + u) / (x0 + 1.0) * spec.p))
-    k_hi = pmf.size - 1
-    if k_hi < x0:
-        raise RuntimeError(
-            f"NegBin({u}, {q}) window ends at {k_hi}, before {x0}, where its tail "
-            f"bound starts; the series tail past it is not certified below {_SERIES_TOL:.0e}"
-        )
-    return float(np.dot(cbar_sequence(spec, k_hi).cbar, pmf))
+    pmf = _certified_window(u, 1.0 - spec.p, spec.p, _SERIES_TOL)
+    return float(np.dot(cbar_sequence(spec, pmf.size - 1).cbar, pmf))

@@ -31,7 +31,8 @@ A chunk of up to 4,096 paths advances in windows of 64 steps, in four
 buffers allocated once per call: the window's uniforms, their bucket
 indices, and two int32 arrays of 65 columns.
 
-- Claims are drawn through a table of 2^16 buckets, built once per call.
+- Claims are drawn through a table of 2^16 buckets, built once per call
+  (`distributions._claim_table`, which method 2's NegBin blocks share).
   Bucket b holds the claim that every u in [b, b + 1) / 2^16 draws, or -1
   when a cdf value lies strictly inside it.  u * 2^16 is exact, so a
   table read gives clip(searchsorted(cdf, u, "right"), 0, support_max),
@@ -58,7 +59,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distributions import DiscretePmf, _poisson_sum, _whole_number, equilibrium
+from .distributions import (
+    DiscretePmf,
+    _claim_table,
+    _draw_claims,
+    _poisson_sum,
+    _whole_number,
+    equilibrium,
+)
 from .recursion import _ladder, _psi
 
 __all__ = [
@@ -74,7 +82,6 @@ __all__ = [
 
 _CHUNK = 4096
 _WINDOW = 64
-_BUCKETS = 1 << 16  # claim table buckets; u * 2^16 is exact
 _STOP_TOL = 1e-9
 
 
@@ -194,35 +201,6 @@ def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
         hist = np.pad(hist, (0, counts.size - hist.size))
     hist[: counts.size] += counts
     return hist
-
-
-def _claim_table(cdf: np.ndarray, support_max: int, dtype) -> np.ndarray:
-    """Claim drawn by every u in bucket b, [b, b + 1) / 2^16, or -1 where a
-    cdf value lies strictly inside the bucket and the claim depends on u."""
-    scaled = cdf * _BUCKETS  # exact, so a cdf value's bucket is its integer part
-    # searchsorted(cdf, b / 2^16, "right"): the cdf values at or below the left edge
-    at_edge = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_BUCKETS + 1)
-    table = np.minimum(np.cumsum(at_edge[:_BUCKETS]), support_max).astype(dtype)
-    table[np.floor(scaled[scaled % 1.0 > 0.0]).astype(np.intp)] = -1
-    return table
-
-
-def _draw_claims(
-    table: np.ndarray, cdf: np.ndarray, support_max: int,
-    u: np.ndarray, index: np.ndarray, out: np.ndarray,
-) -> None:
-    """Write clip(searchsorted(cdf, u, "right"), 0, support_max) to ``out``.
-
-    u * 2^16 is exact, so its integer part is u's bucket; only draws in a
-    bucket that holds a cdf value (-1 in the table) are searched.  ``index``
-    is scratch of u's shape and dtype intp.
-    """
-    np.multiply(u, _BUCKETS, out=index, casting="unsafe")
-    np.take(table, index, out=out, mode="clip")
-    split = np.flatnonzero(out < 0)
-    if split.size:
-        drawn = np.searchsorted(cdf, np.take(u, split), side="right")
-        np.put(out, split, np.minimum(drawn, support_max))
 
 
 def _walk_dtype(stop_bound: int, support_max: int):

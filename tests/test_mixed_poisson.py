@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from gdruin import (
     MixingDistribution,
@@ -492,10 +492,12 @@ def test_series_window_past_the_log_gamma_table_is_pinned():
     assert _sha256(pmf) == "9d7588deb139e11ebf8b2a2bc5c9e614bad6861a17f32b951e16ed9f11dbe079"
 
 
-# recorded from the windows that evaluated log Gamma by Stirling's series per call
+# N1 and NBM recorded from the windows that evaluated log Gamma by Stirling's series
+# per call; N2 from the draws that sum NegBin(32, q) blocks, whose values at u >= 32
+# (here u >= 80) differ from those of the draws that summed u geometric variates
 _SWEEP_PINNED = {
     "N1": "ea442492090d0b87903096a9d0df52b0e34076e37c40bb553c8ca092227d2593",
-    "N2": "606afe576a3592977a51f24cf38955f91517140a5a9e6b3ebb442ba528f0a9ea",
+    "N2": "286232dbe6681aef110c542d862173b40a38ca4933c91f243440064a24a62270",
     "NBM": "87adb8319e0ab00dea2187e722ee49b810c512213f952e2ff0365c1a1f739d13",
 }
 
@@ -542,26 +544,61 @@ def test_method2_covers_the_poisson_case():
 
 
 def _reference_draws(u, n, m, seed, rng_stream):
-    """One inverse-cdf geometric draw per cell, cast and summed as integers."""
+    """One inverse-cdf geometric draw per cell of the u mod 32 first columns, cast and
+    summed as integers, then one search of the normalized NegBin(32, q) window cdf
+    per cell of the u // 32 further columns."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rng_stream))))
-    lq = math.log1p(-1.0 / (1.0 + n))
+    q = 1.0 / (1.0 + n)
+    lq = math.log1p(-q)
     total = np.zeros(m, dtype=np.int64)
     step = max(1, (1 << 22) // m)
-    for done in range(0, u, step):
-        unif = rng.random((m, min(step, u - done)))
+    for done in range(0, u % 32, step):
+        unif = rng.random((m, min(step, u % 32 - done)))
         total += np.floor(np.log1p(-unif) / lq).astype(np.int64).sum(axis=1)
+    if u >= 32:
+        cdf = np.cumsum(nbm._certified_window(32, q, 1.0 - q, 1e-16))
+        cdf = cdf / cdf[-1]
+        for done in range(0, u // 32, step):
+            unif = rng.random((m, min(step, u // 32 - done)))
+            total += np.searchsorted(cdf, unif, side="right").sum(axis=1)
     return total
 
 
 @pytest.mark.parametrize(
     "u, n, m",
     # m = 2^21 gives column blocks of 2, so u = 5 takes three
-    [(1, 500, 1000), (500, 500, 1000), (10, 50, 7), (5, 500, 1 << 21)],
+    [(1, 500, 1000), (500, 500, 1000), (10, 50, 7), (5, 500, 1 << 21),
+     (32, 500, 1000), (63, 50, 7), (64, 500, 1000)],
 )
 def test_negbin_draws_match_the_integer_reference(u, n, m):
     got = mixed_poisson._negbin_draws(u, n, m, 11, rng_stream=u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, _reference_draws(u, n, m, 11, u))
+
+
+def test_method2_below_one_block_is_pinned():
+    # recorded from the draws that summed u geometric variates, before the blocks
+    cfg = MpApproxConfig(n=500, m=1000, seed=1)
+    values = [v for u in range(1, 32) for v in psi_mp_method2(ERLANG, u, cfg)]
+    assert _sha256(values) == "fd31815655b1b98fe455aa00b8bcc2545d86ad6a72a76fcd068506a0dbf40971"
+
+
+@pytest.mark.parametrize("n", [50, 500])
+@pytest.mark.parametrize("u", [32, 33, 63, 100, 500])
+def test_negbin_draws_follow_the_negbin_law(u, n):
+    m = 20_000
+    q = 1.0 / (1.0 + n)
+    z = mixed_poisson._negbin_draws(u, n, m, 5, rng_stream=u)
+    law = stats.nbinom(u, q)
+    mean, var = law.stats()
+    kurt = 6.0 / u + q * q / (u * (1.0 - q))  # excess kurtosis of NegBin(u, q)
+    assert abs(z.mean() - mean) < 5.0 * math.sqrt(var / m)
+    assert abs(z.var(ddof=1) - var) < 5.0 * var * math.sqrt(2.0 / (m - 1) + kurt / m)
+    # 40 cells of about equal NegBin mass
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, 41)[1:-1]))
+    cells = np.diff(np.r_[0.0, law.cdf(edges), 1.0])
+    observed = np.bincount(np.searchsorted(edges, z, side="left"), minlength=cells.size)
+    assert stats.chisquare(observed, m * cells).pvalue > 1e-4
 
 
 def test_negbin_draws_use_a_bounded_buffer():
@@ -574,6 +611,55 @@ def test_negbin_draws_use_a_bounded_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+def test_block_tables_of_the_last_four_n_are_kept():
+    for n in range(40, 46):
+        psi_mp_method2(ERLANG, 32, MpApproxConfig(n=n, m=10, seed=1))
+    info = mixed_poisson._block_law.cache_info()
+    assert info.maxsize == 4 and info.currsize <= 4
+
+
+def test_block_table_at_n_500_keeps_under_a_mebibyte():
+    build = mixed_poisson._block_law.__wrapped__
+    build(500)  # grows the shared log Gamma table first
+    tracemalloc.start()
+    try:
+        cdf, table = build(500)
+        held = tracemalloc.get_traced_memory()[0]  # the two arrays have pages of their own
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32 and cdf[-1] == 1.0
+    assert held + cdf.nbytes + table.nbytes < 2**20, (held, cdf.nbytes, table.nbytes)
+
+
+def test_threads_building_one_block_table_match_a_single_thread():
+    cfg = MpApproxConfig(n=517, m=1000, seed=3)
+    mixed_poisson._block_law.cache_clear()
+    results, errors = [None] * 8, []
+    start = threading.Barrier(8)
+
+    def run(i):
+        try:
+            start.wait(timeout=30)
+            results[i] = psi_mp_method2(ERLANG, 100, cfg)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not any(t.is_alive() for t in threads)
+    mixed_poisson._block_law.cache_clear()
+    assert results == [psi_mp_method2(ERLANG, 100, cfg)] * 8
 
 
 # -- the surplus argument ------------------------------------------------------------

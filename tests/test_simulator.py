@@ -32,7 +32,8 @@ from gdruin import (
     simulate_single,
 )
 from gdruin import simulate
-from gdruin.simulate import _BUCKETS, _chi2_sf, _claim_table, _draw_claims, _walk_dtype
+from gdruin.distributions import _BUCKETS, _claim_table, _draw_claims
+from gdruin.simulate import _chi2_sf, _walk_dtype
 
 GEO_CLAIMS = geometric_pmf(0.6, tail_tol=1e-30)
 MP_CLAIMS = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-24)
