@@ -288,8 +288,7 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
         cdf, table = _block_law(n)  # before the buffers, so its scratch and theirs do not add up
     # integer-valued sums below 2^53, so exact in float64 in any order
     total = np.zeros(m)
-    step = max(1, (1 << 22) // m)
-    buf = np.empty(min(_DRAW_BUFFER, m * min(step, max(geometric, blocks))))
+    buf = np.empty(min(_DRAW_BUFFER, m * max(geometric, blocks)))
     for lo, hi, unif in _uniform_slices(rng, m, geometric, buf):
         np.negative(unif, out=unif)
         np.log1p(unif, out=unif)
@@ -297,7 +296,7 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
         np.floor(unif, out=unif)
         total[lo:hi] += unif.sum(axis=1)
     if blocks:
-        size = min(buf.size, m * min(step, blocks))
+        size = min(buf.size, m * blocks)
         index, drawn = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int32)
         for lo, hi, unif in _uniform_slices(rng, m, blocks, buf[:size]):
             idx, out = (a[: unif.size].reshape(unif.shape) for a in (index, drawn))
