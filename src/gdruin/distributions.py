@@ -663,33 +663,33 @@ class MixingDistribution:
     def erlang_mixture(cls, weights: Sequence[float], beta: float) -> "MixingDistribution":
         """Mixture of Erlang(k, beta) components, k = 1..len(weights)."""
         w = tuple(float(q) for q in weights)
-        if not w or any(q < 0.0 for q in w):
-            raise ValueError("weights must be nonnegative and nonempty")
+        if not w or any(not 0.0 <= q < math.inf for q in w):
+            raise ValueError("weights must be finite, nonnegative and nonempty")
         if abs(math.fsum(w) - 1.0) > _SUM_TOL:
             raise ValueError("weights must sum to 1")
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < beta < math.inf:
+            raise ValueError("beta must be positive and finite")
         return cls("erlang_mixture", (float(beta),), weights=w)
 
     @classmethod
     def pareto(cls, alpha: float, theta: float) -> "MixingDistribution":
         """Pareto with survival (theta/(theta+x))^alpha; mean theta/(alpha-1)."""
-        if alpha <= 0.0 or theta <= 0.0:
-            raise ValueError("alpha and theta must be positive")
+        if not (0.0 < alpha < math.inf and 0.0 < theta < math.inf):
+            raise ValueError("alpha and theta must be positive and finite")
         return cls("pareto", (float(alpha), float(theta)))
 
     @classmethod
     def lognormal(cls, m: float, s: float) -> "MixingDistribution":
         """Lognormal: log of the rate is Normal(m, s^2)."""
-        if s <= 0.0:
-            raise ValueError("s must be positive")
+        if not (math.isfinite(m) and 0.0 < s < math.inf):
+            raise ValueError("m must be finite and s positive and finite")
         return cls("lognormal", (float(m), float(s)))
 
     @classmethod
     def degenerate(cls, value: float) -> "MixingDistribution":
         """Point mass, the plain Poisson(value) case: a one-atom table."""
-        if value < 0.0:
-            raise ValueError("value must be nonnegative")
+        if not 0.0 <= value < math.inf:
+            raise ValueError("value must be finite and nonnegative")
         return cls.from_cdf_table((value,), (1.0,))
 
     @classmethod
@@ -699,8 +699,8 @@ class MixingDistribution:
         cs = tuple(float(v) for v in cdf)
         if len(xs) != len(cs) or not xs:
             raise ValueError("support and cdf must be nonempty and equally long")
-        if any(x < 0.0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("support must be nonnegative and strictly increasing")
+        if any(not 0.0 <= x < math.inf for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
+            raise ValueError("support must be finite, nonnegative and strictly increasing")
         if any(not 0.0 <= c <= 1.0 for c in cs) or any(b < a for a, b in zip(cs, cs[1:])):
             raise ValueError("cdf values must be nondecreasing within [0, 1]")
         if abs(cs[-1] - 1.0) > 1e-9:

@@ -24,8 +24,9 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
-table per (mixing law, n) is extended in place as u grows, so sweeping u is
-cheap after the first call.  The grid is the paper's infinite sum over
+table per (mixing law, n), cached beside the NBM specs', is extended in
+place as u grows, so sweeping u is cheap after the first call.  The grid is
+the paper's infinite sum over
 every j >= 0.  A law whose survival drops below 1e-16 within the first 2^16
 points stops there, and its survival is evaluated only up to the doubling
 piece that reaches the stop; any other keeps those points and reads values
@@ -56,7 +57,7 @@ from .distributions import (
 )
 from .nbm import _certified_window, _series_window
 from .recursion import psi_recursion
-from .renewal import RenewalSolver, TableCache, Weights
+from .renewal import RenewalSolver, Weights, _tables
 
 __all__ = [
     "MpApproxConfig",
@@ -124,8 +125,6 @@ class MpCoefficientSeq:
 
 # -- the mixing grid -------------------------------------------------------------
 
-_coeff_cache = TableCache()
-
 
 class _Grid(Weights):
     """Fbar(j/n) for every j >= 0, its first values stored, as solver weights.
@@ -153,16 +152,13 @@ class _Grid(Weights):
 
 
 def _table(mix: MixingDistribution, n: int):
-    """Renewal solver for the law's grid coefficients, and the wrapper of its views.
+    """The law's grid as solver weights, and the wrapper of its table's views.
 
     The solver takes the raw grid and normalizes it by its sum once, in
     extended precision: the coefficient identity is checked downstream to
     1e-12 and double accumulation over ~1e5 grid points would eat most of
     that budget.
     """
-    elam = mix.mean
-    if not 0.0 < elam < 1.0:
-        raise ValueError(f"net profit condition requires E(Lambda) < 1, got {elam}")
     pieces, lo = [], 0
     while lo < _HEAD:
         hi = max(2 * lo, _PIECE)
@@ -171,15 +167,12 @@ def _table(mix: MixingDistribution, n: int):
         if pieces[-1].min() < _GRID_TOL:
             break
     head = np.concatenate(pieces)
-    below = np.flatnonzero(head < _GRID_TOL)
-    if not below.size:
-        grid = _Grid(mix, n, head)
-    elif below[0]:
+    below = np.flatnonzero(head < _GRID_TOL)  # never 0: head[0] = P(Lambda > 0) >= 2^-53 if E(Lambda) > 0
+    if below.size:
         grid = Weights(head[: below[0]].copy())  # no view pinning the whole head
     else:
-        raise ValueError("mixing law has no mass above 0")
-    solver = RenewalSolver(elam, grid)
-    return solver, partial(MpCoefficientSeq, grid_points=min(grid.size, _HEAD), renewal=solver)
+        grid = _Grid(mix, n, head)
+    return grid, partial(MpCoefficientSeq, grid_points=min(grid.size, _HEAD))
 
 
 def mp_coefficients(
@@ -188,12 +181,12 @@ def mp_coefficients(
     """Coefficients Cbar_{0..k_max, n}, memoized and extended in place.
 
     The table of each (mixing law, n) grows in quarter octaves, to at most
-    1.25 (k_max + 1) terms and at least 64; a request within it is a cached
-    read that no other law's extension blocks.  The cache keeps the 8 most
-    recently requested tables (`renewal.TableCache`).
+    1.25 (k_max + 1) terms and at least 64; a request within it returns the
+    same record, and no other law's extension blocks it (`renewal.TableCache`).
+    Requires the net profit condition 0 < E(Lambda) < 1.
     """
     k_max = _whole_number(k_max, "k_max")
-    return _coeff_cache.get((mix, cfg.n), k_max, lambda: _table(mix, cfg.n))
+    return _tables.get((mix, cfg.n), k_max, mix.mean, lambda: _table(mix, cfg.n))
 
 
 # -- method 1: truncated series ----------------------------------------------
@@ -210,8 +203,7 @@ def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> floa
             f"every NegBin({u}, 1/{cfg.n + 1}) mass is below pmf_floor={cfg.pmf_floor}; "
             "lower the floor or the grid refinement"
         )
-    seq = mp_coefficients(mix, cfg, pmf.size - 1)
-    return float(np.dot(seq.cbar_n[: pmf.size], pmf))
+    return float(np.dot(mp_coefficients(mix, cfg, pmf.size - 1).cbar_n[: pmf.size], pmf))
 
 
 # -- method 2: Monte Carlo over the mixing index ------------------------------

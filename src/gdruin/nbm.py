@@ -28,26 +28,25 @@ kernel over 0..top, its log Gamma values sliced from the shared table in
 underflow, set to 0.0); k_hi is looked for in the last probe step before
 top, where the mass crosses the floor.
 
-Coefficient tables are cached per spec and extended in place in quarter
-octaves, to at most 1.25 times the terms read, so repeated psi queries at
-different surpluses share one table; the cache keeps the tables of the 8
-most recently requested specs (`renewal.TableCache`).  A `CoefficientSeq`
-holds two fields: ``cbar``, a view of the table whose first term is exactly
-Cbar_0 (so psi(0) is read from it, and the net profit condition is checked
-once, where a table is built), and ``renewal``, the solver that built it.
+Coefficient tables are cached per spec in the package's one table cache
+(`renewal.TableCache`), beside the mixed Poisson grids, and extended in
+place in quarter octaves, to at most 1.25 times the terms read, so repeated
+psi queries at different surpluses share one table.  A `CoefficientSeq`
+holds two fields: ``cbar``, a view of the whole table whose first term is
+exactly Cbar_0 (so psi(0) is read from it, and the cache checks the net
+profit condition on it), and ``renewal``, the solver that built it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import NbmSpec, _nb_logpmf, _whole_number
-from .renewal import RenewalSolver, TableCache, Weights
+from .renewal import RenewalSolver, Weights, _tables
 
 __all__ = [
     "CoefficientSeq",
@@ -71,8 +70,8 @@ _UNDERFLOW = -750.0
 class CoefficientSeq:
     """Cbar coefficients of one mixture spec, with the solver that built them.
 
-    ``cbar`` is a read-only view of the spec's cached table; ``cbar[0]`` is
-    Cbar_0 = E(N)(1-p)/p exactly.  The equilibrium weights f_Ne(i) and their
+    ``cbar`` is a read-only view of the spec's whole cached table; ``cbar[0]``
+    is Cbar_0 = E(N)(1-p)/p exactly.  The equilibrium weights f_Ne(i) and their
     tails Fbar_Ne(k) are ``renewal.lags`` and ``renewal.survival``.
     """
 
@@ -80,27 +79,17 @@ class CoefficientSeq:
     renewal: RenewalSolver = field(repr=False)
 
 
-def _table(spec: NbmSpec):
-    """Renewal solver for the spec's coefficients, and the wrapper of its views."""
-    c0 = spec.claim_mean
-    if not 0.0 < c0 < 1.0:
-        raise ValueError(f"net profit condition requires E(N)(1-p)/p < 1, got {c0}")
-    solver = RenewalSolver(c0, Weights(spec.weight_survival()[:-1]))
-    return solver, partial(CoefficientSeq, renewal=solver)
-
-
-_coeff_cache = TableCache()
-
-
 def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
-    """Coefficients Cbar_0..Cbar_k_max for the given mixture, as a read-only array.
+    """Coefficients Cbar_0..Cbar_k_max, at least, for the given mixture.
 
-    The array is a view of the spec's cached table, which grows in place.
-    Requires the net profit condition E(N)(1-p)/p < 1.
+    The record is the spec's cached one: ``cbar`` views the whole table, at
+    least k_max + 1 terms, and a request within the table returns the same
+    record.  Requires the net profit condition E(N)(1-p)/p < 1.
     """
     k_max = _whole_number(k_max, "k_max")
-    seq = _coeff_cache.get(spec, k_max, lambda: _table(spec))
-    return replace(seq, cbar=seq.cbar[: k_max + 1])
+    return _tables.get(
+        spec, k_max, spec.claim_mean, lambda: (Weights(spec.weight_survival()[:-1]), CoefficientSeq)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +98,6 @@ class NStarSeq:
 
     f_nstar: np.ndarray
     fbar_nstar: np.ndarray
-    rho: float
 
 
 def nstar_sequence(pi_e: Sequence[float], rho: float, k_max: int) -> NStarSeq:
@@ -137,7 +125,7 @@ def nstar_sequence(pi_e: Sequence[float], rho: float, k_max: int) -> NStarSeq:
         f_star[k] = (1.0 - rho) * conv_f + rho * fn[k]
         conv_s = float(np.dot(fn[1 : k + 1], fbar_star[:k][::-1]))
         fbar_star[k] = (1.0 - rho) * conv_s + fbar_n[k]
-    return NStarSeq(f_nstar=f_star, fbar_nstar=fbar_star, rho=rho)
+    return NStarSeq(f_nstar=f_star, fbar_nstar=fbar_star)
 
 
 def compound_geo_zero_mass(pi: Sequence[float], p: float, rho: float) -> float:
@@ -219,4 +207,4 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     if u == 0:
         return float(cbar_sequence(spec, 0).cbar[0])
     pmf = _certified_window(u, 1.0 - spec.p, spec.p, _SERIES_TOL)
-    return float(np.dot(cbar_sequence(spec, pmf.size - 1).cbar, pmf))
+    return float(np.dot(cbar_sequence(spec, pmf.size - 1).cbar[: pmf.size], pmf))

@@ -246,7 +246,7 @@ class _Entry:
 
 
 class TableCache:
-    """Renewal tables keyed by law, each grown in place under its own lock.
+    """Coefficient tables keyed by law, each grown in place under its own lock.
 
     The cache lock guards only the lookup and insert of a key's entry, so
     growing one law's table never blocks a read of another's.  A table has
@@ -254,21 +254,27 @@ class TableCache:
     least 64: at most 1.25 (k_max + 1) terms.  The cache keeps the entries
     of its 8 most recently requested keys and drops the oldest one's
     reference; a request that holds a dropped entry still finishes, and a
-    later request for its key rebuilds the same table bit for bit.
+    later request for its key rebuilds the same table bit for bit.  A
+    request refused by the net profit condition, or whose table fails to
+    start, holds no entry.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
 
-    def get(self, key, k_max: int, start):
+    def get(self, key, k_max: int, c0: float, start):
         """The table for ``key`` covering index ``k_max``.
 
-        ``start()`` runs once per kept key, under the key's lock, and returns
-        ``(solver, wrap)``; ``wrap(view)`` turns a read-only view of the
-        solver's terms into the object handed out.  If it raises, the next
+        ``c0``, the law's mean claim, must meet the net profit condition
+        0 < c0 < 1.  ``start()`` runs once per kept key, under the key's lock,
+        and returns ``(weights, wrap)``: the table is RenewalSolver(c0,
+        weights)'s, and ``wrap(view, renewal=solver)`` makes the object handed
+        out from a read-only view of it.  If the start raises, the next
         request runs it again.
         """
+        if not 0.0 < c0 < 1.0:
+            raise ValueError(f"net profit condition requires a mean claim c0 in (0, 1), got c0 = {c0}")
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -282,11 +288,22 @@ class TableCache:
             return table[1]
         with entry.lock:
             if entry.solver is None:
-                entry.solver, entry.wrap = start()
+                try:
+                    weights, entry.wrap = start()
+                    entry.solver = RenewalSolver(c0, weights)
+                except BaseException:
+                    with self._lock:
+                        if self._entries.get(key) is entry:
+                            del self._entries[key]
+                    raise
             if entry.table is None or entry.table[0] <= k_max:
                 size = _table_size(k_max)
-                entry.table = (size, entry.wrap(entry.solver.extend(size)))
+                entry.table = (size, entry.wrap(entry.solver.extend(size), renewal=entry.solver))
             return entry.table[1]
+
+
+# The one cache of the package's coefficient tables: NBM specs and (mixing law, n) grids.
+_tables = TableCache()
 
 
 def _table_size(k_max: int) -> int:

@@ -394,7 +394,15 @@ def test_pareto_all_job_exits_3_at_the_support_cap(capsys):
 
 def test_infinite_mean_mixing_exits_2(capsys):
     assert main(["mp1", "--mix", "pareto:1,1", "--u-max", "2"]) == 2
-    assert "E(Lambda) < 1" in capsys.readouterr().err
+    assert "net profit condition requires a mean claim c0 in (0, 1), got c0 = inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mix, name", [("erlang:2,nan", "beta"), ("exp:inf", "beta"), ("pareto:inf,1", "alpha and theta")]
+)
+def test_non_finite_mixing_parameter_exits_2(mix, name, capsys):
+    assert main(["all", "--mix", mix, "--u-max", "2", "--reps", "100"]) == 2
+    assert f"{name} must be positive and finite" in capsys.readouterr().err
 
 
 # -- the flag table ----------------------------------------------------------------

@@ -263,6 +263,38 @@ def test_special_laws_are_built_in_their_general_form(mix, general):
     assert mix.kind in ("erlang_mixture", "atoms")
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MixingDistribution.erlang(2, NAN), "beta must be positive and finite"),
+        (lambda: MixingDistribution.exponential(INF), "beta must be positive and finite"),
+        (lambda: MixingDistribution.erlang_mixture((NAN, 0.5, 0.5), 3.0), "weights must be finite"),
+        (lambda: MixingDistribution.erlang_mixture((INF, 0.5), 3.0), "weights must be finite"),
+        (lambda: MixingDistribution.pareto(NAN, 1.0), "alpha and theta must be positive and finite"),
+        (lambda: MixingDistribution.pareto(INF, 1.0), "alpha and theta must be positive and finite"),
+        (lambda: MixingDistribution.pareto(3.0, INF), "alpha and theta must be positive and finite"),
+        (lambda: MixingDistribution.lognormal(0.0, INF), "s positive and finite"),
+        (lambda: MixingDistribution.lognormal(NAN, 1.0), "m must be finite"),
+        (lambda: MixingDistribution.degenerate(NAN), "value must be finite"),
+        (lambda: MixingDistribution.degenerate(INF), "value must be finite"),
+        (lambda: MixingDistribution.from_cdf_table([NAN], [1.0]), "support must be finite"),
+        (lambda: MixingDistribution.from_cdf_table([0.5, INF], [0.5, 1.0]), "support must be finite"),
+    ],
+    ids=[
+        "erlang_beta_nan", "exponential_beta_inf", "erlang_mixture_weight_nan",
+        "erlang_mixture_weight_inf", "pareto_alpha_nan", "pareto_alpha_inf", "pareto_theta_inf",
+        "lognormal_s_inf", "lognormal_m_nan", "degenerate_nan", "degenerate_inf",
+        "cdf_table_support_nan", "cdf_table_support_inf",
+    ],
+)
+def test_mixing_laws_reject_non_finite_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_mixing_survival_against_scipy():
     xs = np.linspace(0.0, 8.0, 33)
     cases = [

@@ -15,6 +15,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -33,9 +34,8 @@ from gdruin import (
     psi_pk,
     psi_recursion,
 )
-from gdruin import mixed_poisson, nbm
+from gdruin import mixed_poisson, nbm, renewal
 from gdruin.distributions import _nb_logpmf
-from gdruin.renewal import RenewalSolver, TableCache
 
 ERLANG = MixingDistribution.erlang(2, 3.0)
 PARETO = MixingDistribution.pareto(3.0, 1.0)
@@ -209,10 +209,10 @@ def test_streamed_grid_matches_the_stored_grid(monkeypatch):
     the head that tables beyond 2^15 terms make."""
     cfg = MpApproxConfig(n=500)
     top = 1 << 17
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     grown = [mp_coefficients(PARETO, cfg, size - 1) for size in 64 * 2 ** np.arange(12)]
     assert grown[-1].cbar_n.size == top
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     seq = mp_coefficients(PARETO, cfg, top - 1)
     assert seq.cbar_n.size == top
     for step in grown:
@@ -235,7 +235,7 @@ def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
     # 2^16, plus one extended-precision tail sum per 256 of them
     cfg = MpApproxConfig(n=500)
     laws = [PARETO, MixingDistribution.pareto(3.5, 1.5), MixingDistribution.pareto(2.9, 1.2)]
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     tracemalloc.start()
     try:
         seqs = [mp_coefficients(mix, cfg, 1 << 14) for mix in laws]
@@ -248,7 +248,7 @@ def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
 
 def test_grid_head_is_evaluated_only_to_its_stop(monkeypatch):
     cfg = MpApproxConfig(n=500)
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     points = []  # the size of every array the survival is evaluated on
     sf = MixingDistribution.sf
 
@@ -291,8 +291,8 @@ def test_grid_head_pieces_equal_one_evaluation(mix):
 
 def test_cache_keeps_the_eight_most_recently_requested_laws(monkeypatch):
     cfg = MpApproxConfig(n=50)
-    cache = TableCache()
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", cache)
+    cache = renewal._tables
+    monkeypatch.setattr(cache, "_entries", OrderedDict())
     builds = []
     table = mixed_poisson._table
 
@@ -314,9 +314,21 @@ def test_cache_keeps_the_eight_most_recently_requested_laws(monkeypatch):
     assert again.cbar_n.tobytes() == first
 
 
+def test_refused_laws_hold_no_cache_slot(monkeypatch):
+    cfg = MpApproxConfig(n=50)
+    cache = renewal._tables
+    monkeypatch.setattr(cache, "_entries", OrderedDict())
+    good = mp_coefficients(ERLANG, cfg, 100)
+    for i in range(8):  # means 2.0 down to 1.75
+        with pytest.raises(ValueError, match="net profit condition"):
+            mp_coefficients(MixingDistribution.exponential(0.50 + 0.01 * i), cfg, 100)
+    assert list(cache._entries) == [(ERLANG, 50)]
+    assert mp_coefficients(ERLANG, cfg, 100) is good
+
+
 def test_grid_reads_during_growth_match_single_thread(monkeypatch):
     cfg = MpApproxConfig(n=500)
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     seq = mp_coefficients(PARETO, cfg, 64)
 
     def read():  # across the stored head
@@ -378,7 +390,7 @@ def test_coefficient_regrowth_is_deterministic(mix, monkeypatch):
     top = 1 << 16
 
     def fresh_cache():
-        monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+        monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
 
     fresh_cache()
     at_once = mp_coefficients(mix, cfg, top - 1).cbar_n
@@ -603,7 +615,8 @@ def test_negbin_draws_follow_the_negbin_law(u, n):
 
 def test_negbin_draws_use_a_bounded_buffer():
     # the (m, u) block of uniforms was 4 MB here; the buffer holds 2^15 values
-    mixed_poisson._negbin_draws(5, 500, 10, 11, rng_stream=5)  # first-call set-up
+    # first-call set-up: n = 500's block law and the log Gamma values its window reads
+    mixed_poisson._negbin_draws(500, 500, 10, 11, rng_stream=500)
     tracemalloc.start()
     try:
         mixed_poisson._negbin_draws(500, 500, 1000, 11, rng_stream=500)

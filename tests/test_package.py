@@ -4,10 +4,11 @@ exactly what its library modules export.
 A stale string in an ``__all__`` list breaks only ``from gdruin import *``
 at run time; these tests make it fail the suite instead.  The same holds
 for the functions the benchmark's tracer times: a deleted one fails here
-with its name.  Every name a module imports is used there or re-exported, so
-a deletion cannot leave its imports behind.  A fresh process that runs the
-CLI loads numpy and no part of scipy: every run of ``gdruin`` pays for its
-imports.
+with its name.  Every name a module imports is used there or re-exported,
+and every private module-level name is read somewhere in the package, so a
+deletion cannot leave its imports or helpers behind.  A fresh process that
+runs the CLI loads numpy and no part of scipy: every run of ``gdruin`` pays
+for its imports.
 """
 
 from __future__ import annotations
@@ -51,6 +52,31 @@ def test_module_imports_are_used(path):
     module = gdruin if path.stem == "__init__" else importlib.import_module(f"gdruin.{path.stem}")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(module.__all__)) == []
+
+
+def test_private_names_are_read():
+    """Each private module-level def, class or assignment is read in its module, or
+    in another one as an imported name or an attribute of its module."""
+    defined, read = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((path.stem, name) for name in names if name.startswith("_") and not name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((path.stem, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update((node.module, alias.name) for alias in node.names)
+    assert sorted(f"{module}.{name}" for module, name in defined - read) == []
 
 
 def _traced_targets() -> list[tuple[str, str]]:

@@ -17,6 +17,7 @@ import math
 import sys
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from gdruin import (
     mp_claims_pmf,
     mp_coefficients,
 )
-from gdruin import mixed_poisson
+from gdruin import renewal
 from gdruin.recursion import _ladder
 from gdruin.renewal import _B, RenewalSolver, TableCache, Weights
 
@@ -213,6 +214,21 @@ def test_tables_are_read_only():
         mp.cbar_n[3] = 0.0
 
 
+def test_requests_within_a_table_return_the_same_record():
+    spec = NbmSpec((0.5, 0.5), 0.7)
+    mix, cfg = MixingDistribution.erlang(2, 3.0), MpApproxConfig(n=50)
+    for get, name in (
+        (lambda k: cbar_sequence(spec, k), "cbar"),
+        (lambda k: mp_coefficients(mix, cfg, k), "cbar_n"),
+    ):
+        first = get(100)
+        table = getattr(first, name)
+        assert table.size >= 101 and not table.flags.writeable
+        assert get(0) is first and get(table.size - 1) is first
+        grown = getattr(get(table.size), name)
+        np.testing.assert_array_equal(grown[: table.size], table)
+
+
 def test_solver_survival_and_lags_are_the_normalized_weights():
     w = np.array([3.0, 2.0, 1.0, 1.0])
     solver = RenewalSolver(0.5, Weights(w))
@@ -260,23 +276,24 @@ class _SizeRecorder:
         return np.zeros(n)
 
 
-def test_tables_grow_in_quarter_octaves():
+def test_tables_grow_in_quarter_octaves(monkeypatch):
     solver = _SizeRecorder()
+    monkeypatch.setattr(renewal, "RenewalSolver", lambda c0, weights: solver)
 
     def start():
-        return solver, lambda view: view
+        return None, lambda view, renewal: view
 
     cache = TableCache()
-    assert cache.get("law", 267_758, start).size == 327_680  # N1's top at u = 500; not 2^19
-    assert cache.get("law", 327_679, start).size == 327_680  # a cached read
+    assert cache.get("law", 267_758, 0.5, start).size == 327_680  # N1's top at u = 500; not 2^19
+    assert cache.get("law", 327_679, 0.5, start).size == 327_680  # a cached read
     assert solver.sizes == [327_680]
     solver.sizes.clear()
     cache = TableCache()
     for k in (0, 63, 64, 100, 10_901, 12_287):
-        cache.get("law", k, start)
+        cache.get("law", k, 0.5, start)
     assert solver.sizes == [64, 80, 112, 12_288]
     for k in range(0, 20_000, 97):
-        size = TableCache().get("law", k, start).size
+        size = TableCache().get("law", k, 0.5, start).size
         e = size.bit_length() - 3
         assert size >> e in (4, 5, 6, 7) and size % (1 << e) == 0
         assert max(k + 1, 64) <= size <= max(1.25 * (k + 1), 64)
@@ -302,26 +319,46 @@ def test_integral_k_max_of_any_type_equals_int_k_max():
         )
 
 
+def test_a_failed_start_holds_no_entry():
+    cache = TableCache()
+
+    def start():
+        return Weights(np.array([1.0])), lambda cbar, renewal: cbar
+
+    def broken():
+        raise ValueError("no grid")
+
+    good = cache.get("good", 10, 0.5, start)
+    for key in range(8):
+        with pytest.raises(ValueError, match="no grid"):
+            cache.get(key, 10, 0.5, broken)
+    with pytest.raises(ValueError, match="net profit condition"):
+        cache.get("refused", 10, 1.0, start)
+    assert list(cache._entries) == ["good"]
+    assert cache.get("good", 10, 0.5, None) is good
+    assert cache.get(0, 10, 0.25, start)[0] == 0.25  # a failed key starts again
+
+
 def test_extension_holds_only_its_own_laws_lock():
     cache = TableCache()
     started, release = threading.Event(), threading.Event()
 
-    def start(c0):
-        return RenewalSolver(c0, Weights(np.array([1.0]))), lambda cbar: cbar
+    def start():
+        return Weights(np.array([1.0])), lambda cbar, renewal: cbar
 
     def slow_start():
         started.set()
         release.wait(timeout=30)
-        return start(0.5)
+        return start()
 
-    cache.get("b", 10, lambda: start(0.5))
-    blocked = threading.Thread(target=cache.get, args=("a", 10, slow_start))
+    cache.get("b", 10, 0.5, start)
+    blocked = threading.Thread(target=cache.get, args=("a", 10, 0.5, slow_start))
     blocked.start()
     try:
         assert started.wait(timeout=30)
         t0 = time.perf_counter()
-        assert cache.get("b", 20, None)[0] == 0.5  # cached read of another law
-        assert cache.get("c", 20, lambda: start(0.25))[0] == 0.25  # another law's build
+        assert cache.get("b", 20, 0.5, None)[0] == 0.5  # cached read of another law
+        assert cache.get("c", 20, 0.25, start)[0] == 0.25  # another law's build
         assert time.perf_counter() - t0 < 5.0
     finally:
         release.set()
@@ -347,12 +384,12 @@ def test_concurrent_growth_past_the_cache_bound_matches_single_thread(monkeypatc
 def _check_concurrent_growth(laws, monkeypatch):
     cfg = MpApproxConfig(n=500)
     top = 1 << 15
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     reference = [mp_coefficients(mix, cfg, top).cbar_n for mix in laws]
 
     rng = np.random.default_rng(11)
     requests = [(int(rng.integers(len(laws))), int(rng.integers(0, top))) for _ in range(64)]
-    monkeypatch.setattr(mixed_poisson, "_coeff_cache", TableCache())
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
     results, errors = [], []
     n_threads = 8
     barrier = threading.Barrier(n_threads)
