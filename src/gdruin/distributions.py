@@ -115,11 +115,13 @@ def _read_pairs(path: str) -> list[tuple[float, float]]:
 
 def _whole_number(x, name: str, least: int = 0) -> int:
     """``x`` as an int; ValueError naming ``name`` unless it is a whole number of at
-    least ``least``, 0 or 1 (so also for inf and nan)."""
-    try:
-        k = int(x)
-    except (OverflowError, ValueError):  # inf, nan
-        k = None
+    least ``least``, 0 or 1 (so also for inf, nan and a bool, which equals 0 or 1)."""
+    k = None
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            k = int(x)
+        except (OverflowError, ValueError):  # inf, nan
+            pass
     if k is None or k != x or k < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
     return k

@@ -21,6 +21,14 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   of 2^15 values, the same stream as whole blocks, so a call holds O(m)
   memory for any u.
 
+Only Cbar depends on the mixing law; the NegBin factor depends on (u, n)
+alone.  So method 1's window, per (u, n, pmf_floor), and method 2's seeded
+draws, per (u, n, m, seed), are kept across laws in one memo of read-only
+arrays under 2^17 values (1 MB), least recently used out first, and the
+laws of a paper table compute each once.  An array over 2^14 values is
+never kept (at n = 500 a window past u = 20: 267,759 values at u = 500),
+and neither are draws with ``seed=None``, which differ from call to call.
+
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
@@ -43,6 +51,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -77,6 +87,8 @@ _HEAD = 1 << 16
 _PIECE = 1 << 10
 # Values in method 2's reused buffer of uniforms.
 _DRAW_BUFFER = 1 << 15
+# Values the memo of law-free series factors keeps (1 MB), at most an eighth in one array.
+_FACTOR_BUDGET = 1 << 17
 # Method 2 draws NegBin(u, q) in blocks of NegBin(_BLOCK, q), whose window leaves
 # out at most _BLOCK_TOL of its mass.
 _BLOCK = 32
@@ -88,8 +100,9 @@ class MpApproxConfig:
     """Grid and sampling parameters for the two approximation methods.
 
     ``n`` is the grid refinement, ``m`` the Monte Carlo sample size of
-    method 2, ``pmf_floor`` the series truncation floor, and ``seed`` makes
-    method 2 reproducible.  The mixing grid has no cap: it stops at a
+    method 2, ``pmf_floor`` the series truncation floor, and ``seed``, a
+    nonnegative integer, makes method 2 reproducible (None draws a fresh
+    stream on every call).  The mixing grid has no cap: it stops at a
     survival of 1e-16 within its first 2^16 points, or else runs on to
     infinity, past those points in closed form.
     """
@@ -102,6 +115,8 @@ class MpApproxConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _whole_number(self.n, "n", least=1))
         object.__setattr__(self, "m", _whole_number(self.m, "m", least=1))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if not self.pmf_floor > 0.0:
             raise ValueError("pmf_floor must be positive")
 
@@ -189,7 +204,63 @@ def mp_coefficients(
     return _tables.get((mix, cfg.n), k_max, mix.mean, lambda: _table(mix, cfg.n))
 
 
+# -- the law-free factors ----------------------------------------------------------
+
+
+class _FactorMemo:
+    """Read-only arrays kept by key under one budget of values, oldest used out first.
+
+    It holds the factors of the series that do not depend on the mixing law:
+    method 1's window per (u, n, pmf_floor) and method 2's seeded draws per
+    (u, n, m, seed), so the laws of a table share them.  A view is kept as a
+    copy, so it pins no more memory than the budget counts.  An array over an
+    eighth of the budget is not kept: the memo holds at least 8 entries, and
+    the large windows of a sweep in u do not push out the small draws its
+    revisits read again.  The lock guards only the dict: two callers that
+    miss one key both compute it, to the same bits.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self._kept: OrderedDict = OrderedDict()
+        self._held = 0
+
+    def get(self, key, make) -> np.ndarray:
+        with self._lock:
+            a = self._kept.get(key)
+            if a is not None:
+                self._kept.move_to_end(key)
+                return a
+        a = make()
+        if a.size <= self.budget // 8:
+            if a.base is not None:
+                a = a.copy()
+            a.flags.writeable = False
+            with self._lock:
+                if key not in self._kept:
+                    self._kept[key] = a
+                    self._held += a.size
+                    while self._held > self.budget:
+                        self._held -= self._kept.popitem(last=False)[1].size
+        return a
+
+
+_factors = _FactorMemo(_FACTOR_BUDGET)
+
+
 # -- method 1: truncated series ----------------------------------------------
+
+
+def _window(u: int, n: int, floor: float) -> np.ndarray:
+    """Method 1's NegBin(u, 1/(1+n)) window at ``floor``; ValueError if it is empty."""
+    pmf = _series_window(u, 1.0 / (1.0 + n), floor)
+    if not pmf.size:
+        raise ValueError(
+            f"every NegBin({u}, 1/{n + 1}) mass is below pmf_floor={floor}; "
+            "lower the floor or the grid refinement"
+        )
+    return pmf
 
 
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
@@ -197,12 +268,7 @@ def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> floa
     u = _whole_number(u, "u")
     if u == 0:
         return float(mp_coefficients(mix, cfg, 0).cbar_n[0])
-    pmf = _series_window(u, 1.0 / (1.0 + cfg.n), cfg.pmf_floor)
-    if not pmf.size:
-        raise ValueError(
-            f"every NegBin({u}, 1/{cfg.n + 1}) mass is below pmf_floor={cfg.pmf_floor}; "
-            "lower the floor or the grid refinement"
-        )
+    pmf = _factors.get(("window", u, cfg.n, cfg.pmf_floor), partial(_window, u, cfg.n, cfg.pmf_floor))
     return float(np.dot(mp_coefficients(mix, cfg, pmf.size - 1).cbar_n[: pmf.size], pmf))
 
 
@@ -272,7 +338,7 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
     if seed is None:
         ss = np.random.SeedSequence()
     else:
-        ss = np.random.SeedSequence((int(seed), rng_stream))
+        ss = np.random.SeedSequence((seed, rng_stream))
     rng = np.random.Generator(np.random.Philox(ss))
     lq = math.log1p(-1.0 / (1.0 + n))  # log of the geometric miss probability
     geometric, blocks = u % _BLOCK, u // _BLOCK
@@ -304,7 +370,8 @@ def psi_mp_method2(
     u = _whole_number(u, "u")
     if u == 0:
         return float(mp_coefficients(mix, cfg, 0).cbar_n[0]), 0.0
-    z = _negbin_draws(u, cfg.n, cfg.m, cfg.seed, rng_stream=u)
+    draw = partial(_negbin_draws, u, cfg.n, cfg.m, cfg.seed, rng_stream=u)
+    z = draw() if cfg.seed is None else _factors.get(("draws", u, cfg.n, cfg.m, cfg.seed), draw)
     seq = mp_coefficients(mix, cfg, int(z.max()))
     vals = seq.cbar_n[z]
     est = float(vals.mean())

@@ -509,6 +509,7 @@ _WHOLE_ARGS = {
     "erlang": ("shape", lambda x: MixingDistribution.erlang(x, 3.0)),
     "MpApproxConfig.n": ("n", lambda x: MpApproxConfig(n=x)),
     "MpApproxConfig.m": ("m", lambda x: MpApproxConfig(m=x)),
+    "MpApproxConfig.seed": ("seed", lambda x: MpApproxConfig(seed=x)),
     "SimConfig.replications": ("replications", lambda x: SimConfig(geometric_pmf(0.75), x)),
     "SimConfig.seed": ("seed", lambda x: SimConfig(geometric_pmf(0.75), 10, seed=x)),
 }
@@ -525,6 +526,9 @@ def test_whole_number_arguments_reject_what_is_not_one(entry, x):
 def test_whole_number_returns_the_int():
     assert [_whole_number(v, "k") for v in (0, 3.0, np.int64(7), np.float64(2.0))] == [0, 3, 7, 2]
     assert type(_whole_number(np.float64(2.0), "k")) is int
+    for flag in (True, False, np.True_):  # equal to 1 or 0, but a flag is no count
+        with pytest.raises(ValueError, match="^k must be a nonnegative integer$"):
+            _whole_number(flag, "k")
     with pytest.raises(ValueError, match="^k must be a positive integer$"):
         _whole_number(0, "k", least=1)
 

@@ -675,6 +675,131 @@ def test_threads_building_one_block_table_match_a_single_thread():
     assert results == [psi_mp_method2(ERLANG, 100, cfg)] * 8
 
 
+# -- the law-free factors kept across laws --------------------------------------------
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """A fresh memo of windows and draws, with the package's budget."""
+    memo = mixed_poisson._FactorMemo(mixed_poisson._FACTOR_BUDGET)
+    monkeypatch.setattr(mixed_poisson, "_factors", memo)
+    return memo
+
+
+def test_kept_factors_are_read_only_copies(factors):
+    cfg = MpApproxConfig(n=500, m=1000, seed=1)
+    psi_mp_method1(ERLANG, 3, cfg)
+    psi_mp_method2(ERLANG, 3, cfg)
+    assert set(factors._kept) == {("window", 3, 500, 1e-5), ("draws", 3, 500, 1000, 1)}
+    for a in factors._kept.values():
+        assert not a.flags.writeable and a.base is None and a.flags.owndata
+
+
+def test_unseeded_draws_are_never_kept(factors):
+    cfg = MpApproxConfig(n=500, m=1000)
+    assert psi_mp_method2(ERLANG, 3, cfg) != psi_mp_method2(ERLANG, 3, cfg)
+    assert not factors._kept and factors._held == 0
+
+
+def test_kept_factors_stay_within_the_budget(factors):
+    cfg = MpApproxConfig(n=50)
+    for u in range(1, 101):  # 367,190 window values in all, at most 6,587 in one
+        psi_mp_method1(ERLANG, u, cfg)
+        held = sum(a.size for a in factors._kept.values())
+        assert held == factors._held <= factors.budget == 1 << 17
+    assert ("window", 1, 50, 1e-5) not in factors._kept  # the oldest went first
+    assert ("window", 100, 50, 1e-5) in factors._kept
+
+
+def test_windows_over_an_eighth_of_the_budget_are_not_kept(factors):
+    cfg = MpApproxConfig(n=500, m=1000, seed=1)
+    psi_mp_method2(ERLANG, 3, cfg)
+    for u in (20, 30, 500):  # 15,765, 21,682 and 267,759 values
+        psi_mp_method1(ERLANG, u, cfg)
+    assert list(factors._kept) == [("draws", 3, 500, 1000, 1), ("window", 20, 500, 1e-5)]
+
+
+def test_an_evicted_factor_is_recomputed_to_the_same_bits(factors):
+    cfg = MpApproxConfig(n=500, m=1000, seed=2)
+    first = (psi_mp_method1(PARETO, 2, cfg), psi_mp_method2(PARETO, 2, cfg))
+    window = factors._kept["window", 2, 500, 1e-5].copy()
+    draws = factors._kept["draws", 2, 500, 1000, 2].copy()
+    for u in range(1, 61):
+        psi_mp_method1(ERLANG, u, MpApproxConfig(n=50))
+    assert ("window", 2, 500, 1e-5) not in factors._kept
+    assert ("draws", 2, 500, 1000, 2) not in factors._kept
+    assert (psi_mp_method1(PARETO, 2, cfg), psi_mp_method2(PARETO, 2, cfg)) == first
+    np.testing.assert_array_equal(factors._kept["window", 2, 500, 1e-5], window)
+    np.testing.assert_array_equal(factors._kept["draws", 2, 500, 1000, 2], draws)
+
+
+def test_threads_sharing_the_factors_match_a_single_thread(factors, monkeypatch):
+    cfg = MpApproxConfig(n=500, m=1000, seed=4)
+    laws = [ERLANG, PARETO, LOGNORMAL]
+    tasks = [(law, u) for u in range(1, 11) for law in range(len(laws))]
+
+    def values(law, u):
+        return psi_mp_method1(laws[law], u, cfg), psi_mp_method2(laws[law], u, cfg)
+
+    reference = {task: values(*task) for task in tasks}
+    monkeypatch.setattr(mixed_poisson, "_factors", mixed_poisson._FactorMemo(factors.budget))
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
+    results, errors = {}, []
+    start = threading.Barrier(4)
+
+    def run(chunk):
+        try:
+            start.wait(timeout=30)
+            for task in chunk:
+                results[task] = values(*task)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(tasks[i::4],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not any(t.is_alive() for t in threads)
+    assert results == reference
+
+
+def test_a_paper_table_run_computes_each_factor_once(factors, monkeypatch):
+    from gdruin.tables import reproduce_tables
+
+    calls = {"window": 0, "draws": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mixed_poisson, "_series_window", counted("window", mixed_poisson._series_window))
+    monkeypatch.setattr(mixed_poisson, "_negbin_draws", counted("draws", mixed_poisson._negbin_draws))
+    reproduce_tables()  # 3 laws at u = 1..10
+    assert calls == {"window": 10, "draws": 10}
+
+
+@pytest.mark.parametrize("seed", [True, "7"])  # 1.5, -1, inf and nan: test_distributions
+def test_seed_refuses_a_flag_and_a_string(seed):
+    with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+        MpApproxConfig(seed=seed)
+
+
+def test_whole_float_seed_runs_the_int_seeds_stream(factors):
+    cfg = MpApproxConfig(n=500, m=1000, seed=np.float64(7.0))
+    assert type(cfg.seed) is int and cfg.seed == 7
+    assert psi_mp_method2(ERLANG, 3, cfg) == psi_mp_method2(ERLANG, 3, MpApproxConfig(n=500, m=1000, seed=7))
+    assert list(factors._kept) == [("draws", 3, 500, 1000, 7)]
+
+
 # -- the surplus argument ------------------------------------------------------------
 
 _NBM = NbmSpec((0.5, 0.5), 0.7)
