@@ -32,11 +32,6 @@ decays geometrically the tilted source block is level, so the error stays
 relative to each term.  A single tilt e^{t k} over the whole table would
 overflow once x stops decaying, as it does when Fbar stays positive past W.
 
-An extension takes the survival Fbar of all its new blocks in one pass: one
-read of the weights, padded with zeros to whole blocks, one reversed
-cumulative sum per block and the tail sum at each block end, the same bits
-as block by block.
-
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
 order of the requests.  Each level's tilted lag spectrum, output powers and
@@ -142,13 +137,12 @@ class RenewalSolver:
         end = -(-n // _B) * _B
         if end > self._done:
             self._reserve(end)
-            surv = self._survival_rows(self._done, end)
             # near[r, c] = tau[r - c] (r >= c), prev[r, c] = f_{B+r-c} (r < c); row r is window B-1-r
             near = sliding_window_view(np.r_[self._tau[::-1], np.zeros(_B - 1)], _B)[::-1].copy()
             prev = sliding_window_view(np.r_[np.zeros(_B), self._near_f[_B - 1 : 0 : -1]], _B)[::-1].copy()
             try:
-                for r, pos in enumerate(range(self._done, end, _B)):
-                    self._step(pos, near, prev, surv[r] if r < len(surv) else self._past)
+                for pos in range(self._done, end, _B):
+                    self._step(pos, near, prev)
                     self._done = pos + _B
             except BaseException:
                 # a step may stop with its pending terms half added
@@ -157,28 +151,6 @@ class RenewalSolver:
         view = self._x[:n]
         view.flags.writeable = False
         return view
-
-    def _survival_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Fbar(k) for k in [lo, hi), lo and hi block boundaries, one row per block.
-
-        Row r is ``survival(lo + r B, lo + (r+1) B)`` bit for bit, from one read of
-        the weights padded with zeros to whole blocks, one reversed cumulative sum
-        per row and the tail at each row's block end; one sum over the whole range
-        would round differently.  Rows stop at the block holding the last weight:
-        past it Fbar is ``_past`` throughout.
-        """
-        live = max(min(hi, self._width) - lo, 0)  # Fbar values that read weights
-        rows = -(-live // _B)
-        seg = np.zeros(rows * _B, dtype=np.longdouble)
-        seg[:live] = self._weights.read(lo, lo + live)
-        seg = seg.reshape(rows, _B)[:, ::-1]
-        np.cumsum(seg, axis=1, out=seg)
-        ends = range(lo + _B, lo + (rows + 1) * _B, _B)
-        seg += np.array([self._weights.tail(e) for e in ends], dtype=np.longdouble)[:, None]
-        seg /= self._total
-        out = np.full((rows, _B), self._past)
-        out.reshape(-1)[:live] = seg[:, ::-1].reshape(-1)[:live]
-        return out
 
     def _reserve(self, end: int) -> None:
         # the buffer must hold every pending term the steps up to end create:
@@ -195,19 +167,18 @@ class RenewalSolver:
             grown[: self._x.size] = self._x
             self._x = grown
 
-    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray, surv) -> None:
-        # surv is Fbar on the block, a row of _survival_rows or the scalar past W
+    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray) -> None:
         x = self._x
         if pos == 0:
             x[0] = self.c0
-            rhs = self._near_f[1:_B] * self.c0 + surv[1:]
+            rhs = self._near_f[1:_B] * self.c0 + self.survival(1, _B)
             x[1:_B] = near[:-1, :-1] @ rhs
             return
         s = _B
         while s <= self._width and pos % s == 0:
             self._fire(pos, s)
             s *= 2
-        rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + surv
+        rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + self.survival(pos, pos + _B)
         x[pos : pos + _B] = near @ rhs
 
     def _fire(self, e: int, s: int) -> None:

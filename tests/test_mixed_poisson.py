@@ -530,8 +530,10 @@ def test_sweep_output_is_pinned(method):
 # -- method 2 -----------------------------------------------------------------------
 
 
-def test_method2_is_seed_reproducible():
+def test_method2_is_seed_reproducible(monkeypatch):
     cfg = MpApproxConfig(n=500, m=1000, seed=7)
+    # a memo with no budget keeps no draws, so b draws them again
+    monkeypatch.setattr(mixed_poisson, "_factors", mixed_poisson._FactorMemo(0))
     a = psi_mp_method2(ERLANG, 3, cfg)
     b = psi_mp_method2(ERLANG, 3, cfg)
     assert a == b
@@ -646,8 +648,10 @@ def test_block_table_at_n_500_keeps_under_a_mebibyte():
     assert held + cdf.nbytes + table.nbytes < 2**20, (held, cdf.nbytes, table.nbytes)
 
 
-def test_threads_building_one_block_table_match_a_single_thread():
+def test_threads_building_one_block_table_match_a_single_thread(monkeypatch):
     cfg = MpApproxConfig(n=517, m=1000, seed=3)
+    # no draws are kept, so every thread, and then the reference, builds and draws
+    monkeypatch.setattr(mixed_poisson, "_factors", mixed_poisson._FactorMemo(0))
     mixed_poisson._block_law.cache_clear()
     results, errors = [None] * 8, []
     start = threading.Barrier(8)
@@ -721,16 +725,20 @@ def test_windows_over_an_eighth_of_the_budget_are_not_kept(factors):
 
 def test_an_evicted_factor_is_recomputed_to_the_same_bits(factors):
     cfg = MpApproxConfig(n=500, m=1000, seed=2)
-    first = (psi_mp_method1(PARETO, 2, cfg), psi_mp_method2(PARETO, 2, cfg))
-    window = factors._kept["window", 2, 500, 1e-5].copy()
-    draws = factors._kept["draws", 2, 500, 1000, 2].copy()
+
+    def values():  # u = 40 draws one NegBin(32) block and 8 geometric columns
+        return psi_mp_method1(PARETO, 2, cfg), psi_mp_method2(PARETO, 2, cfg), psi_mp_method2(PARETO, 40, cfg)
+
+    first = values()
+    keys = [("window", 2, 500, 1e-5), ("draws", 2, 500, 1000, 2), ("draws", 40, 500, 1000, 2)]
+    kept = [factors._kept[key].copy() for key in keys]
     for u in range(1, 61):
         psi_mp_method1(ERLANG, u, MpApproxConfig(n=50))
-    assert ("window", 2, 500, 1e-5) not in factors._kept
-    assert ("draws", 2, 500, 1000, 2) not in factors._kept
-    assert (psi_mp_method1(PARETO, 2, cfg), psi_mp_method2(PARETO, 2, cfg)) == first
-    np.testing.assert_array_equal(factors._kept["window", 2, 500, 1e-5], window)
-    np.testing.assert_array_equal(factors._kept["draws", 2, 500, 1000, 2], draws)
+    assert not any(key in factors._kept for key in keys)
+    mixed_poisson._block_law.cache_clear()  # the block draws rebuild their table too
+    assert values() == first
+    for key, a in zip(keys, kept):
+        np.testing.assert_array_equal(factors._kept[key], a)
 
 
 def test_threads_sharing_the_factors_match_a_single_thread(factors, monkeypatch):

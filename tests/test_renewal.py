@@ -31,10 +31,9 @@ from gdruin import (
     mp_claims_pmf,
     mp_coefficients,
 )
-from gdruin import mixed_poisson, renewal
-from gdruin.nbm import _series_window
+from gdruin import renewal
 from gdruin.recursion import _ladder
-from gdruin.renewal import _B, RenewalSolver, TableCache, Weights, _table_size
+from gdruin.renewal import _B, RenewalSolver, TableCache, Weights
 
 RTOL = 1e-12
 FLOOR = 1e-290
@@ -261,64 +260,6 @@ def test_solver_head_by_doubling_matches_the_dot_loop(mix):
     for t in range(1, _B):
         ref[t] = c0 * np.dot(f[1 : t + 1], ref[t - 1 :: -1])
     np.testing.assert_allclose(solver._tau, ref, rtol=1e-13, atol=0.0)
-
-
-# -- the survival pass of an extension ----------------------------------------------
-
-# Past the 2^16 stored points of a heavy-tailed grid
-_PASS_END = 70_000
-
-
-def _pass_weights(name: str) -> Weights:
-    if name == "nbm_mid_block":
-        return Weights(NBM_SPECS["wide"].weight_survival()[:-1])
-    law = MixingDistribution.erlang(2, 3.0) if name == "erlang_mid_block" else MixingDistribution.pareto(3.0, 1.0)
-    return mixed_poisson._table(law, 500)[0]
-
-
-def _table_models_sizes() -> list[int]:
-    """The sizes a table_models op grows a table to: the grid, N1's windows at
-    u = 1..10, then the maxima of N2's draws, each in quarter octaves."""
-    q = 1.0 / 501.0
-    requests = [0] + [_series_window(u, q, 1e-5).size - 1 for u in range(1, 11)]
-    requests += [int(mixed_poisson._negbin_draws(u, 500, 1000, 1, u).max()) for u in range(1, 11)]
-    sizes = []
-    for k in requests:
-        if not sizes or k >= sizes[-1]:
-            sizes.append(_table_size(k))
-    return sizes + [_PASS_END]
-
-
-@pytest.mark.parametrize("name", ["nbm_mid_block", "erlang_mid_block", "pareto_3_1"])
-def test_tables_grown_in_any_steps_are_bit_identical(name):
-    weights = _pass_weights(name)
-    if weights.size < math.inf:
-        assert weights.size % _B and weights.size < _PASS_END
-    c0 = 0.7 if name.startswith("nbm") else 0.5
-    tables = []
-    for sizes in (_table_models_sizes(), list(range(1, _PASS_END, 4099)) + [_PASS_END], [_PASS_END]):
-        solver = RenewalSolver(c0, weights)
-        for size in sizes:
-            table = solver.extend(size)
-        tables.append(table.copy())
-    assert tables[0].size == _PASS_END
-    for table in tables[1:]:
-        np.testing.assert_array_equal(table, tables[0])
-    # the Pareto run grows across the stored head in one extension
-    assert _table_models_sizes()[-2] < 1 << 16 < _PASS_END
-
-
-@pytest.mark.parametrize("name", ["nbm_mid_block", "erlang_mid_block", "pareto_3_1"])
-@pytest.mark.parametrize("lo, hi", [(0, 70_144), (3 * _B, 40 * _B), (255 * _B, 257 * _B)])
-def test_survival_pass_equals_survival_block_by_block(name, lo, hi):
-    solver = RenewalSolver(0.5, _pass_weights(name))
-    rows = solver._survival_rows(lo, hi)
-    assert rows.shape[1] == _B and rows.shape[0] <= (hi - lo) // _B
-    for r, pos in enumerate(range(lo, hi, _B)):
-        block = rows[r] if r < len(rows) else np.full(_B, solver._past)
-        np.testing.assert_array_equal(block, solver.survival(pos, pos + _B))
-    # the first block's survival from 1 on, which the head reads
-    np.testing.assert_array_equal(solver._survival_rows(0, _B)[0, 1:], solver.survival(1, _B))
 
 
 def test_weights_of_whole_blocks_keep_their_block_tails():
