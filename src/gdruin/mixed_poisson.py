@@ -65,7 +65,7 @@ from .distributions import (
     _whole_number,
     mp_claims_pmf,
 )
-from .nbm import _certified_window, _series_window
+from .nbm import _certified_window, _series, _series_window
 from .recursion import psi_recursion
 from .renewal import RenewalSolver, Weights, _tables
 
@@ -269,7 +269,7 @@ def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> floa
     if u == 0:
         return float(mp_coefficients(mix, cfg, 0).cbar_n[0])
     pmf = _factors.get(("window", u, cfg.n, cfg.pmf_floor), partial(_window, u, cfg.n, cfg.pmf_floor))
-    return float(np.dot(mp_coefficients(mix, cfg, pmf.size - 1).cbar_n[: pmf.size], pmf))
+    return _series(mp_coefficients(mix, cfg, pmf.size - 1).cbar_n, pmf)
 
 
 # -- method 2: Monte Carlo over the mixing index ------------------------------

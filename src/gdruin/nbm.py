@@ -26,7 +26,9 @@ and sums it over the same window at its pmf floor.  The window is the log
 kernel over 0..top, its log Gamma values sliced from the shared table in
 `distributions`, exponentiated in place (its left tail, where the masses
 underflow, set to 0.0); k_hi is looked for in the last probe step before
-top, where the mass crosses the floor.
+top, where the mass crosses the floor.  Both sum the series in `_series`, in
+dot products of 8,192 terms that the BLAS never splits over threads, so
+their last bits do not depend on the thread count.
 
 Coefficient tables are cached per spec in the package's one table cache
 (`renewal.TableCache`), beside the mixed Poisson grids, and extended in
@@ -64,6 +66,9 @@ _PROBES = 16
 # exp of a log mass below this is exactly 0.0: it is 4.9 below -745.13, where
 # exp starts to round to 0.0.
 _UNDERFLOW = -750.0
+# Terms per dot product of a series sum; below the 10,000 terms past which
+# OpenBLAS splits a dot product over threads.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +183,24 @@ def _series_window(u: int, q: float, floor: float) -> np.ndarray:
     return pmf[: lo + above[-1] + 1] if above.size else pmf[:0]
 
 
+def _series(table: np.ndarray, pmf: np.ndarray) -> float:
+    """The series sum_k table[k] pmf[k] over the window, k < pmf.size.
+
+    One dot product over a long window would be split over threads by the BLAS,
+    which then sums it in another order, so its last bits would depend on the
+    thread count.  Here each whole chunk of `_CHUNK` terms is one single-threaded
+    dot product, all of them in one stacked matmul, the rest is one more, and
+    their sum runs in an order set by the window's length alone.
+    """
+    n = pmf.size
+    whole = n - n % _CHUNK
+    total = np.dot(table[whole:n], pmf[whole:])
+    if whole:
+        chunks = np.matmul(table[:whole].reshape(-1, 1, _CHUNK), pmf[:whole].reshape(-1, _CHUNK, 1))
+        total += chunks.sum()
+    return float(total)
+
+
 def _certified_window(u: int, q: float, p: float, tol: float) -> np.ndarray:
     """NegBin(u, q) masses on 0..k_hi, leaving out at most ``tol`` of mass past k_hi.
 
@@ -207,4 +230,4 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     if u == 0:
         return float(cbar_sequence(spec, 0).cbar[0])
     pmf = _certified_window(u, 1.0 - spec.p, spec.p, _SERIES_TOL)
-    return float(np.dot(cbar_sequence(spec, pmf.size - 1).cbar[: pmf.size], pmf))
+    return _series(cbar_sequence(spec, pmf.size - 1).cbar, pmf)

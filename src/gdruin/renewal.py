@@ -14,10 +14,13 @@ The direct loop costs O(K min(K, W)) for K terms, in K Python-level calls.
 `RenewalSolver` costs O(K log^2 K) in O(K / B) numpy calls and extends its
 table in place:
 
-* lags below the block size B = 256 are dense nonnegative products: one
-  B x B inverse-Toeplitz gemv per block of B terms, plus one gemv for the
-  lags that reach back into the previous block.  The inverse is the first B
-  terms of c0 / (1 - c0 F(z)), built in 8 doublings of two convolutions;
+* lags below the block size B = 512 are dense nonnegative products, each
+  one `np.correlate` over a zero-padded buffer the solver keeps: per block
+  of B terms, one against f_{B-1}..f_1 for the lags that reach back into the
+  previous block, then one against the reversed inverse-Toeplitz head tau
+  for the block itself.  tau is the first B terms of c0 / (1 - c0 F(z)),
+  built in 9 doublings of two convolutions.  No B x B matrix exists, so the
+  kernels stay in cache, where a B x B gemv would stream 2 MB per product;
 * lags in [s, 2s), for each level s = B 2^m <= W, form one FFT product of the
   finished source block x[e-s, e) with f_s..f_{2s-1}.  It is made when block
   e starts (e a multiple of s) and added to the pending terms x[e, e+2s-1),
@@ -37,10 +40,11 @@ the table has been grown, so every prefix is bit-identical whatever the
 order of the requests.  Each level's tilted lag spectrum, output powers and
 last lag are built the first time the level fires and kept on the solver:
 32 s bytes for level s, 4 to 6.4 times the table's bytes over all levels
-when every level up to half the table fires.  The solver reads the
-weights through `Weights`, so the support may be unbounded, like a
-heavy-tailed mixing grid: the table reads single weights only up to about
-twice its length, and beyond that only tail sums from block boundaries.
+when every level up to half the table fires, beside 28 KB of dense kernels
+and buffer.  The solver reads the weights through `Weights`, so the support
+may be unbounded, like a heavy-tailed mixing grid: the table reads single
+weights only up to about twice its length, and beyond that only tail sums
+from block boundaries.
 """
 
 from __future__ import annotations
@@ -50,12 +54,11 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["RenewalSolver", "TableCache", "Weights"]
 
 # Block size of the dense near-lag products; a power of two.
-_B = 256
+_B = 512
 # Keys a `TableCache` keeps, the most recently requested ones.
 _KEEP = 8
 
@@ -107,8 +110,12 @@ class RenewalSolver:
         self._past = 0.0  # Fbar(k) for k >= W
         if self._width < math.inf:
             self._past = float(weights.tail(-(-self._width // _B) * _B) / self._total)
-        self._near_f = self.lags(0, 2 * _B)
+        self._near_f = self.lags(0, _B)
         self._tau = self.c0 * _inverse_head(self.c0 * self._near_f)
+        # reversed copies, so that np.correlate's dot products run forward through BLAS
+        self._tau_rev = self._tau[::-1].copy()
+        self._near_rev = self._near_f[:0:-1].copy()  # f_{B-1}..f_1
+        self._pad = np.zeros(3 * _B - 2)
         self._levels: dict[int, tuple] = {}  # s -> (spectrum, powers, last lag)
         self._x = np.zeros(0)
         self._done = 0
@@ -137,12 +144,9 @@ class RenewalSolver:
         end = -(-n // _B) * _B
         if end > self._done:
             self._reserve(end)
-            # near[r, c] = tau[r - c] (r >= c), prev[r, c] = f_{B+r-c} (r < c); row r is window B-1-r
-            near = sliding_window_view(np.r_[self._tau[::-1], np.zeros(_B - 1)], _B)[::-1].copy()
-            prev = sliding_window_view(np.r_[np.zeros(_B), self._near_f[_B - 1 : 0 : -1]], _B)[::-1].copy()
             try:
                 for pos in range(self._done, end, _B):
-                    self._step(pos, near, prev)
+                    self._step(pos)
                     self._done = pos + _B
             except BaseException:
                 # a step may stop with its pending terms half added
@@ -167,19 +171,23 @@ class RenewalSolver:
             grown[: self._x.size] = self._x
             self._x = grown
 
-    def _step(self, pos: int, near: np.ndarray, prev: np.ndarray) -> None:
-        x = self._x
-        if pos == 0:
-            x[0] = self.c0
-            rhs = self._near_f[1:_B] * self.c0 + self.survival(1, _B)
-            x[1:_B] = near[:-1, :-1] @ rhs
-            return
-        s = _B
-        while s <= self._width and pos % s == 0:
-            self._fire(pos, s)
-            s *= 2
-        rhs = x[pos : pos + _B] + prev @ x[pos - _B : pos] + self.survival(pos, pos + _B)
-        x[pos : pos + _B] = near @ rhs
+    def _step(self, pos: int) -> None:
+        # pad is zero outside [B - 1, 2B - 1): it holds the previous block's terms
+        # 1..B-1 for the lags that reach back into it, then the right-hand side
+        x, pad = self._x, self._pad
+        rhs = self.survival(pos, pos + _B)
+        if pos:
+            s = _B
+            while s <= self._width and pos % s == 0:
+                self._fire(pos, s)
+                s *= 2
+            pad[_B : 2 * _B - 1] = x[pos - _B + 1 : pos]
+            rhs += np.correlate(pad[_B:], self._near_rev, "valid")
+            rhs += x[pos : pos + _B]
+        else:
+            rhs[0] = 1.0  # Fbar(0), so that x_0 = tau_0 = c0 exactly
+        pad[_B - 1 : 2 * _B - 1] = rhs
+        x[pos : pos + _B] = np.correlate(pad[: 2 * _B - 1], self._tau_rev, "valid")
 
     def _fire(self, e: int, s: int) -> None:
         # lags [s, 2s) from the source block x[e-s, e), tilted by e^t
@@ -189,8 +197,11 @@ class RenewalSolver:
         spectrum, powers, size = level
         x = self._x
         src = x[e - s : e] * powers[s:0:-1]
-        out = np.fft.irfft(np.fft.rfft(src, 2 * s) * spectrum, 2 * s)
-        x[e : e + size] += out[:size] * powers[:size]
+        spec = np.fft.rfft(src, 2 * s)
+        spec *= spectrum
+        out = np.fft.irfft(spec, 2 * s)[:size]
+        out *= powers[:size]
+        x[e : e + size] += out
 
     def _level(self, s: int) -> tuple[np.ndarray, np.ndarray, int]:
         top = min(2 * s - 1, self._width)  # last lag of the level
@@ -222,15 +233,19 @@ def _tilt(c0: float, f: np.ndarray) -> float:
     i = np.flatnonzero(live) + 1.0
     logs = np.log(c0 * f[live])
     t = float(np.min(-logs / i))  # one term alone reaches 1 here
+    w = np.empty_like(i)
     for _ in range(100):
-        e = logs + t * i
-        top = float(e.max())
-        w = np.exp(e - top)
+        np.multiply(i, t, out=w)
+        w += logs
+        top = float(w.max())
+        w -= top
+        np.exp(w, out=w)
         mass = float(w.sum())
         excess = top + math.log(mass)
         if excess <= 0.0:
             break
-        step = excess * mass / float((w * i).sum())
+        w *= i
+        step = excess * mass / float(w.sum())
         t -= step
         if step <= 1e-13 * t:
             break

@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import gdruin
 from gdruin import (
     MixingDistribution,
     MpApproxConfig,
@@ -504,27 +508,46 @@ def test_series_window_past_the_log_gamma_table_is_pinned():
     assert _sha256(pmf) == "9d7588deb139e11ebf8b2a2bc5c9e614bad6861a17f32b951e16ed9f11dbe079"
 
 
-# N1 and NBM recorded from the windows that evaluated log Gamma by Stirling's series
-# per call; N2 from the draws that sum NegBin(32, q) blocks, whose values at u >= 32
-# (here u >= 80) differ from those of the draws that summed u geometric variates
+# Recorded once the renewal solver took its dense steps by np.correlate in blocks of
+# 512 and the series summed its window in dot products of 8,192 terms, each on one
+# BLAS thread: the digests then hold at any thread count
 _SWEEP_PINNED = {
-    "N1": "ea442492090d0b87903096a9d0df52b0e34076e37c40bb553c8ca092227d2593",
-    "N2": "286232dbe6681aef110c542d862173b40a38ca4933c91f243440064a24a62270",
-    "NBM": "87adb8319e0ab00dea2187e722ee49b810c512213f952e2ff0365c1a1f739d13",
+    "N1": "5725be5a070d9118711a6bac804d7b7d21c44d8ae016d9008d572a1f7749bf22",
+    "N2": "3308f25a63dd6fd115e84f5a70e0f7aebb0526f535978964d1ccc3dc29ccffe9",
+    "NBM": "840f9bb63db764b29977a9c6534768173fbcda1e4dde6632ece2b37ff94f64b9",
 }
+
+
+def _sweep_values(method):
+    cfg = MpApproxConfig(n=500, m=1000, seed=1)
+    us = range(10, 501, 70)
+    if method == "N1":
+        return [psi_mp_method1(ERLANG, u, cfg) for u in us]
+    if method == "N2":
+        return [v for u in us for v in psi_mp_method2(ERLANG, u, cfg)]
+    return [psi_nbm(ERLANG.as_nbm(), u) for u in us]
 
 
 @pytest.mark.parametrize("method", sorted(_SWEEP_PINNED))
 def test_sweep_output_is_pinned(method):
-    cfg = MpApproxConfig(n=500, m=1000, seed=1)
-    us = range(10, 501, 70)
-    if method == "N1":
-        values = [psi_mp_method1(ERLANG, u, cfg) for u in us]
-    elif method == "N2":
-        values = [v for u in us for v in psi_mp_method2(ERLANG, u, cfg)]
-    else:
-        values = [psi_nbm(ERLANG.as_nbm(), u) for u in us]
-    assert _sha256(values) == _SWEEP_PINNED[method]
+    assert _sha256(_sweep_values(method)) == _SWEEP_PINNED[method]
+
+
+def test_sweep_digests_hold_at_one_blas_thread():
+    """A fresh process pinned to one BLAS thread, as the benchmark runs, computes the
+    sweeps to the same bits as this one, whatever its thread count."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_mixed_poisson as t; "
+        "print(*(t._sha256(t._sweep_values(m)) for m in sorted(t._SWEEP_PINNED)))"
+    )
+    src = str(Path(gdruin.__file__).resolve().parents[1])
+    pins = {key: "1" for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **pins, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parent)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == [_sha256(_sweep_values(m)) for m in sorted(_SWEEP_PINNED)]
 
 
 # -- method 2 -----------------------------------------------------------------------
@@ -591,10 +614,11 @@ def test_negbin_draws_match_the_integer_reference(u, n, m):
 
 
 def test_method2_below_one_block_is_pinned():
-    # recorded from the draws that summed u geometric variates, before the blocks
+    # the draws are those that summed u geometric variates, before the blocks; the
+    # digest is recorded from the tables of the solver with 512-term correlation steps
     cfg = MpApproxConfig(n=500, m=1000, seed=1)
     values = [v for u in range(1, 32) for v in psi_mp_method2(ERLANG, u, cfg)]
-    assert _sha256(values) == "fd31815655b1b98fe455aa00b8bcc2545d86ad6a72a76fcd068506a0dbf40971"
+    assert _sha256(values) == "a3e37e57e28f71096645f85cfccfd96672ae85a2b28735ef0340eff7fc5ea1fa"
 
 
 @pytest.mark.parametrize("n", [50, 500])

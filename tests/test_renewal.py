@@ -13,6 +13,7 @@ of the package's closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import threading
@@ -30,8 +31,9 @@ from gdruin import (
     cbar_sequence,
     mp_claims_pmf,
     mp_coefficients,
+    psi_recursion,
 )
-from gdruin import renewal
+from gdruin import mixed_poisson, renewal
 from gdruin.recursion import _ladder
 from gdruin.renewal import _B, RenewalSolver, TableCache, Weights
 
@@ -260,6 +262,51 @@ def test_solver_head_by_doubling_matches_the_dot_loop(mix):
     for t in range(1, _B):
         ref[t] = c0 * np.dot(f[1 : t + 1], ref[t - 1 :: -1])
     np.testing.assert_allclose(solver._tau, ref, rtol=1e-13, atol=0.0)
+
+
+# sizes on either side of the block boundaries, where the dense steps hand over
+# to the FFT levels
+BLOCK_EDGES = [0, 10, 511, 512, 513, 1023, 1024, 1535]
+
+
+@functools.cache
+def _direct_erlang_grid() -> np.ndarray:
+    return direct_mp_cbar(MixingDistribution.erlang(2, 3.0), 500, max(BLOCK_EDGES))
+
+
+@pytest.mark.parametrize("k_max", BLOCK_EDGES)
+def test_cold_tables_at_block_edges_match_the_direct_loop(k_max, monkeypatch):
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
+    seq = mp_coefficients(MixingDistribution.erlang(2, 3.0), MpApproxConfig(n=500), k_max)
+    assert_matches_direct(seq.cbar_n[: k_max + 1], _direct_erlang_grid()[: k_max + 1])
+
+
+@pytest.mark.parametrize("k_max", BLOCK_EDGES)
+def test_recursion_at_block_edges_matches_the_direct_loop(k_max):
+    """E's ladder terms psi(1..k_max) against one np.dot per term over the solver's own
+    lags and survival, on a claim law whose support spans several blocks."""
+    claims = mp_claims_pmf(MixingDistribution.lognormal(-1.0, 1.0), x_max=2000)
+    psi = psi_recursion(claims, k_max)
+    solver = _ladder(claims)
+    f, fbar, c0 = solver.lags(0, k_max + 1), solver.survival(0, k_max + 1), solver.c0
+    ref = np.empty(k_max)
+    for k in range(k_max):
+        ref[k] = c0 * (np.dot(f[1 : k + 1], ref[:k][::-1]) + fbar[k])
+    assert psi[0] == claims.mean
+    if k_max:
+        assert_matches_direct(psi[1:], ref)
+
+
+@pytest.mark.parametrize(
+    "mix", [MixingDistribution.erlang(2, 3.0), MixingDistribution.pareto(3.0, 1.0)], ids=["erlang", "pareto"]
+)
+def test_an_extension_past_one_block_matches_a_single_extension(mix):
+    weights = mixed_poisson._table(mix, 500)[0]
+    whole = RenewalSolver(mix.mean, weights).extend(5000)
+    grown = RenewalSolver(mix.mean, weights)
+    first = grown.extend(513).copy()
+    np.testing.assert_array_equal(grown.extend(5000), whole)
+    np.testing.assert_array_equal(first, whole[:513])
 
 
 def test_weights_of_whole_blocks_keep_their_block_tails():
