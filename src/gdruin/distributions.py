@@ -14,7 +14,7 @@ Claim amounts live on {0, 1, 2, ...}.  Three representations matter here:
   Pareto and lognormal.  The induced mixed Poisson claim distribution
   either collapses to an NBM (Erlang mixing), has a closed form (atomic
   mixing) or takes QUADPACK's adaptive G10/K21 quadrature (Piessens et
-  al., 1983), in numpy.
+  al., 1983), in numpy, with a claim vector's integrals in lockstep.
 
 The special functions these need are private helpers here, in numpy and
 `math` only, each written for the slice of arguments the package reads:
@@ -64,6 +64,9 @@ __all__ = [
 _SUM_TOL = 1e-12
 # Certified relative tolerance for mixed Poisson quadrature.
 _QUAD_TOL = 1e-10
+# Integrals one quadrature pass takes in lockstep; a claim vector runs in batches of
+# this many, which keeps the intervals held at once small.
+_QUAD_BATCH = 64
 # QUADPACK's qk21 rule on [-1, 1]: Kronrod nodes x >= 0 (x < 0 mirror them), their
 # weights, and the weights of the 10-point Gauss rule on every second node.
 _QK21 = np.array([
@@ -484,9 +487,10 @@ def _nbm_sf(spec: NbmSpec, y: int) -> float:
     return min(1.0, float(np.dot(tails, masses)))
 
 
-def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
-    """Claims on 0..x_max with the certified survival sf(x_max) as declared tail; without
-    ``x_max``, x_max is the first x >= 64 with sf(x) < ``tail_tol``, by doubling and bisection.
+def _claims(vector, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
+    """Claims on 0..x_max with the certified survival sf(x_max) as declared tail, the two
+    from ``vector(x_max)``; without ``x_max``, x_max is the first x >= 64 with
+    sf(x) < ``tail_tol``, by doubling and bisection.
     """
     if x_max is None:
         if not 0.0 < tail_tol < 1.0:
@@ -500,7 +504,8 @@ def _claims(masses, sf, mean: float, x_max: int | None, tail_tol: float) -> Disc
     x_max = _whole_number(x_max, "x_max")
     if x_max > _SUPPORT_CAP:
         raise RuntimeError(f"claim support exceeds {_SUPPORT_CAP} points")
-    return DiscretePmf(masses(np.arange(x_max + 1.0)), tail_mass=sf(x_max), mean=mean)
+    pmf, tail = vector(x_max)
+    return DiscretePmf(pmf, tail_mass=tail, mean=mean)
 
 
 def nbm_claims_pmf(
@@ -514,9 +519,10 @@ def nbm_claims_pmf(
     y >= 64 with P(Y > y) < ``tail_tol``; the declared tail is the closed form
     P(Y > x_max), and the exact mean E(N)(1-p)/p is stored.
     """
-    return _claims(
-        partial(_nbm_masses, spec), partial(_nbm_sf, spec), spec.claim_mean, x_max, tail_tol
-    )
+    def vector(x_max: int):
+        return _nbm_masses(spec, np.arange(x_max + 1.0)), _nbm_sf(spec, x_max)
+
+    return _claims(vector, partial(_nbm_sf, spec), spec.claim_mean, x_max, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +808,17 @@ class MixingDistribution:
     def grid_tail(self, a: int, n: int) -> float:
         """The grid survival sum sum_{j >= a} sf(j/n), for a >= 1, in closed form.
 
-        Atomic laws give an exact step sum; a table's mass below 1 (at most
-        1e-9) sits at no finite rate and is left out, as ``mean`` leaves it
-        out.  The continuous kinds use Euler-Maclaurin,
-        n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n), whose first
-        neglected term is pdf''(a/n)/(720 n^3).
+        Atomic laws give the step sum, taken in extended precision, so it is
+        correctly rounded unless it lies within about 2^-11 ulp of a rounding
+        tie; a table's mass below 1 (at most 1e-9) sits at no finite rate and
+        is left out, as ``mean`` leaves it out.  The continuous kinds use
+        Euler-Maclaurin, n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n),
+        whose first neglected term is pdf''(a/n)/(720 n^3).
         """
+        return float(self._grid_tail(a, n))
+
+    def _grid_tail(self, a: int, n: int) -> np.longdouble:
+        """`grid_tail` in extended precision, which the atomic step sum keeps."""
         if self.kind == "atoms":
             xs, cs = self.atoms  # type: ignore[misc]
             xs = np.asarray(xs)
@@ -816,9 +827,10 @@ class MixingDistribution:
             ends = ends - ((ends - 1.0) / n >= xs) + (ends / n < xs)
             starts = np.maximum(np.concatenate(([0.0], ends[:-1])), a)
             levels = 1.0 - np.concatenate(([0.0], cs[:-1]))  # sf between atoms
-            return float(np.dot(levels, np.maximum(ends - starts, 0.0)))
+            counts = np.maximum(ends - starts, 0.0)
+            return np.dot(levels.astype(np.longdouble), counts.astype(np.longdouble))
         x = a / n
-        return n * self._stop_loss(x) + self.sf(x) / 2.0 + self._pdf(x) / (12.0 * n)
+        return np.longdouble(n * self._stop_loss(x) + self.sf(x) / 2.0 + self._pdf(x) / (12.0 * n))
 
 
 def _poisson_logpmf(lam, x: np.ndarray) -> np.ndarray:
@@ -853,8 +865,9 @@ def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
     nonnegative integers x.
 
     Erlang mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a closed
-    form; Pareto and lognormal mixing take one G10/K21 quadrature per x,
-    certified to relative tolerance 1e-10 (:class:`QuadratureError` if not).
+    form; Pareto and lognormal mixing take one G10/K21 quadrature per x, run in
+    batches and certified to relative tolerance 1e-10 (:class:`QuadratureError`
+    if not).
     """
     spec = mix.as_nbm()
     if spec is not None:
@@ -863,7 +876,7 @@ def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
     if atoms is not None:
         rates, masses = atoms
         return masses @ np.exp(_poisson_logpmf(rates[:, None], x))
-    return np.array([_poisson_gamma_quad(mix, int(v), mix._pdf) for v in x])
+    return _poisson_gamma_quad(mix, x, mix._pdf)
 
 
 def _atoms(mix: MixingDistribution) -> tuple[np.ndarray, np.ndarray] | None:
@@ -874,62 +887,109 @@ def _atoms(mix: MixingDistribution) -> tuple[np.ndarray, np.ndarray] | None:
     return np.asarray(xs), np.diff(np.concatenate(([0.0], cs)))
 
 
-def _gauss_kronrod(f, edges: np.ndarray) -> tuple[float, float]:
-    """The integral of f over [edges[0], edges[-1]] within [0, 1] and its error bound, by
-    QUADPACK's global adaptive scheme and qk21 error estimate.  A pass evaluates all new
-    intervals in one call f(t, 1 - t), each argument to its own relative precision, then
-    bisects twice each of the fewest intervals whose errors leave at most half the target,
-    until the estimate is at most 1e-12 of the value or past 400 intervals."""
-    lo, hi = edges[:-1], edges[1:]
-    parts = np.zeros((4, 0))  # lo, hi, value and error of every interval
+def _peak(x: int) -> float:
+    """x log x - x - log x!, the log Poisson kernel at its peak rate = x."""
+    if x < 20:
+        return (x * math.log(x) if x > 0 else 0.0) - x - math.lgamma(x + 1.0)
+    return -0.5 * math.log(2.0 * math.pi * x) - _stirling_series(x)
+
+
+def _poisson_gamma_quad(mix: MixingDistribution, x, h):
+    """E[ h(rate) rate^x e^{-rate} / x! ] to _QUAD_TOL relative at each x: the mass
+    P(X = x) for h the mixing density, the survival P(X > x) = P(Gamma(x+1) <= rate)
+    for h its survival.  ``x`` is an integer or an array of them and ``h`` one callable
+    or one per x; a scalar x gives a float.
+
+    QUADPACK's global adaptive scheme with the qk21 error estimate runs on every
+    integral in lockstep, at most _QUAD_BATCH at a time: a pass evaluates the new
+    intervals of every unfinished integral in one integrand call, each argument t and
+    1 - t to its own relative precision, then bisects twice the fewest of each
+    integral's intervals whose errors leave at most half its target, until the
+    estimate is at most 1e-12 of the value or past 400 intervals.  Each integral's
+    arithmetic depends on its own intervals alone, so a batch gives every x the bits
+    of a batch of one.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    hs = [h] * xs.size if callable(h) else list(h)
+    if xs.size > _QUAD_BATCH:
+        return np.concatenate([
+            _poisson_gamma_quad(mix, xs[lo : lo + _QUAD_BATCH], hs[lo : lo + _QUAD_BATCH])
+            for lo in range(0, xs.size, _QUAD_BATCH)
+        ])
+    # substitute rate = t/(1-t) = t/s so each integral runs over (0, 1); take the log
+    # Poisson kernel from its peak, as x log1p(d/x) - d + peak with d = rate - x, so
+    # no terms of size x log x cancel
+    peak = np.array([_peak(int(v)) for v in xs])
+    fns = list(dict.fromkeys(hs))
+    hid = np.array([fns.index(fn) for fn in hs])
+    # break at the mean and around the Poisson peak rate = x, of width ~sqrt(x)
+    w = 8.0 * np.sqrt(xs + 1.0)
+    rates = np.stack((np.full_like(xs, mix.mean), np.maximum(xs - w, 0.0), xs, xs + w), axis=1)
+    rates[xs == 0.0, 1:] = 1.0
+    edges = np.sort(rates / (1.0 + rates), axis=1)
+    edges = np.concatenate((np.zeros((xs.size, 1)), edges, np.ones((xs.size, 1))), axis=1)
+    new = edges[:, 1:] > edges[:, :-1]
+    lo, hi, row = edges[:, :-1][new], edges[:, 1:][new], np.nonzero(new)[0]
+    parts, prow = np.zeros((4, 0)), np.zeros(0, dtype=np.intp)  # lo, hi, value, error
+    value, error = np.empty(xs.size), np.empty(xs.size)
     while True:
         half = (hi - lo)[:, None] / 2.0
-        fx = f(lo[:, None] + half * (1.0 + _GK_NODES), (1.0 - hi)[:, None] + half * (1.0 - _GK_NODES))
-        kron = fx.dot(_GK_KRONROD)
-        asc = np.abs(fx - kron[:, None] / 2.0).dot(_GK_KRONROD)
-        gap = np.minimum(200.0 * np.abs(kron - fx.dot(_GK_GAUSS)), asc) / np.maximum(asc, 1e-300)
-        err = np.maximum(asc * gap**1.5, 50.0 * 2.0**-52 * np.abs(fx).dot(_GK_KRONROD))
-        parts = np.concatenate((parts, [lo, hi, half[:, 0] * kron, half[:, 0] * err]), axis=1)
-        total, bound = parts[2:].sum(axis=1)
-        if bound <= 1e-12 * abs(total) or parts.shape[1] > 400:
-            return float(total), float(bound)
-        order = np.argsort(-parts[3])
-        n = np.count_nonzero(bound - np.cumsum(parts[3, order]) > 0.5e-12 * abs(total)) + 1
-        (lo, hi, _, _), parts = parts[:, order[:n]], parts[:, order[n:]]
-        mid = (lo + hi) / 2.0
-        cuts = np.array([lo, (lo + mid) / 2.0, mid, (mid + hi) / 2.0, hi])
-        lo, hi = cuts[:-1].ravel(), cuts[1:].ravel()
-
-
-def _poisson_gamma_quad(mix: MixingDistribution, x: int, h) -> float:
-    """E[ h(rate) rate^x e^{-rate} / x! ] to _QUAD_TOL relative: the mass P(X = x) for
-    h the mixing density, the survival P(X > x) = P(Gamma(x+1) <= rate) for h its survival.
-    """
-    # substitute rate = t/(1-t) = t/s so the integral runs over (0, 1); take the log
-    # Poisson kernel from its peak at rate = x, as x log1p(d/x) - d + peak with d = rate - x,
-    # so no terms of size x log x cancel; peak = x log x - x - log x!
-    if x < 20:
-        peak = (x * math.log(x) if x > 0 else 0.0) - x - math.lgamma(x + 1.0)
-    else:
-        peak = -0.5 * math.log(2.0 * math.pi * x) - _stirling_series(x)
-
-    def integrand(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        t = lo[:, None] + half * (1.0 + _GK_NODES)
+        s = (1.0 - hi)[:, None] + half * (1.0 - _GK_NODES)
         lam = t / s
-        d = lam - x
-        log_kernel = (x * np.log1p(d / x) if x > 0 else 0.0) - d + peak
-        return np.exp(log_kernel) * h(lam) / s / s
-
-    # break at the mean and around the Poisson peak rate = x, of width ~sqrt(x)
-    w = 8.0 * math.sqrt(x + 1.0)
-    rates = [mix.mean, max(x - w, 0.0), x, x + w] if x > 0 else [mix.mean, 1.0]
-    pts = sorted({r / (1.0 + r) for r in rates} - {0.0, 1.0})
-    val, err = _gauss_kronrod(integrand, np.array([0.0, *pts, 1.0]))
-    if not err <= _QUAD_TOL * val:
+        xr = xs[row, None]
+        d = lam - xr
+        fx = xr * np.log1p(d / np.maximum(xr, 1.0))  # 0 at x = 0
+        fx -= d
+        fx += peak[row, None]
+        np.exp(fx, out=fx)
+        for g, fn in enumerate(fns):
+            rows = hid[row] == g
+            fx[rows] *= fn(lam[rows])
+        fx /= s
+        fx /= s
+        # row sums, not BLAS products, whose order could depend on the batch's shape
+        kron = (fx * _GK_KRONROD).sum(axis=1)
+        gauss = (fx * _GK_GAUSS).sum(axis=1)
+        asc = (np.abs(fx - kron[:, None] / 2.0) * _GK_KRONROD).sum(axis=1)
+        gap = np.minimum(200.0 * np.abs(kron - gauss), asc) / np.maximum(asc, 1e-300)
+        err = np.maximum(asc * gap**1.5, 50.0 * 2.0**-52 * (np.abs(fx) * _GK_KRONROD).sum(axis=1))
+        parts = np.concatenate((parts, [lo, hi, half[:, 0] * kron, half[:, 0] * err]), axis=1)
+        prow = np.concatenate((prow, row))
+        # each integral's intervals together, worst first
+        order = np.lexsort((-parts[3], prow))
+        parts, prow = parts[:, order], prow[order]
+        first = np.flatnonzero(np.diff(prow, prepend=-1))
+        count = np.diff(first, append=prow.size)
+        total, bound = np.add.reduceat(parts[2:], first, axis=1)
+        done = (bound <= 1e-12 * np.abs(total)) | (count > 400)
+        ids = prow[first[done]]
+        value[ids], error[ids] = total[done], bound[done]
+        if done.all():
+            break
+        live = np.repeat(~done, count)
+        parts, prow = parts[:, live], prow[live]
+        count, total, bound = count[~done], total[~done], bound[~done]
+        # bisect the fewest worst intervals whose errors leave at most half the target
+        pos = np.arange(prow.size) - np.repeat(np.cumsum(count) - count, count)
+        spent = np.zeros((count.size, count.max()))
+        spent[np.repeat(np.arange(count.size), count), pos] = parts[3]
+        np.cumsum(spent, axis=1, out=spent)
+        need = np.count_nonzero(bound[:, None] - spent > 0.5e-12 * np.abs(total)[:, None], axis=1)
+        split = pos <= np.repeat(need, count)
+        (lo, hi), row = parts[:2, split], prow[split]
+        parts, prow = parts[:, ~split], prow[~split]
+        mid = (lo + hi) / 2.0
+        cuts = np.stack((lo, (lo + mid) / 2.0, mid, (mid + hi) / 2.0, hi), axis=1)
+        lo, hi, row = cuts[:, :-1].ravel(), cuts[:, 1:].ravel(), np.repeat(row, 4)
+    bad = np.flatnonzero(~(error <= _QUAD_TOL * value))
+    if bad.size:
+        i = bad[0]
         raise QuadratureError(
-            f"mixed Poisson quadrature at x={x}: relative error "
-            f"{err / val if val > 0.0 else math.inf:.2e} exceeds {_QUAD_TOL:.0e}"
+            f"mixed Poisson quadrature at x={int(xs[i])}: relative error "
+            f"{error[i] / value[i] if value[i] > 0.0 else math.inf:.2e} exceeds {_QUAD_TOL:.0e}"
         )
-    return val
+    return float(value[0]) if np.ndim(x) == 0 else value
 
 
 def _mp_sf(mix: MixingDistribution, x: int) -> float:
@@ -945,6 +1005,16 @@ def _mp_sf(mix: MixingDistribution, x: int) -> float:
     return _poisson_gamma_quad(mix, x, mix.sf)
 
 
+def _mp_vector(mix: MixingDistribution, x_max: int) -> tuple[np.ndarray, float]:
+    """The masses P(X = x) on 0..x_max and the survival P(X > x_max); Pareto and
+    lognormal mixing take all of them in one batched quadrature."""
+    x = np.arange(x_max + 1.0)
+    if mix.as_nbm() is not None or mix.kind == "atoms":
+        return _mp_masses(mix, x), _mp_sf(mix, x_max)
+    out = _poisson_gamma_quad(mix, np.append(x, x_max), [mix._pdf] * x.size + [mix.sf])
+    return out[:-1], float(out[-1])
+
+
 def mp_claims_pmf(
     mix: MixingDistribution,
     x_max: int | None = None,
@@ -954,9 +1024,10 @@ def mp_claims_pmf(
 
     The vector covers 0..x_max, or without ``x_max`` runs to the first
     x >= 64 with P(X > x) < ``tail_tol``; the declared tail is the certified
-    P(X > x_max).  Pareto/lognormal mixing costs one quadrature per point.
+    P(X > x_max).  Pareto/lognormal mixing costs one quadrature per point,
+    run in batches of 64 integrals.
     """
     mean = mix.mean
     if not math.isfinite(mean):
         raise ValueError("mixing law must have a finite mean")
-    return _claims(partial(_mp_masses, mix), partial(_mp_sf, mix), mean, x_max, tail_tol)
+    return _claims(partial(_mp_vector, mix), partial(_mp_sf, mix), mean, x_max, tail_tol)

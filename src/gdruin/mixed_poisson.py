@@ -34,17 +34,21 @@ raw grid sum survives only inside the equilibrium-weight normalization,
 taken once per law.  They come from the renewal solver in `renewal`, whose
 table per (mixing law, n), cached beside the NBM specs', is extended in
 place as u grows, so sweeping u is cheap after the first call.  The grid is
-the paper's infinite sum over
-every j >= 0.  A law whose survival drops below 1e-16 within the first 2^16
-points stops there, and its survival is evaluated only up to the doubling
-piece that reaches the stop; any other keeps those points and reads values
-past them on demand, with the tail sums past them in closed form
-(`MixingDistribution.grid_tail`), so no law is too heavy-tailed to grid.
+the paper's infinite sum over every j >= 0.  It stops at the first point J
+where the survival drops below 1e-16 if that lies within the first 2^16
+points; otherwise it runs on to infinity.  A law stores at most its first
+2^14 values, evaluated in doubling pieces up to the one that reaches the
+stop, so a grid that stops within them is evaluated only that far.  A
+longer grid finds J from a few rounds of probes, reads single values past
+its head on demand, and takes the tail sums from l past the head in closed
+form, grid_tail(l) - grid_tail(J), with grid_tail(inf) = 0
+(`MixingDistribution.grid_tail`).  So no law is too heavy-tailed to grid,
+and a law's grid holds O(min(J, 2^14)) values.
 
 An `MpCoefficientSeq` holds three fields: ``cbar_n``, a view of the table
 whose first term is exactly E(Lambda), read as psi(0) by both methods;
-``grid_points``, the grid values the law stores; and ``renewal``, the
-solver, whose ``total`` is the grid sum sum_j Fbar(j/n).
+``grid_points``, the grid's length J, or 2^16 for a grid that runs on; and
+``renewal``, the solver, whose ``total`` is the grid sum sum_j Fbar(j/n).
 """
 
 from __future__ import annotations
@@ -79,12 +83,15 @@ __all__ = [
 ]
 
 # The mixing grid stops below a survival of _GRID_TOL if it gets there
-# within its first _HEAD points, which every law stores.  The head is
-# evaluated in doubling pieces from _PIECE points, up to the first piece
-# that reaches the stop.
+# within its first _SEARCH points, of which a law stores at most _HEAD.  The
+# head is evaluated in doubling pieces from _PIECE points, up to the first
+# piece that reaches the stop; a stop past the head is found by rounds of
+# _PROBES evenly spaced values.
 _GRID_TOL = 1e-16
-_HEAD = 1 << 16
+_SEARCH = 1 << 16
+_HEAD = 1 << 14
 _PIECE = 1 << 10
+_PROBES = 256
 # Values in method 2's reused buffer of uniforms.
 _DRAW_BUFFER = 1 << 15
 # Values the memo of law-free series factors keeps (1 MB), at most an eighth in one array.
@@ -104,7 +111,7 @@ class MpApproxConfig:
     nonnegative integer, makes method 2 reproducible (None draws a fresh
     stream on every call).  The mixing grid has no cap: it stops at a
     survival of 1e-16 within its first 2^16 points, or else runs on to
-    infinity, past those points in closed form.
+    infinity; past its first 2^14 points its tail sums are in closed form.
     """
 
     n: int = 500
@@ -126,11 +133,12 @@ class MpCoefficientSeq:
     """Grid coefficients for one mixing law at one refinement.
 
     ``cbar_n[k]`` is Cbar_{k,n}, a read-only view of the law's renewal
-    table, and ``grid_points`` the number of grid values the law stores: J
-    for a grid that stops at J points, else 2^16.  The raw survival sum
-    sum_j Fbar(j/n) over the whole grid is ``renewal.total``; the grid
-    equilibrium weights f_Ne(i) = Fbar((i-1)/n) / renewal.total and their
-    tails are ``renewal.lags`` and ``renewal.survival``.
+    table, and ``grid_points`` the grid's length: J for a grid that stops
+    at J <= 2^16 points, else 2^16; the law stores at most 2^14 of its
+    values.  The raw survival sum sum_j Fbar(j/n) over the whole grid is
+    ``renewal.total``; the grid equilibrium weights f_Ne(i) = Fbar((i-1)/n)
+    / renewal.total and their tails are ``renewal.lags`` and
+    ``renewal.survival``.
     """
 
     cbar_n: np.ndarray
@@ -142,17 +150,20 @@ class MpCoefficientSeq:
 
 
 class _Grid(Weights):
-    """Fbar(j/n) for every j >= 0, its first values stored, as solver weights.
+    """Fbar(j/n) for j below the grid's end J, its first _HEAD values stored, as
+    solver weights; J is a whole number in [_HEAD, _SEARCH), or inf.
 
-    A value past the stored head is evaluated when read, and the tail sum
-    from a block boundary past it is `MixingDistribution.grid_tail`, so the
-    grid is the whole infinite sum at the memory cost of its head.
+    A value past the stored head is evaluated when read.  The tail sum from a
+    block boundary l past the head is grid_tail(l) - grid_tail(J), and 0 from J
+    on (`MixingDistribution.grid_tail`), so the grid is the whole sum at the
+    memory cost of its head.
     """
 
-    def __init__(self, mix: MixingDistribution, n: int, head: np.ndarray):
-        super().__init__(head, beyond=mix.grid_tail(head.size, n))
-        self.size = math.inf
-        self._mix, self._n, self._head = mix, n, head.size
+    def __init__(self, mix: MixingDistribution, n: int, head: np.ndarray, end):
+        self._mix, self._n, self._head, self._end = mix, n, head.size, end
+        self._past_end = mix._grid_tail(end, n) if end < math.inf else 0.0
+        super().__init__(head, beyond=self._far_tail(head.size))
+        self.size = end
 
     def read(self, lo: int, hi: int) -> np.ndarray:
         if hi <= self._head:
@@ -163,7 +174,27 @@ class _Grid(Weights):
     def tail(self, l: int) -> np.longdouble:
         if l <= self._head:
             return super().tail(l)
-        return np.longdouble(self._mix.grid_tail(l, self._n))
+        return self._far_tail(l)
+
+    def _far_tail(self, l: int) -> np.longdouble:
+        if l >= self._end:
+            return np.longdouble(0.0)
+        return self._mix._grid_tail(l, self._n) - self._past_end
+
+
+def _grid_end(mix: MixingDistribution, n: int):
+    """The first j with Fbar(j/n) below 1e-16, given none below _HEAD, or inf if
+    Fbar((_SEARCH - 1)/n) is not below it: the stop a scan of every point would
+    find, in rounds of _PROBES evenly spaced values."""
+    lo, hi = _HEAD - 1, _SEARCH - 1  # Fbar(lo/n) >= 1e-16 > Fbar(hi/n), once checked
+    if not mix.sf(np.array([hi / n]))[0] < _GRID_TOL:
+        return math.inf
+    while hi - lo > 1:
+        js = np.unique(np.linspace(lo, hi, _PROBES + 1).astype(np.int64))
+        below = np.flatnonzero(mix.sf(js[1:-1] / n) < _GRID_TOL)
+        k = below[0] + 1 if below.size else js.size - 1
+        lo, hi = int(js[k - 1]), int(js[k])
+    return hi
 
 
 def _table(mix: MixingDistribution, n: int):
@@ -186,8 +217,8 @@ def _table(mix: MixingDistribution, n: int):
     if below.size:
         grid = Weights(head[: below[0]].copy())  # no view pinning the whole head
     else:
-        grid = _Grid(mix, n, head)
-    return grid, partial(MpCoefficientSeq, grid_points=min(grid.size, _HEAD))
+        grid = _Grid(mix, n, head, _grid_end(mix, n))
+    return grid, partial(MpCoefficientSeq, grid_points=min(grid.size, _SEARCH))
 
 
 def mp_coefficients(

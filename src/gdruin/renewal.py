@@ -29,17 +29,20 @@ table in place:
 
 FFT rounding error is absolute, while x falls by hundreds of decades, so each
 far product is tilted locally: source terms by e^{t (j-e)}, lags by e^{t i}
-and outputs by e^{-t (k-e)}, with t solving c0 sum_{i<2s} f_i e^{t i} = 1
-over the level's own lags.  A tilted lag never exceeds 1/c0, and where x
-decays geometrically the tilted source block is level, so the error stays
-relative to each term.  A single tilt e^{t k} over the whole table would
-overflow once x stops decaying, as it does when Fbar stays positive past W.
+and outputs by e^{-t (k-e)}, with t at or just above the root of
+c0 sum_{i<2s} f_i e^{t i} = 1 over the level's own lags: Newton steps from
+above, from the tilt of the level below (the root falls as lags are added),
+stop once that sum is at most e^0.01, typically after 0 to 4 steps.  So the
+tilted lags sum to at most e^0.01 / c0, and where x decays geometrically the
+tilted source block is about level, so the error stays relative to each
+term.  A single tilt e^{t k} over the whole table would overflow once x
+stops decaying, as it does when Fbar stays positive past W.
 
 Block size, tilts and FFT lengths depend on the law alone, never on how far
 the table has been grown, so every prefix is bit-identical whatever the
-order of the requests.  Each level's tilted lag spectrum, output powers and
-last lag are built the first time the level fires and kept on the solver:
-32 s bytes for level s, 4 to 6.4 times the table's bytes over all levels
+order of the requests.  Each level's tilted lag spectrum, output powers,
+last lag and tilt are built the first time the level fires and kept on the
+solver: 32 s bytes for level s, 4 to 6.4 times the table's bytes over all levels
 when every level up to half the table fires, beside 28 KB of dense kernels
 and buffer.  The solver reads the weights through `Weights`, so the support
 may be unbounded, like a heavy-tailed mixing grid: the table reads single
@@ -61,6 +64,8 @@ __all__ = ["RenewalSolver", "TableCache", "Weights"]
 _B = 512
 # Keys a `TableCache` keeps, the most recently requested ones.
 _KEEP = 8
+# A level's tilt stops where its tilted lags sum to at most e^_TILT_EXCESS / c0.
+_TILT_EXCESS = 1e-2
 
 
 class Weights:
@@ -194,7 +199,7 @@ class RenewalSolver:
         level = self._levels.get(s)
         if level is None:
             level = self._levels[s] = self._level(s)
-        spectrum, powers, size = level
+        spectrum, powers, size, _ = level
         x = self._x
         src = x[e - s : e] * powers[s:0:-1]
         spec = np.fft.rfft(src, 2 * s)
@@ -203,13 +208,15 @@ class RenewalSolver:
         out *= powers[:size]
         x[e : e + size] += out
 
-    def _level(self, s: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def _level(self, s: int) -> tuple[np.ndarray, np.ndarray, int, float]:
         top = min(2 * s - 1, self._width)  # last lag of the level
         f = self.lags(1, top + 1)
-        t = _tilt(self.c0, f)
+        # the level below fired first, and its tilt bounds this one's from above
+        below = self._levels.get(s // 2)
+        t = _tilt(self.c0, f, None if below is None else below[3])
         with np.errstate(divide="ignore"):
             tilted = np.exp(np.log(f[s - 1 :]) + t * np.arange(s, top + 1))
-        return np.fft.rfft(tilted, 2 * s), np.exp(-t * np.arange(2 * s)), top
+        return np.fft.rfft(tilted, 2 * s), np.exp(-t * np.arange(2 * s)), top, t
 
 
 def _inverse_head(g: np.ndarray) -> np.ndarray:
@@ -225,14 +232,17 @@ def _inverse_head(g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _tilt(c0: float, f: np.ndarray) -> float:
-    """t >= 0 with c0 sum_i f_i e^{t i} = 1 (f[i-1] = f_i), by Newton from above."""
+def _tilt(c0: float, f: np.ndarray, start: float | None = None) -> float:
+    """t >= 0 at or above the root of c0 sum_i f_i e^{t i} = 1 (f[i-1] = f_i), with
+    c0 sum_i f_i e^{t i} <= e^{0.01}: Newton from above, from ``start``, an upper
+    bound on the root such as the tilt over fewer lags, or else from where one
+    term alone reaches 1."""
     live = f > 0.0
     if not live.any():
         return 0.0
     i = np.flatnonzero(live) + 1.0
     logs = np.log(c0 * f[live])
-    t = float(np.min(-logs / i))  # one term alone reaches 1 here
+    t = float(np.min(-logs / i)) if start is None else start
     w = np.empty_like(i)
     for _ in range(100):
         np.multiply(i, t, out=w)
@@ -242,13 +252,10 @@ def _tilt(c0: float, f: np.ndarray) -> float:
         np.exp(w, out=w)
         mass = float(w.sum())
         excess = top + math.log(mass)
-        if excess <= 0.0:
+        if excess <= _TILT_EXCESS:
             break
         w *= i
-        step = excess * mass / float(w.sum())
-        t -= step
-        if step <= 1e-13 * t:
-            break
+        t -= excess * mass / float(w.sum())
     return max(t, 0.0)
 
 

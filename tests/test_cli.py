@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import pytest
 import gdruin.cli
 from gdruin import (
     MixingDistribution,
+    MpApproxConfig,
     NbmSpec,
     SimConfig,
     mp_claims_pmf,
@@ -483,6 +485,23 @@ def test_reproduced_columns_hit_published_digits(produced_tables, name):
         assert row["E_ref"] == pytest.approx(refs["E"][u], abs=1e-9)
         assert row["N1_ref"] == pytest.approx(refs["N1"][u], abs=1e-9)
         assert abs(row["E"] - refs["E"][u]) < 5e-5 + 5e-6  # 5-decimal cells
+
+
+# sha256 of the files `reproduce_tables` writes at seed 1.  Their five-decimal
+# cells do not show last-bit changes in the quadrature, the grid or the renewal
+# solver, so these bytes hold across such changes; a change that moves a cell
+# fails here.
+_TABLE_CSV_SHA256 = {
+    "erlang": "4fe288e646e97ba78ac18ea45a4b64818851a60af135e7b0205e25ad3f552dc1",
+    "lognormal": "333e9ecc684e307dedbf5d1f1b47b899eabe6c6698b077a167442c46ab2b711e",
+    "pareto": "e7e5cd482cba60c9ec54836a5f869b2224ef8f8c67202b72bba192fde3c11ee4",
+}
+
+
+def test_table_csv_bytes_are_pinned(tmp_path):
+    reproduce_tables(tmp_path, MpApproxConfig(seed=1))
+    for name, digest in _TABLE_CSV_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"table_{name}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_tables_verb_end_to_end(tmp_path, monkeypatch, capsys):

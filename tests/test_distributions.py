@@ -437,6 +437,35 @@ def test_quadrature_past_its_interval_budget_raises():
         _poisson_gamma_quad(mix, 7, lambda lam: 1.0 + np.sign(np.sin(1e3 * lam)))
 
 
+@pytest.mark.parametrize(
+    "mix",
+    [
+        MixingDistribution.pareto(3.0, 1.0),
+        MixingDistribution.lognormal(-1.0, 1.0),
+        MixingDistribution.pareto(2.1, 1.0),
+    ],
+    ids=["pareto3", "lognormal", "pareto2.1"],
+)
+def test_batched_quadrature_equals_one_integral_at_a_time(mix):
+    """A claim vector's integrals run in lockstep, 64 at a time, the survival at its
+    end among them; each x gets the bits of a batch of one."""
+    x_max = 150  # three batches
+    xs = np.append(np.arange(x_max + 1.0), x_max)
+    hs = [mix._pdf] * (x_max + 1) + [mix.sf]
+    batch = _poisson_gamma_quad(mix, xs, hs)
+    alone = [_poisson_gamma_quad(mix, int(x), h) for x, h in zip(xs, hs)]
+    assert batch.tolist() == alone
+    claims = mp_claims_pmf(mix, x_max=x_max)
+    assert claims.pmf.tolist() == alone[:-1] and claims.tail_mass == alone[-1]
+
+
+def test_quadrature_error_names_its_x_inside_a_batch():
+    mix = MixingDistribution.pareto(3.0, 1.0)
+    hs = [mix._pdf] * 7 + [lambda lam: 1.0 + np.sign(np.sin(1e3 * lam))] + [mix._pdf] * 5
+    with pytest.raises(QuadratureError, match=r"quadrature at x=7:"):
+        _poisson_gamma_quad(mix, np.arange(13.0), hs)
+
+
 def test_declared_tail_is_the_certified_survival():
     """P(X > 331) for Lognormal(-1,1) mixing, by the Poisson-Gamma integral at 30 digits."""
     mix = MixingDistribution.lognormal(-1.0, 1.0)

@@ -46,6 +46,8 @@ PARETO = MixingDistribution.pareto(3.0, 1.0)
 # two million grid points into the tail at n = 500 its survival is still 2.7e-8
 HEAVY = MixingDistribution.pareto(2.1, 1.0)
 LOGNORMAL = MixingDistribution.lognormal(-1.0, 1.0)
+# at n = 500 its grid stops at 28,223 points, past the 2^14 values a law stores
+NARROW = MixingDistribution.lognormal(-0.9, 0.6)
 
 
 # -- exponential mixing closed forms ----------------------------------------------
@@ -149,7 +151,7 @@ def test_heavy_tail_n1_error_halves_per_doubling():
 
 
 def test_heavy_tail_grid_certifies_truncation():
-    # the stored head of 2^16 points plus the closed-form sum past it is the
+    # the stored head of 2^14 points plus the closed-form sum past it is the
     # whole grid: two million points summed directly, plus their remainder
     seq = mp_coefficients(PARETO, MpApproxConfig(n=500), 10)
     assert seq.grid_points == 1 << 16
@@ -191,6 +193,55 @@ def test_heavy_tail_grid_reads_past_the_head():
         np.testing.assert_allclose(-np.diff(fbar), seq.renewal.lags(lo + 1, hi), rtol=1e-9)
 
 
+@pytest.mark.parametrize("mix", [PARETO, NARROW], ids=["unbounded", "stops_at_28223"])
+def test_long_grids_store_their_head_and_read_the_rest(mix, monkeypatch):
+    """A grid longer than 2^14 points stores 2^14 values; single values past them are
+    the survival function itself, and 0 past a finite end J."""
+    n = 500
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
+    solver = mp_coefficients(mix, MpApproxConfig(n=n), 0).renewal
+    grid = solver._weights
+    assert grid._w.size == 1 << 14
+    end = grid.size if grid.size < math.inf else 40_000
+    js = np.arange(end, dtype=float)
+    np.testing.assert_array_equal(grid.read(16_000, end), mix.sf(js[16_000:] / n))
+    np.testing.assert_allclose(
+        solver.lags(16_000, end + 1), mix.sf(js[15_999:] / n) / solver.total, rtol=5e-16, atol=0.0
+    )
+    if mix is NARROW:
+        assert end == 28_223
+        assert not solver.lags(end + 1, end + 600).any()
+        assert not solver.survival(end, end + 600).any()
+
+
+def test_tail_past_the_head_matches_the_direct_sum():
+    """Past the stored head the tail sums are grid_tail(l) - grid_tail(J): within 1e-14
+    of the extended-precision sum of the values to J, relative to the sum past the head."""
+    n = 500
+    grid = mixed_poisson._table(NARROW, n)[0]
+    sf = NARROW.sf(np.arange(grid.size, dtype=float) / n).astype(np.longdouble)
+    past_head = sf[1 << 14 :].sum()
+    for l in range(1 << 14, grid.size + 512, 512):
+        assert abs(grid.tail(l) - sf[l:].sum()) <= 1e-14 * past_head, l
+    assert grid.tail(0) == pytest.approx(sf.sum(), rel=1e-15, abs=0.0)
+
+
+def test_probed_grid_end_is_the_first_value_below_the_stop(monkeypatch):
+    """The stop J past the head is found in rounds of 256 probes; on lognormal laws
+    whose grids stop within the 2^14-point head, past it, or not within 2^16
+    points, the grid's length is what a scan of every point finds."""
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
+    rng = np.random.default_rng(28)
+    n, found = 500, 0
+    for m, s in zip(rng.uniform(-1.2, -0.3, 40), rng.uniform(0.4, 0.8, 40)):
+        mix = MixingDistribution.lognormal(m, s)
+        below = np.flatnonzero(mix.sf(np.arange(1 << 16, dtype=float) / n) < 1e-16)
+        scan = int(below[0]) if below.size else 1 << 16
+        assert mp_coefficients(mix, MpApproxConfig(n=n), 0).grid_points == scan
+        found += 1 << 14 < scan < 1 << 16
+    assert found >= 10
+
+
 def test_equal_laws_share_one_table():
     cfg = MpApproxConfig(n=50)
     general = MixingDistribution.erlang_mixture((0, 1), 3.0)
@@ -210,7 +261,7 @@ def test_mass_at_rate_zero_has_no_grid():
 def test_streamed_grid_matches_the_stored_grid(monkeypatch):
     """Past its stored head the grid is evaluated on demand; the table, grown
     in steps or at once, is the same bit for bit, and so are the reads past
-    the head that tables beyond 2^15 terms make."""
+    the head that tables beyond 2^13 terms make."""
     cfg = MpApproxConfig(n=500)
     top = 1 << 17
     monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
@@ -221,11 +272,11 @@ def test_streamed_grid_matches_the_stored_grid(monkeypatch):
     assert seq.cbar_n.size == top
     for step in grown:
         np.testing.assert_array_equal(step.cbar_n, seq.cbar_n[: step.cbar_n.size])
-    head = 1 << 16
-    assert seq.grid_points == head
+    head = 1 << 14
+    assert seq.grid_points == 1 << 16
     js = np.arange(2 * top, dtype=float)
     stored = PARETO.sf(js / cfg.n) / seq.renewal.total
-    for lo, hi in [(5, 700), (head - 300, head + 300), (100_000, 2 * top)]:
+    for lo, hi in [(5, 700), (head - 300, head + 300), (65_000, 66_000), (100_000, 2 * top)]:
         lags = seq.renewal.lags(lo, hi)
         np.testing.assert_array_equal(lags, grown[-1].renewal.lags(lo, hi))
         np.testing.assert_allclose(lags, stored[lo - 1 : hi - 1], rtol=5e-16, atol=0.0)
@@ -236,7 +287,7 @@ def test_streamed_grid_matches_the_stored_grid(monkeypatch):
 
 def test_heavy_tail_tables_do_not_hold_their_grids(monkeypatch):
     # two million grid points would be 16 MB; a law stores only its first
-    # 2^16, plus one extended-precision tail sum per 256 of them
+    # 2^14, plus one extended-precision tail sum per 512 of them
     cfg = MpApproxConfig(n=500)
     laws = [PARETO, MixingDistribution.pareto(3.5, 1.5), MixingDistribution.pareto(2.9, 1.2)]
     monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
@@ -266,9 +317,13 @@ def test_grid_head_is_evaluated_only_to_its_stop(monkeypatch):
     assert 1024 < seq.grid_points < 1 << 15
     assert sum(points) <= 2 * seq.grid_points + 1024
     points.clear()
-    seq = mp_coefficients(PARETO, cfg, 0)  # never below 1e-16 in the head
+    seq = mp_coefficients(PARETO, cfg, 0)  # never below 1e-16 in the 2^16 points searched
     assert seq.grid_points == 1 << 16
-    assert sum(points) == 1 << 16
+    assert sum(points) <= (1 << 14) + 1  # the stored head and one probe at 2^16 - 1
+    points.clear()
+    seq = mp_coefficients(NARROW, cfg, 0)
+    assert seq.grid_points == 28_223
+    assert sum(points) <= (1 << 14) + 1 + 2 * mixed_poisson._PROBES
 
 
 @pytest.mark.parametrize(
@@ -336,7 +391,7 @@ def test_grid_reads_during_growth_match_single_thread(monkeypatch):
     seq = mp_coefficients(PARETO, cfg, 64)
 
     def read():  # across the stored head
-        return seq.renewal.lags(60_000, 70_000), seq.renewal.survival(60_000, 70_000)
+        return seq.renewal.lags(10_000, 20_000), seq.renewal.survival(10_000, 20_000)
 
     f_ne, fbar_ne = read()
     reads, errors = [], []
@@ -508,12 +563,13 @@ def test_series_window_past_the_log_gamma_table_is_pinned():
     assert _sha256(pmf) == "9d7588deb139e11ebf8b2a2bc5c9e614bad6861a17f32b951e16ed9f11dbe079"
 
 
-# Recorded once the renewal solver took its dense steps by np.correlate in blocks of
-# 512 and the series summed its window in dot products of 8,192 terms, each on one
-# BLAS thread: the digests then hold at any thread count
+# Recorded once the renewal solver warm-started each level's tilt from the level
+# below and stopped its Newton steps at a tilted lag sum of e^0.01 / c0; the series
+# sums its window in dot products of 8,192 terms, each on one BLAS thread, so the
+# digests hold at any thread count
 _SWEEP_PINNED = {
-    "N1": "5725be5a070d9118711a6bac804d7b7d21c44d8ae016d9008d572a1f7749bf22",
-    "N2": "3308f25a63dd6fd115e84f5a70e0f7aebb0526f535978964d1ccc3dc29ccffe9",
+    "N1": "46c9dd46988faf4e5af2d629989bbe6fa9b201f7714d23371154784978aa4276",
+    "N2": "011e22eba33d849a2bdb16ae48f6592f9103af7af00b77d2b1f4567c7cc54fdf",
     "NBM": "840f9bb63db764b29977a9c6534768173fbcda1e4dde6632ece2b37ff94f64b9",
 }
 
@@ -615,10 +671,10 @@ def test_negbin_draws_match_the_integer_reference(u, n, m):
 
 def test_method2_below_one_block_is_pinned():
     # the draws are those that summed u geometric variates, before the blocks; the
-    # digest is recorded from the tables of the solver with 512-term correlation steps
+    # digest is recorded from the tables of the solver with warm-started level tilts
     cfg = MpApproxConfig(n=500, m=1000, seed=1)
     values = [v for u in range(1, 32) for v in psi_mp_method2(ERLANG, u, cfg)]
-    assert _sha256(values) == "a3e37e57e28f71096645f85cfccfd96672ae85a2b28735ef0340eff7fc5ea1fa"
+    assert _sha256(values) == "6ea5e5034284bf1d53107ba168c62af67b31707ae71ab5cc8a6ef453a6bbfe96"
 
 
 @pytest.mark.parametrize("n", [50, 500])

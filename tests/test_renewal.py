@@ -309,6 +309,33 @@ def test_an_extension_past_one_block_matches_a_single_extension(mix):
     np.testing.assert_array_equal(first, whole[:513])
 
 
+@pytest.mark.parametrize(
+    "law",
+    [MixingDistribution.erlang(2, 3.0), MixingDistribution.pareto(3.0, 1.0),
+     MixingDistribution.lognormal(-1.0, 1.0), "wide"],
+    ids=["erlang", "pareto", "lognormal", "nbm"],
+)
+def test_level_tilts_bound_their_roots_within_the_loose_stop(law, monkeypatch):
+    """Each level's tilt t starts from the level below's and stops once its tilted lags
+    sum to at most e^0.01 / c0: so 1 <= c0 sum_i f_i e^{t i} <= e^0.01 over the level's
+    lags, t is at or above the level's root, and the tilts never grow with the level."""
+    monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())
+    if law == "wide":
+        solver = cbar_sequence(NBM_SPECS["wide"], 4095).renewal
+    else:
+        solver = mp_coefficients(law, MpApproxConfig(n=500), (1 << 15) - 1).renewal
+    levels = sorted(solver._levels.items())
+    assert levels and levels[0][0] == _B
+    tilts = []
+    for s, (_, _, top, t) in levels:
+        f = solver.lags(1, top + 1)
+        live = f > 0.0
+        mass = math.fsum(np.exp(np.log(solver.c0 * f[live]) + t * (np.flatnonzero(live) + 1.0)).tolist())
+        assert 1.0 - 1e-12 <= mass <= math.exp(0.01) * (1.0 + 1e-12), (s, mass)
+        tilts.append(t)
+    assert tilts == sorted(tilts, reverse=True)
+
+
 def test_weights_of_whole_blocks_keep_their_block_tails():
     w = np.random.default_rng(3).random(4 * _B)
     whole, padded = Weights(w), Weights(np.append(w, 0.0))
