@@ -99,12 +99,14 @@ class QuadratureError(RuntimeError):
 def _read_pairs(path: str) -> list[tuple[float, float]]:
     """The numeric rows ``x,y`` of a two-column CSV file, in file order.
 
-    Blank rows, rows starting with ``#`` and rows that do not parse as two
-    numbers (a header) are skipped; a row with one cell is an error.
+    Blank rows and rows starting with ``#`` are skipped, and so are rows that
+    do not parse as two numbers (a header) before the first numeric row; such
+    a row after it, or a row with one cell, is an error.
     """
     pairs: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not "".join(row).strip() or row[0].strip().startswith("#"):
                 continue
             if len(row) < 2:
@@ -112,7 +114,8 @@ def _read_pairs(path: str) -> list[tuple[float, float]]:
             try:
                 pairs.append((float(row[0]), float(row[1])))
             except ValueError:
-                continue
+                if pairs:
+                    raise ValueError(f"{path}: row {rows.line_num} {row!r} is not two numbers") from None
     return pairs
 
 
@@ -466,10 +469,9 @@ class NbmSpec:
         return self.weight_mean * (1.0 - self.p) / self.p
 
     def weight_survival(self) -> np.ndarray:
-        """P(N > j) for j = 0..len(weights), accumulated from the high end."""
+        """P(N > j) for j = 0..len(weights)-1, accumulated from the high end."""
         arr = np.asarray(self.weights, dtype=float)
-        tails = np.cumsum(arr[::-1])[::-1]  # tails[i] = P(N >= i+1)
-        return np.append(tails, 0.0)
+        return np.cumsum(arr[::-1])[::-1]  # P(N > j) = P(N >= j+1)
 
 
 def _nbm_masses(spec: NbmSpec, x: np.ndarray) -> np.ndarray:
@@ -482,7 +484,7 @@ def _nbm_sf(spec: NbmSpec, y: int) -> float:
     """P(Y > y) for the mixture, sum_k q_k P(NegBin(k, p) > y)."""
     # P(NegBin(k, p) > y) = sum_{i<k} P(NegBin(y+1, 1-p) = i), so the mixture weighs
     # mass i by P(N > i)
-    tails = spec.weight_survival()[:-1]
+    tails = spec.weight_survival()
     masses = np.exp(_nb_logpmf(y + 1.0, 1.0 - spec.p, range(tails.size)))
     return min(1.0, float(np.dot(tails, masses)))
 
@@ -805,20 +807,17 @@ class MixingDistribution:
                           - x * math.erfc(-d / math.sqrt(2.0)))
         raise ValueError(f"no stop-loss transform for mixing kind {self.kind!r}")
 
-    def grid_tail(self, a: int, n: int) -> float:
-        """The grid survival sum sum_{j >= a} sf(j/n), for a >= 1, in closed form.
+    def grid_tail(self, a: int, n: int) -> np.longdouble:
+        """The grid survival sum sum_{j >= a} sf(j/n), for a >= 1, in closed form,
+        as an extended-precision scalar.
 
-        Atomic laws give the step sum, taken in extended precision, so it is
-        correctly rounded unless it lies within about 2^-11 ulp of a rounding
-        tie; a table's mass below 1 (at most 1e-9) sits at no finite rate and
-        is left out, as ``mean`` leaves it out.  The continuous kinds use
+        Atomic laws give the step sum, taken in extended precision, so rounded to
+        a double it is correct unless it lies within about 2^-11 ulp of a
+        rounding tie; a table's mass below 1 (at most 1e-9) sits at no finite
+        rate and is left out, as ``mean`` leaves it out.  The continuous kinds use
         Euler-Maclaurin, n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n),
         whose first neglected term is pdf''(a/n)/(720 n^3).
         """
-        return float(self._grid_tail(a, n))
-
-    def _grid_tail(self, a: int, n: int) -> np.longdouble:
-        """`grid_tail` in extended precision, which the atomic step sum keeps."""
         if self.kind == "atoms":
             xs, cs = self.atoms  # type: ignore[misc]
             xs = np.asarray(xs)
@@ -858,25 +857,6 @@ def _poisson_sf(x: int, lam: np.ndarray) -> np.ndarray:
         total += term
     out[~low] = total
     return out
-
-
-def _mp_masses(mix: MixingDistribution, x: np.ndarray) -> np.ndarray:
-    """Mixed Poisson masses P(X = x) = E[ e^{-rate} rate^x / x! ] at each of the
-    nonnegative integers x.
-
-    Erlang mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a closed
-    form; Pareto and lognormal mixing take one G10/K21 quadrature per x, run in
-    batches and certified to relative tolerance 1e-10 (:class:`QuadratureError`
-    if not).
-    """
-    spec = mix.as_nbm()
-    if spec is not None:
-        return _nbm_masses(spec, x)
-    atoms = _atoms(mix)
-    if atoms is not None:
-        rates, masses = atoms
-        return masses @ np.exp(_poisson_logpmf(rates[:, None], x))
-    return _poisson_gamma_quad(mix, x, mix._pdf)
 
 
 def _atoms(mix: MixingDistribution) -> tuple[np.ndarray, np.ndarray] | None:
@@ -1006,11 +986,21 @@ def _mp_sf(mix: MixingDistribution, x: int) -> float:
 
 
 def _mp_vector(mix: MixingDistribution, x_max: int) -> tuple[np.ndarray, float]:
-    """The masses P(X = x) on 0..x_max and the survival P(X > x_max); Pareto and
-    lognormal mixing take all of them in one batched quadrature."""
+    """The mixed Poisson masses P(X = x) = E[ e^{-rate} rate^x / x! ] on 0..x_max
+    and the survival P(X > x_max).
+
+    Erlang mixing gives the NBM law of ``mix.as_nbm()``, atomic mixing a closed
+    form; Pareto and lognormal mixing take all of them in one batched G10/K21
+    quadrature, certified to relative tolerance 1e-10 (:class:`QuadratureError`
+    if not).
+    """
     x = np.arange(x_max + 1.0)
-    if mix.as_nbm() is not None or mix.kind == "atoms":
-        return _mp_masses(mix, x), _mp_sf(mix, x_max)
+    spec, atoms = mix.as_nbm(), _atoms(mix)
+    if spec is not None:
+        return _nbm_masses(spec, x), _nbm_sf(spec, x_max)
+    if atoms is not None:
+        rates, masses = atoms
+        return masses @ np.exp(_poisson_logpmf(rates[:, None], x)), _mp_sf(mix, x_max)
     out = _poisson_gamma_quad(mix, np.append(x, x_max), [mix._pdf] * x.size + [mix.sf])
     return out[:-1], float(out[-1])
 

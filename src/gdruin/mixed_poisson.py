@@ -36,12 +36,11 @@ table per (mixing law, n), cached beside the NBM specs', is extended in
 place as u grows, so sweeping u is cheap after the first call.  The grid is
 the paper's infinite sum over every j >= 0.  It stops at the first point J
 where the survival drops below 1e-16 if that lies within the first 2^16
-points; otherwise it runs on to infinity.  A law stores at most its first
-2^14 values, evaluated in doubling pieces up to the one that reaches the
-stop, so a grid that stops within them is evaluated only that far.  A
-longer grid finds J from a few rounds of probes, reads single values past
-its head on demand, and takes the tail sums from l past the head in closed
-form, grid_tail(l) - grid_tail(J), with grid_tail(inf) = 0
+points; otherwise it runs on to infinity.  One search finds J: a probe at
+2^16 - 1, then two rounds of 256 evenly spaced probes.  A law then stores
+its first min(J, 2^14) values, evaluated once.  A longer grid reads single
+values past its head on demand, and takes the tail sums from l past the
+head in closed form, grid_tail(l) - grid_tail(J), with grid_tail(inf) = 0
 (`MixingDistribution.grid_tail`).  So no law is too heavy-tailed to grid,
 and a law's grid holds O(min(J, 2^14)) values.
 
@@ -84,13 +83,10 @@ __all__ = [
 
 # The mixing grid stops below a survival of _GRID_TOL if it gets there
 # within its first _SEARCH points, of which a law stores at most _HEAD.  The
-# head is evaluated in doubling pieces from _PIECE points, up to the first
-# piece that reaches the stop; a stop past the head is found by rounds of
-# _PROBES evenly spaced values.
+# stop is found by rounds of _PROBES evenly spaced values.
 _GRID_TOL = 1e-16
 _SEARCH = 1 << 16
 _HEAD = 1 << 14
-_PIECE = 1 << 10
 _PROBES = 256
 # Values in method 2's reused buffer of uniforms.
 _DRAW_BUFFER = 1 << 15
@@ -151,7 +147,7 @@ class MpCoefficientSeq:
 
 class _Grid(Weights):
     """Fbar(j/n) for j below the grid's end J, its first _HEAD values stored, as
-    solver weights; J is a whole number in [_HEAD, _SEARCH), or inf.
+    solver weights; J is the whole number `_grid_end` finds, at least _HEAD, or inf.
 
     A value past the stored head is evaluated when read.  The tail sum from a
     block boundary l past the head is grid_tail(l) - grid_tail(J), and 0 from J
@@ -161,7 +157,7 @@ class _Grid(Weights):
 
     def __init__(self, mix: MixingDistribution, n: int, head: np.ndarray, end):
         self._mix, self._n, self._head, self._end = mix, n, head.size, end
-        self._past_end = mix._grid_tail(end, n) if end < math.inf else 0.0
+        self._past_end = mix.grid_tail(end, n) if end < math.inf else 0.0
         super().__init__(head, beyond=self._far_tail(head.size))
         self.size = end
 
@@ -179,18 +175,19 @@ class _Grid(Weights):
     def _far_tail(self, l: int) -> np.longdouble:
         if l >= self._end:
             return np.longdouble(0.0)
-        return self._mix._grid_tail(l, self._n) - self._past_end
+        return self._mix.grid_tail(l, self._n) - self._past_end
 
 
 def _grid_end(mix: MixingDistribution, n: int):
-    """The first j with Fbar(j/n) below 1e-16, given none below _HEAD, or inf if
-    Fbar((_SEARCH - 1)/n) is not below it: the stop a scan of every point would
-    find, in rounds of _PROBES evenly spaced values."""
-    lo, hi = _HEAD - 1, _SEARCH - 1  # Fbar(lo/n) >= 1e-16 > Fbar(hi/n), once checked
+    """The first j with Fbar(j/n) below 1e-16, or inf if Fbar((_SEARCH - 1)/n) is
+    not below it: the stop a scan of every point would find, in rounds of _PROBES
+    evenly spaced values over [0, _SEARCH)."""
+    # Fbar(0) = P(Lambda > 0) >= 2^-53 once E(Lambda) > 0 is checked
+    lo, hi = 0, _SEARCH - 1
     if not mix.sf(np.array([hi / n]))[0] < _GRID_TOL:
         return math.inf
-    while hi - lo > 1:
-        js = np.unique(np.linspace(lo, hi, _PROBES + 1).astype(np.int64))
+    while hi - lo > 1:  # Fbar(lo/n) >= 1e-16 > Fbar(hi/n)
+        js = np.append(np.arange(lo, hi, -(-(hi - lo) // _PROBES)), hi)
         below = np.flatnonzero(mix.sf(js[1:-1] / n) < _GRID_TOL)
         k = below[0] + 1 if below.size else js.size - 1
         lo, hi = int(js[k - 1]), int(js[k])
@@ -200,24 +197,14 @@ def _grid_end(mix: MixingDistribution, n: int):
 def _table(mix: MixingDistribution, n: int):
     """The law's grid as solver weights, and the wrapper of its table's views.
 
-    The solver takes the raw grid and normalizes it by its sum once, in
-    extended precision: the coefficient identity is checked downstream to
-    1e-12 and double accumulation over ~1e5 grid points would eat most of
-    that budget.
+    The head, min(J, _HEAD) values, is evaluated once the end J is found.  The
+    solver takes the raw grid and normalizes it by its sum once, in extended
+    precision: the coefficient identity is checked downstream to 1e-12 and
+    double accumulation over ~1e5 grid points would eat most of that budget.
     """
-    pieces, lo = [], 0
-    while lo < _HEAD:
-        hi = max(2 * lo, _PIECE)
-        pieces.append(np.asarray(mix.sf(np.arange(lo, hi, dtype=float) / n), dtype=float))
-        lo = hi
-        if pieces[-1].min() < _GRID_TOL:
-            break
-    head = np.concatenate(pieces)
-    below = np.flatnonzero(head < _GRID_TOL)  # never 0: head[0] = P(Lambda > 0) >= 2^-53 if E(Lambda) > 0
-    if below.size:
-        grid = Weights(head[: below[0]].copy())  # no view pinning the whole head
-    else:
-        grid = _Grid(mix, n, head, _grid_end(mix, n))
+    end = _grid_end(mix, n)
+    head = mix.sf(np.arange(min(end, _HEAD), dtype=float) / n)
+    grid = Weights(head) if end < _HEAD else _Grid(mix, n, head, end)
     return grid, partial(MpCoefficientSeq, grid_points=min(grid.size, _SEARCH))
 
 

@@ -93,7 +93,7 @@ def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
     """
     k_max = _whole_number(k_max, "k_max")
     return _tables.get(
-        spec, k_max, spec.claim_mean, lambda: (Weights(spec.weight_survival()[:-1]), CoefficientSeq)
+        spec, k_max, spec.claim_mean, lambda: (Weights(spec.weight_survival()), CoefficientSeq)
     )
 
 

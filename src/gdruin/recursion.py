@@ -51,7 +51,14 @@ def psi_recursion(claims: DiscretePmf, u_max: int) -> np.ndarray:
             f"{claims.support_max} but survival values through {u_max - 1} are needed; "
             "rebuild the claims with a smaller tail tolerance"
         )
-    return _psi(claims, solver, u_max)
+    psi = np.zeros(u_max + 1)
+    psi[0] = claims.mean
+    if solver is not None:
+        psi[1:] = solver.extend(u_max)
+    _check_residual(psi, claims)
+    if np.any(psi[1:] > psi[:-1] * (1.0 + 1e-12)):
+        raise RuntimeError("recursion output is not nonincreasing")
+    return psi
 
 
 def _ladder(claims: DiscretePmf) -> RenewalSolver | None:
@@ -77,18 +84,6 @@ def _ladder(claims: DiscretePmf) -> RenewalSolver | None:
     if total == 0.0:
         return None
     return RenewalSolver(total / f0, weights)
-
-
-def _psi(claims: DiscretePmf, solver: RenewalSolver | None, u_max: int) -> np.ndarray:
-    """psi(0..u_max) from the ladder solver, extended in place, and certified."""
-    psi = np.zeros(u_max + 1)
-    psi[0] = claims.mean
-    if solver is not None:
-        psi[1:] = solver.extend(u_max)
-    _check_residual(psi, claims)
-    if np.any(psi[1:] > psi[:-1] * (1.0 + 1e-12)):
-        raise RuntimeError("recursion output is not nonincreasing")
-    return psi
 
 
 def _check_residual(psi: np.ndarray, claims: DiscretePmf) -> float:

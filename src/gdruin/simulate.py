@@ -67,7 +67,7 @@ from .distributions import (
     _whole_number,
     equilibrium,
 )
-from .recursion import _ladder, _psi
+from .recursion import psi_recursion
 
 __all__ = [
     "SimConfig",
@@ -155,12 +155,12 @@ def _stop_bound(claims: DiscretePmf) -> int:
 
     A truncated claim vector caps how deep the recursion can certify, so a
     tail tolerance that is too loose is rejected here rather than silently
-    biasing the stopping rule; a complete pmf extends one solver in place.
+    biasing the stopping rule; a complete pmf doubles the depth until psi gets
+    there.
     """
-    solver = _ladder(claims)
     u_max = claims.support_max + 1
     while True:
-        psi = _psi(claims, solver, u_max)
+        psi = psi_recursion(claims, u_max)
         hits = np.nonzero(psi < _STOP_TOL)[0]
         if hits.size:
             return int(hits[0])

@@ -346,6 +346,23 @@ def test_malformed_pmf_file_exits_2(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gdruin: ")
 
 
+@pytest.mark.parametrize(
+    "option, text",
+    [
+        ("--pmf-file", "value,probability\n0,0.7\n1,0.3oops\n2,0.3\n"),
+        ("--mix", "lambda,cdf\n0.2,0.4\n0.5,0.6x\n0.9,1.0\n"),
+    ],
+    ids=["pmf_file", "cdf_file"],
+)
+def test_bad_row_after_the_numbers_exits_2(option, text, tmp_path, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    value = str(f) if option == "--pmf-file" else f"cdf_file:{f}"
+    assert main(["exact", option, value, "--u-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gdruin: ") and "row 3" in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "job.cfg"
     cfg.write_text("mix = erlang:2,3\nbogus = 1\n")

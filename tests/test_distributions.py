@@ -58,8 +58,8 @@ from gdruin.distributions import (
     _erfcx_block,
     _log_gamma,
     _log_gamma_table,
-    _mp_masses,
     _mp_sf,
+    _mp_vector,
     _nb_logpmf,
     _nbm_masses,
     _nbm_sf,
@@ -146,6 +146,23 @@ def test_discrete_pmf_rejects_bad_mass():
         DiscretePmf(np.array([0.5, 0.3]), tail_mass=0.2)  # mean required
 
 
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (DiscretePmf.load_csv, "value,probability\n0,0.7\n1,0.3oops\n2,0.3\n"),
+        (MixingDistribution.load_cdf_table, "lambda,cdf\n0.2,0.4\n0.5,0.6x\n0.9,1.0\n"),
+    ],
+    ids=["pmf", "cdf_table"],
+)
+def test_csv_loaders_refuse_a_bad_row_after_the_first_numeric_row(load, text, tmp_path):
+    # a header before the numbers is skipped; a row that does not parse after
+    # them would drop a mass and load another law that still sums to one
+    f = tmp_path / "law.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{f}: row 3 ")):
+        load(str(f))
+
+
 def test_geometric_pmf_closed_form():
     p = 0.6
     dist = geometric_pmf(p, tail_tol=1e-12)
@@ -191,7 +208,7 @@ def test_nbm_equilibrium_matches_elementwise_transform():
     law mass-by-mass, which is the property the ruin series relies on.
     """
     spec = NbmSpec((0.3, 0.45, 0.25), 0.6)
-    eq_spec = NbmSpec(tuple(spec.weight_survival()[:-1] / spec.weight_mean), spec.p)
+    eq_spec = NbmSpec(tuple(spec.weight_survival() / spec.weight_mean), spec.p)
     claims = nbm_claims_pmf(spec, tail_tol=1e-15)
     xs = np.arange(60.0)
     np.testing.assert_allclose(
@@ -207,7 +224,7 @@ def test_erlang_mixture_to_nbm_identity(beta):
     spec = mix.as_nbm()
     assert spec.p == pytest.approx(beta / (beta + 1.0), rel=1e-15)
     xs = np.arange(30.0)
-    np.testing.assert_allclose(_mp_masses(mix, xs), _nbm_masses(spec, xs), rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(_mp_vector(mix, 29)[0], _nbm_masses(spec, xs), rtol=1e-12, atol=1e-300)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +240,7 @@ def test_erlang_family_mixing_is_an_nbm_law(mix, weights, p):
     spec = mix.as_nbm()
     assert spec == NbmSpec(weights, p)
     xs = np.arange(401.0)
-    np.testing.assert_array_equal(_mp_masses(mix, xs), _nbm_masses(spec, xs))
+    np.testing.assert_array_equal(_mp_vector(mix, 400)[0], _nbm_masses(spec, xs))
     if max(weights) == 1.0:
         # one component: the single negative binomial kernel, bit for bit
         shape = weights.index(1.0) + 1
@@ -318,7 +335,7 @@ def test_mixing_means():
 def test_mp_pmf_degenerate_is_poisson():
     mix = MixingDistribution.degenerate(0.8)
     xs = np.arange(15.0)
-    np.testing.assert_allclose(_mp_masses(mix, xs), sps.poisson.pmf(xs, 0.8), rtol=1e-12)
+    np.testing.assert_allclose(_mp_vector(mix, 14)[0], sps.poisson.pmf(xs, 0.8), rtol=1e-12)
 
 
 def test_mp_pmf_exponential_is_geometric():
@@ -326,13 +343,13 @@ def test_mp_pmf_exponential_is_geometric():
     mix = MixingDistribution.exponential(beta)
     q = 1.0 / (1.0 + beta)
     xs = np.arange(25.0)
-    np.testing.assert_allclose(_mp_masses(mix, xs), (1 - q) * q**xs, rtol=1e-12)
+    np.testing.assert_allclose(_mp_vector(mix, 24)[0], (1 - q) * q**xs, rtol=1e-12)
 
 
 def test_mp_pmf_erlang_is_negative_binomial():
     mix = MixingDistribution.erlang(2, 3.0)
     xs = np.arange(25.0)
-    np.testing.assert_allclose(_mp_masses(mix, xs), sps.nbinom.pmf(xs, 2, 0.75), rtol=1e-12)
+    np.testing.assert_allclose(_mp_vector(mix, 24)[0], sps.nbinom.pmf(xs, 2, 0.75), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +371,7 @@ def test_mp_pmf_quadrature_against_mpmath(mix):
         for x in (0, 1, 2, 5, 9):
             f = lambda lam: mpmath.exp(-lam) * lam**x / mpmath.factorial(x) * dens(lam)
             ref = float(mpmath.quad(f, [0, x + 1, mpmath.inf]))
-            assert _mp_masses(mix, np.array([x]))[0] == pytest.approx(ref, rel=1e-9)
+            assert _poisson_gamma_quad(mix, x, mix._pdf) == pytest.approx(ref, rel=1e-9)
 
 
 def test_far_quadrature_masses_against_mpmath():
@@ -371,7 +388,7 @@ def test_far_quadrature_masses_against_mpmath():
                 claims = mp_claims_pmf(mix, x_max=x)
                 got = claims.pmf[x], claims.tail_mass
             else:  # a whole claim vector this long would cost 10^4 quadratures
-                got = _mp_masses(mix, np.array([float(x)]))[0], _mp_sf(mix, x)
+                got = _poisson_gamma_quad(mix, x, mix._pdf), _mp_sf(mix, x)
             assert got == pytest.approx((mass, tail), rel=1e-10)
 
 
@@ -425,7 +442,7 @@ def _scipy_poisson_gamma(mix, x, h):
 def test_quadrature_masses_against_scipy_quad(mix):
     """Masses and survivals agree with scipy's QUADPACK run over the rate."""
     for x in (0, 1, 2, 5, 19, 20, 100, 331, 1000, 3000):
-        mass = _mp_masses(mix, np.array([float(x)]))[0]
+        mass = _poisson_gamma_quad(mix, x, mix._pdf)
         assert mass == pytest.approx(_scipy_poisson_gamma(mix, x, mix._pdf), rel=1e-13)
         assert _mp_sf(mix, x) == pytest.approx(_scipy_poisson_gamma(mix, x, mix.sf), rel=1e-13)
 

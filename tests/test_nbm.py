@@ -91,7 +91,7 @@ def test_maximum_reaches_one_with_pgf_complement(spec):
     """1 - psi(1) equals the zero mass of the all-time maximum by pgf algebra."""
     mu = spec.claim_mean
     p = spec.p
-    f_ne = spec.weight_survival()[:-1] / spec.weight_mean  # equilibrium weights on 1..K
+    f_ne = spec.weight_survival() / spec.weight_mean  # equilibrium weights on 1..K
     g_ne = math.fsum(q * p ** (i + 1) for i, q in enumerate(f_ne.tolist()))
     assert 1.0 - psi_nbm(spec, 1) == pytest.approx(
         (1.0 - mu) / (1.0 - mu * g_ne), rel=1e-11
@@ -121,7 +121,7 @@ def _short_sum_specs(seed: int, count: int, size: int) -> list[NbmSpec]:
         weights = rng.dirichlet(np.ones(size))
         en = float(np.dot(weights, np.arange(1, size + 1)))
         spec = NbmSpec(tuple(weights), en / (en + 0.7))
-        if math.fsum((spec.weight_survival()[:-1] / spec.weight_mean).tolist()) < 1.0:
+        if math.fsum((spec.weight_survival() / spec.weight_mean).tolist()) < 1.0:
             specs.append(spec)
     return specs
 

@@ -43,7 +43,7 @@ FLOOR = 1e-290
 
 def direct_nbm_cbar(spec: NbmSpec, k_max: int) -> np.ndarray:
     c0 = spec.claim_mean
-    surv = spec.weight_survival()[:-1]  # P(N > j), j = 0..K-1
+    surv = spec.weight_survival()  # P(N > j), j = 0..K-1
     f_ne = surv / math.fsum(surv.tolist())  # f_ne[i-1] is the weight on i
     fbar = np.append(np.cumsum(f_ne[::-1])[::-1], 0.0)  # fbar[k] = P(Ne > k), k = 0..K
     kw = f_ne.size
@@ -167,7 +167,7 @@ def test_mp_solver_matches_direct_loop_deep(name):
 
 def _short_sum(spec: NbmSpec) -> bool:
     """Whether the floating equilibrium weights P(N > j-1) / E(N) sum below 1."""
-    return math.fsum((spec.weight_survival()[:-1] / spec.weight_mean).tolist()) < 1.0
+    return math.fsum((spec.weight_survival() / spec.weight_mean).tolist()) < 1.0
 
 
 def _random_spec(rng, size: int, alpha: float, tail: bool) -> NbmSpec:
