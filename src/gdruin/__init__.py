@@ -18,7 +18,6 @@ from .distributions import (
 )
 from .mixed_poisson import (
     MpApproxConfig,
-    MpCoefficientSeq,
     mp_coefficients,
     psi_mp_exact_reference,
     psi_mp_method1,
@@ -70,7 +69,6 @@ __all__ = [
     "psi_nbm",
     "compound_geo_zero_mass",
     "MpApproxConfig",
-    "MpCoefficientSeq",
     "mp_coefficients",
     "psi_mp_method1",
     "psi_mp_method2",

@@ -81,10 +81,10 @@ class JobSpec:
     p: float | None = None
     weights: tuple[float, ...] | None = None
     mix: str | None = None
-    n: int = 500
-    m: int = 1000
+    n: int = MpApproxConfig.n
+    m: int = MpApproxConfig.m
     seed: int = 0
-    floor: float = 1e-5
+    floor: float = MpApproxConfig.pmf_floor
     reps: int = 100_000
 
     def __post_init__(self):

@@ -715,7 +715,7 @@ class MixingDistribution:
             raise ValueError("cdf values must be nondecreasing within [0, 1]")
         if abs(cs[-1] - 1.0) > 1e-9:
             raise ValueError("cdf must reach 1 at the last support point")
-        return cls("atoms", atoms=(xs, cs))
+        return cls("atoms", atoms=(xs, cs[:-1] + (1.0,)))  # the last atom takes what is left
 
     @classmethod
     def load_cdf_table(cls, path: str) -> "MixingDistribution":
@@ -813,10 +813,9 @@ class MixingDistribution:
 
         Atomic laws give the step sum, taken in extended precision, so rounded to
         a double it is correct unless it lies within about 2^-11 ulp of a
-        rounding tie; a table's mass below 1 (at most 1e-9) sits at no finite
-        rate and is left out, as ``mean`` leaves it out.  The continuous kinds use
-        Euler-Maclaurin, n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n),
-        whose first neglected term is pdf''(a/n)/(720 n^3).
+        rounding tie.  The continuous kinds use Euler-Maclaurin,
+        n E[(rate - a/n)+] + sf(a/n)/2 + pdf(a/n)/(12 n), whose first neglected
+        term is pdf''(a/n)/(720 n^3).
         """
         if self.kind == "atoms":
             xs, cs = self.atoms  # type: ignore[misc]

@@ -44,10 +44,10 @@ head in closed form, grid_tail(l) - grid_tail(J), with grid_tail(inf) = 0
 (`MixingDistribution.grid_tail`).  So no law is too heavy-tailed to grid,
 and a law's grid holds O(min(J, 2^14)) values.
 
-An `MpCoefficientSeq` holds three fields: ``cbar_n``, a view of the table
-whose first term is exactly E(Lambda), read as psi(0) by both methods;
-``grid_points``, the grid's length J, or 2^16 for a grid that runs on; and
-``renewal``, the solver, whose ``total`` is the grid sum sum_j Fbar(j/n).
+A grid's record is `renewal.CoefficientSeq`, as for NBM specs: ``cbar_n``,
+a view of the table whose first term is exactly E(Lambda), read as psi(0)
+by both methods; ``grid_points``, the grid's length J, or 2^16 for a grid
+that runs on; and ``renewal``, the solver, whose ``total`` is the grid sum.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import math
 import mmap
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -68,13 +68,12 @@ from .distributions import (
     _whole_number,
     mp_claims_pmf,
 )
-from .nbm import _certified_window, _series, _series_window
+from .nbm import _certified_window, _psi_series, _series_window
 from .recursion import psi_recursion
-from .renewal import RenewalSolver, Weights, _tables
+from .renewal import CoefficientSeq, Weights, _tables
 
 __all__ = [
     "MpApproxConfig",
-    "MpCoefficientSeq",
     "mp_coefficients",
     "psi_mp_method1",
     "psi_mp_method2",
@@ -122,24 +121,6 @@ class MpApproxConfig:
             object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if not self.pmf_floor > 0.0:
             raise ValueError("pmf_floor must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class MpCoefficientSeq:
-    """Grid coefficients for one mixing law at one refinement.
-
-    ``cbar_n[k]`` is Cbar_{k,n}, a read-only view of the law's renewal
-    table, and ``grid_points`` the grid's length: J for a grid that stops
-    at J <= 2^16 points, else 2^16; the law stores at most 2^14 of its
-    values.  The raw survival sum sum_j Fbar(j/n) over the whole grid is
-    ``renewal.total``; the grid equilibrium weights f_Ne(i) = Fbar((i-1)/n)
-    / renewal.total and their tails are ``renewal.lags`` and
-    ``renewal.survival``.
-    """
-
-    cbar_n: np.ndarray
-    grid_points: int
-    renewal: RenewalSolver = field(repr=False)
 
 
 # -- the mixing grid -------------------------------------------------------------
@@ -195,7 +176,7 @@ def _grid_end(mix: MixingDistribution, n: int):
 
 
 def _table(mix: MixingDistribution, n: int):
-    """The law's grid as solver weights, and the wrapper of its table's views.
+    """The law's grid as solver weights, and its ``grid_points``: J, or 2^16.
 
     The head, min(J, _HEAD) values, is evaluated once the end J is found.  The
     solver takes the raw grid and normalizes it by its sum once, in extended
@@ -205,12 +186,12 @@ def _table(mix: MixingDistribution, n: int):
     end = _grid_end(mix, n)
     head = mix.sf(np.arange(min(end, _HEAD), dtype=float) / n)
     grid = Weights(head) if end < _HEAD else _Grid(mix, n, head, end)
-    return grid, partial(MpCoefficientSeq, grid_points=min(grid.size, _SEARCH))
+    return grid, min(grid.size, _SEARCH)
 
 
 def mp_coefficients(
     mix: MixingDistribution, cfg: MpApproxConfig, k_max: int
-) -> MpCoefficientSeq:
+) -> CoefficientSeq:
     """Coefficients Cbar_{0..k_max, n}, memoized and extended in place.
 
     The table of each (mixing law, n) grows in quarter octaves, to at most
@@ -284,10 +265,9 @@ def _window(u: int, n: int, floor: float) -> np.ndarray:
 def psi_mp_method1(mix: MixingDistribution, u: int, cfg: MpApproxConfig) -> float:
     """Truncated coefficient series at surplus u."""
     u = _whole_number(u, "u")
-    if u == 0:
-        return float(mp_coefficients(mix, cfg, 0).cbar_n[0])
-    pmf = _factors.get(("window", u, cfg.n, cfg.pmf_floor), partial(_window, u, cfg.n, cfg.pmf_floor))
-    return _series(mp_coefficients(mix, cfg, pmf.size - 1).cbar_n, pmf)
+    key = ("window", u, cfg.n, cfg.pmf_floor)
+    window = partial(_factors.get, key, partial(_window, u, cfg.n, cfg.pmf_floor))
+    return _psi_series(lambda k: mp_coefficients(mix, cfg, k), u, window)
 
 
 # -- method 2: Monte Carlo over the mixing index ------------------------------

@@ -26,29 +26,30 @@ and sums it over the same window at its pmf floor.  The window is the log
 kernel over 0..top, its log Gamma values sliced from the shared table in
 `distributions`, exponentiated in place (its left tail, where the masses
 underflow, set to 0.0); k_hi is looked for in the last probe step before
-top, where the mass crosses the floor.  Both sum the series in `_series`, in
-dot products of 8,192 terms that the BLAS never splits over threads, so
-their last bits do not depend on the thread count.
+top, where the mass crosses the floor.  Both run in `_psi_series`, whose
+`_series` sums in dot products of 8,192 terms that the BLAS never splits
+over threads, so their last bits do not depend on the thread count.
 
 Coefficient tables are cached per spec in the package's one table cache
 (`renewal.TableCache`), beside the mixed Poisson grids, and extended in
 place in quarter octaves, to at most 1.25 times the terms read, so repeated
-psi queries at different surpluses share one table.  A `CoefficientSeq`
-holds two fields: ``cbar``, a view of the whole table whose first term is
-exactly Cbar_0 (so psi(0) is read from it, and the cache checks the net
-profit condition on it), and ``renewal``, the solver that built it.
+psi queries at different surpluses share one table.  Its record is
+`renewal.CoefficientSeq`, as for the grids: ``cbar_n``, a view of the whole
+table whose first term is exactly Cbar_0 (read as psi(0)), ``grid_points``,
+here len(spec.weights), and ``renewal``, the solver that built it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import NbmSpec, _nb_logpmf, _whole_number
-from .renewal import RenewalSolver, Weights, _tables
+from .renewal import CoefficientSeq, Weights, _tables
 
 __all__ = [
     "CoefficientSeq",
@@ -71,29 +72,16 @@ _UNDERFLOW = -750.0
 _CHUNK = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientSeq:
-    """Cbar coefficients of one mixture spec, with the solver that built them.
-
-    ``cbar`` is a read-only view of the spec's whole cached table; ``cbar[0]``
-    is Cbar_0 = E(N)(1-p)/p exactly.  The equilibrium weights f_Ne(i) and their
-    tails Fbar_Ne(k) are ``renewal.lags`` and ``renewal.survival``.
-    """
-
-    cbar: np.ndarray
-    renewal: RenewalSolver = field(repr=False)
-
-
 def cbar_sequence(spec: NbmSpec, k_max: int) -> CoefficientSeq:
     """Coefficients Cbar_0..Cbar_k_max, at least, for the given mixture.
 
-    The record is the spec's cached one: ``cbar`` views the whole table, at
+    The record is the spec's cached one: ``cbar_n`` views the whole table, at
     least k_max + 1 terms, and a request within the table returns the same
     record.  Requires the net profit condition E(N)(1-p)/p < 1.
     """
     k_max = _whole_number(k_max, "k_max")
     return _tables.get(
-        spec, k_max, spec.claim_mean, lambda: (Weights(spec.weight_survival()), CoefficientSeq)
+        spec, k_max, spec.claim_mean, lambda: (Weights(spec.weight_survival()), len(spec.weights))
     )
 
 
@@ -220,6 +208,15 @@ def _certified_window(u: int, q: float, p: float, tol: float) -> np.ndarray:
     return pmf
 
 
+def _psi_series(table, u: int, window) -> float:
+    """psi(u), u whole: the first term of ``table(0)`` at u = 0, else the sum of
+    ``window()``, NegBin masses on 0..k_hi, against the record ``table(k_hi)``."""
+    if u == 0:
+        return float(table(0).cbar_n[0])
+    pmf = window()
+    return _series(table(pmf.size - 1).cbar_n, pmf)
+
+
 def psi_nbm(spec: NbmSpec, u: int) -> float:
     """Ruin probability at integer surplus u for NBM(pi, p) claims.
 
@@ -227,7 +224,5 @@ def psi_nbm(spec: NbmSpec, u: int) -> float:
     a floor that leaves out at most 1e-12 of NegBin mass (`_certified_window`).
     """
     u = _whole_number(u, "u")
-    if u == 0:
-        return float(cbar_sequence(spec, 0).cbar[0])
-    pmf = _certified_window(u, 1.0 - spec.p, spec.p, _SERIES_TOL)
-    return _series(cbar_sequence(spec, pmf.size - 1).cbar, pmf)
+    window = partial(_certified_window, u, 1.0 - spec.p, spec.p, _SERIES_TOL)
+    return _psi_series(lambda k: cbar_sequence(spec, k), u, window)

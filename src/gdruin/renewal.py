@@ -55,10 +55,11 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["RenewalSolver", "TableCache", "Weights"]
+__all__ = ["CoefficientSeq", "RenewalSolver", "TableCache", "Weights"]
 
 # Block size of the dense near-lag products; a power of two.
 _B = 512
@@ -259,14 +260,24 @@ def _tilt(c0: float, f: np.ndarray, start: float | None = None) -> float:
     return max(t, 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class CoefficientSeq:
+    """One cached table: ``cbar_n``, a read-only view of all of it, ``cbar_n[0]`` = c0
+    exactly; ``grid_points``, the count of the law's weights (J, or 2^16 for a grid
+    that runs on); ``renewal``, the solver, whose ``lags``, ``survival`` and ``total``
+    are the law's f_i, Fbar(k) and weight sum."""
+
+    cbar_n: np.ndarray
+    grid_points: int
+    renewal: RenewalSolver = field(repr=False)
+
+
 class _Entry:
-    __slots__ = ("lock", "solver", "wrap", "table")
+    __slots__ = ("lock", "seq")
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.solver = None
-        self.wrap = None
-        self.table = None  # (size, object handed out), replaced as one
+        self.seq = None  # the latest record, replaced as one; its table is empty until extended
 
 
 class TableCache:
@@ -287,15 +298,14 @@ class TableCache:
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
 
-    def get(self, key, k_max: int, c0: float, start):
-        """The table for ``key`` covering index ``k_max``.
+    def get(self, key, k_max: int, c0: float, start) -> CoefficientSeq:
+        """The record of ``key``'s table, covering index ``k_max``.
 
         ``c0``, the law's mean claim, must meet the net profit condition
         0 < c0 < 1.  ``start()`` runs once per kept key, under the key's lock,
-        and returns ``(weights, wrap)``: the table is RenewalSolver(c0,
-        weights)'s, and ``wrap(view, renewal=solver)`` makes the object handed
-        out from a read-only view of it.  If the start raises, the next
-        request runs it again.
+        and returns ``(weights, grid_points)``: the table is RenewalSolver(c0,
+        weights)'s.  A request within the table returns the same record.  If
+        the start raises, the next request runs it again.
         """
         if not 0.0 < c0 < 1.0:
             raise ValueError(f"net profit condition requires a mean claim c0 in (0, 1), got c0 = {c0}")
@@ -307,23 +317,23 @@ class TableCache:
                     self._entries.popitem(last=False)
             else:
                 self._entries.move_to_end(key)
-        table = entry.table
-        if table is not None and table[0] > k_max:
-            return table[1]
+        seq = entry.seq
+        if seq is not None and seq.cbar_n.size > k_max:
+            return seq
         with entry.lock:
-            if entry.solver is None:
+            if entry.seq is None:
                 try:
-                    weights, entry.wrap = start()
-                    entry.solver = RenewalSolver(c0, weights)
+                    weights, points = start()
+                    solver = RenewalSolver(c0, weights)
                 except BaseException:
                     with self._lock:
                         if self._entries.get(key) is entry:
                             del self._entries[key]
                     raise
-            if entry.table is None or entry.table[0] <= k_max:
-                size = _table_size(k_max)
-                entry.table = (size, entry.wrap(entry.solver.extend(size), renewal=entry.solver))
-            return entry.table[1]
+                entry.seq = CoefficientSeq(np.zeros(0), points, solver)
+            if entry.seq.cbar_n.size <= k_max:
+                entry.seq = replace(entry.seq, cbar_n=entry.seq.renewal.extend(_table_size(k_max)))
+            return entry.seq
 
 
 # The one cache of the package's coefficient tables: NBM specs and (mixing law, n) grids.

@@ -154,9 +154,9 @@ def _stop_bound(claims: DiscretePmf) -> int:
     """Smallest d with psi(d) < 1e-9, certified by the exact recursion.
 
     A truncated claim vector caps how deep the recursion can certify, so a
-    tail tolerance that is too loose is rejected here rather than silently
-    biasing the stopping rule; a complete pmf doubles the depth until psi gets
-    there.
+    tail tolerance that is too loose is a ValueError here rather than a biased
+    stopping rule; a complete pmf doubles the depth until psi gets there, or
+    raises RuntimeError, a spent budget, past 2^20 levels.
     """
     u_max = claims.support_max + 1
     while True:
@@ -171,7 +171,7 @@ def _stop_bound(claims: DiscretePmf) -> int:
                 f"stopping rule can certify psi < {_STOP_TOL:.0e}"
             )
         if u_max > 1 << 20:
-            raise ValueError(
+            raise RuntimeError(
                 "psi decays too slowly for the stopping rule; no certified bound "
                 f"below {_STOP_TOL:.0e} within 2^20 surplus levels"
             )

@@ -245,8 +245,8 @@ def test_criterion_9_invariants(capsys):
     )
 
     seq = cbar_sequence(spec, 500)
-    assert np.all(seq.cbar >= 0.0)
-    assert np.all(np.diff(seq.cbar) <= 0.0)
+    assert np.all(seq.cbar_n >= 0.0)
+    assert np.all(np.diff(seq.cbar_n) <= 0.0)
     for mix in TABLE_MIXINGS.values():
         cbar = mp_coefficients(mix, MpApproxConfig(seed=0), 500).cbar_n
         assert np.all(cbar[:501] >= 0.0)

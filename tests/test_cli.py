@@ -411,6 +411,14 @@ def test_pareto_all_job_exits_3_at_the_support_cap(capsys):
     assert "claim support exceeds" in capsys.readouterr().err
 
 
+def test_stop_rule_budget_exits_3(tmp_path, capsys):
+    # mean 0.999999: psi(2^20) is still far above 1e-9, so the stop rule runs out of levels
+    f = tmp_path / "slow.csv"
+    f.write_text("0,0.5000005\n2,0.4999995\n")
+    assert main(["simulate", "--pmf-file", str(f), "--u-max", "2", "--reps", "100"]) == 3
+    assert "no certified bound below 1e-09 within 2^20 surplus levels" in capsys.readouterr().err
+
+
 def test_infinite_mean_mixing_exits_2(capsys):
     assert main(["mp1", "--mix", "pareto:1,1", "--u-max", "2"]) == 2
     assert "net profit condition requires a mean claim c0 in (0, 1), got c0 = inf" in capsys.readouterr().err

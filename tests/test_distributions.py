@@ -280,6 +280,15 @@ def test_special_laws_are_built_in_their_general_form(mix, general):
     assert mix.kind in ("erlang_mixture", "atoms")
 
 
+def test_a_cdf_table_ending_just_below_1_equals_one_ending_at_1():
+    # the last cdf value may fall short of 1 by 1e-9; the last atom takes that mass
+    near = MixingDistribution.from_cdf_table([0.2, 0.9], [0.5, 0.9999999995])
+    twin = MixingDistribution.from_cdf_table([0.2, 0.9], [0.5, 1.0])
+    assert near == twin and hash(near) == hash(twin)
+    assert near.mean == twin.mean and near.sf(0.9) == 0.0
+    np.testing.assert_array_equal(psi_mp_exact_reference(near, 10), psi_mp_exact_reference(twin, 10))
+
+
 NAN, INF = math.nan, math.inf
 
 

@@ -137,6 +137,18 @@ def test_grid_tail_of_an_atomic_law_is_the_finite_sum(mix):
     assert seq.renewal.total == math.fsum(sf.tolist())
 
 
+def test_a_cdf_table_ending_just_below_1_grids_as_one_ending_at_1(monkeypatch):
+    cfg = MpApproxConfig()
+    out = []
+    for last in (1.0, 0.9999999995):
+        monkeypatch.setattr(renewal._tables, "_entries", OrderedDict())  # each law builds its own grid
+        mix = MixingDistribution.from_cdf_table([0.2, 0.9], [0.5, last])
+        seq = mp_coefficients(mix, cfg, 0)
+        out.append((seq.grid_points, seq.renewal.total, [psi_mp_method1(mix, u, cfg) for u in (1, 5, 10)]))
+    assert out[0][0] == 450  # j = 0.9 n is the first grid point at the top atom, where Fbar is 0
+    assert out[1] == out[0]
+
+
 def test_heavy_tail_n1_error_halves_per_doubling():
     # past two million points the grid is summed in closed form, so no law
     # is too heavy-tailed; N1 keeps its O(1/n) error on the heaviest one

@@ -46,17 +46,17 @@ def test_cbar_equals_scaled_compound_survival(spec):
     seq = cbar_sequence(spec, k_max)
     ns = nstar_sequence(_f_ne(seq, spec), 1 - spec.claim_mean, k_max)
     np.testing.assert_allclose(
-        seq.cbar[: k_max + 1], seq.cbar[0] * ns.fbar_nstar, rtol=1e-12, atol=1e-15
+        seq.cbar_n[: k_max + 1], seq.cbar_n[0] * ns.fbar_nstar, rtol=1e-12, atol=1e-15
     )
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_cbar_invariants(spec):
     seq = cbar_sequence(spec, 300)
-    assert seq.cbar[0] == pytest.approx(spec.claim_mean, rel=1e-15)
-    assert np.all(seq.cbar >= 0.0)
-    assert np.all(np.diff(seq.cbar) <= 1e-15)
-    assert seq.cbar[-1] < seq.cbar[0]
+    assert seq.cbar_n[0] == pytest.approx(spec.claim_mean, rel=1e-15)
+    assert np.all(seq.cbar_n >= 0.0)
+    assert np.all(np.diff(seq.cbar_n) <= 1e-15)
+    assert seq.cbar_n[-1] < seq.cbar_n[0]
 
 
 def test_nstar_is_a_probability_law():
@@ -156,7 +156,7 @@ def test_psi_nbm_window_leaves_out_at_most_1e12_of_negbin_mass(p, u, monkeypatch
     while end < 4 * u * p / (1.0 - p) or np.exp(_nb_logpmf(float(u), 1.0 - p, float(end))) > 0.0:
         end *= 2
     pmf = np.exp(_nb_logpmf(float(u), 1.0 - p, np.arange(end + 1.0)))
-    full = math.fsum((cbar_sequence(spec, end).cbar[: end + 1] * pmf).tolist())
+    full = math.fsum((cbar_sequence(spec, end).cbar_n[: end + 1] * pmf).tolist())
     # Cbar is nonincreasing, so a left-out NegBin mass of 1e-12 moves psi by at most
     # 1e-12 relative: 3.0e-13 at p = 0.505, u = 1
     assert got == pytest.approx(full, rel=1e-12, abs=0.0)
@@ -181,7 +181,7 @@ def test_coefficient_regrowth_is_deterministic():
     spec = NbmSpec((0.5, 0.5), 0.7)
     short = cbar_sequence(spec, 64)
     long = cbar_sequence(spec, 2000)
-    np.testing.assert_array_equal(short.cbar[:65], long.cbar[:65])
+    np.testing.assert_array_equal(short.cbar_n[:65], long.cbar_n[:65])
     # cached evaluation stays stable when the table regrows behind it
     before = psi_nbm(spec, 2)
     psi_nbm(spec, 40)

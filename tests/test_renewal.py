@@ -204,13 +204,13 @@ def test_nbm_solver_matches_direct_loop(name):
     seq = cbar_sequence(spec, k_max)
     ref = direct_nbm_cbar(spec, k_max)
     assert _short_sum(spec) == name.endswith("residual")
-    assert_matches_direct(seq.cbar, ref)
+    assert_matches_direct(seq.cbar_n, ref)
 
 
 def test_tables_are_read_only():
     seq = cbar_sequence(NbmSpec((0.5, 0.5), 0.7), 300)
     with pytest.raises(ValueError):
-        seq.cbar[3] = 0.0
+        seq.cbar_n[3] = 0.0
     mp = mp_coefficients(MixingDistribution.exponential(2.0), MpApproxConfig(n=50), 300)
     with pytest.raises(ValueError):
         mp.cbar_n[3] = 0.0
@@ -219,15 +219,12 @@ def test_tables_are_read_only():
 def test_requests_within_a_table_return_the_same_record():
     spec = NbmSpec((0.5, 0.5), 0.7)
     mix, cfg = MixingDistribution.erlang(2, 3.0), MpApproxConfig(n=50)
-    for get, name in (
-        (lambda k: cbar_sequence(spec, k), "cbar"),
-        (lambda k: mp_coefficients(mix, cfg, k), "cbar_n"),
-    ):
+    for get in (lambda k: cbar_sequence(spec, k), lambda k: mp_coefficients(mix, cfg, k)):
         first = get(100)
-        table = getattr(first, name)
+        table = first.cbar_n
         assert table.size >= 101 and not table.flags.writeable
         assert get(0) is first and get(table.size - 1) is first
-        grown = getattr(get(table.size), name)
+        grown = get(table.size).cbar_n
         np.testing.assert_array_equal(grown[: table.size], table)
 
 
@@ -362,11 +359,11 @@ def test_tables_grow_in_quarter_octaves(monkeypatch):
     monkeypatch.setattr(renewal, "RenewalSolver", lambda c0, weights: solver)
 
     def start():
-        return None, lambda view, renewal: view
+        return None, 0
 
     cache = TableCache()
-    assert cache.get("law", 267_758, 0.5, start).size == 327_680  # N1's top at u = 500; not 2^19
-    assert cache.get("law", 327_679, 0.5, start).size == 327_680  # a cached read
+    assert cache.get("law", 267_758, 0.5, start).cbar_n.size == 327_680  # N1's top at u = 500; not 2^19
+    assert cache.get("law", 327_679, 0.5, start).cbar_n.size == 327_680  # a cached read
     assert solver.sizes == [327_680]
     solver.sizes.clear()
     cache = TableCache()
@@ -374,7 +371,7 @@ def test_tables_grow_in_quarter_octaves(monkeypatch):
         cache.get("law", k, 0.5, start)
     assert solver.sizes == [64, 80, 112, 12_288]
     for k in range(0, 20_000, 97):
-        size = TableCache().get("law", k, 0.5, start).size
+        size = TableCache().get("law", k, 0.5, start).cbar_n.size
         e = size.bit_length() - 3
         assert size >> e in (4, 5, 6, 7) and size % (1 << e) == 0
         assert max(k + 1, 64) <= size <= max(1.25 * (k + 1), 64)
@@ -396,7 +393,7 @@ def test_integral_k_max_of_any_type_equals_int_k_max():
             mp_coefficients(mix, cfg, k_max).cbar_n, mp_coefficients(mix, cfg, 300).cbar_n
         )
         np.testing.assert_array_equal(
-            cbar_sequence(spec, k_max).cbar, cbar_sequence(spec, 300).cbar
+            cbar_sequence(spec, k_max).cbar_n, cbar_sequence(spec, 300).cbar_n
         )
 
 
@@ -404,7 +401,7 @@ def test_a_failed_start_holds_no_entry():
     cache = TableCache()
 
     def start():
-        return Weights(np.array([1.0])), lambda cbar, renewal: cbar
+        return Weights(np.array([1.0])), 1
 
     def broken():
         raise ValueError("no grid")
@@ -417,7 +414,7 @@ def test_a_failed_start_holds_no_entry():
         cache.get("refused", 10, 1.0, start)
     assert list(cache._entries) == ["good"]
     assert cache.get("good", 10, 0.5, None) is good
-    assert cache.get(0, 10, 0.25, start)[0] == 0.25  # a failed key starts again
+    assert cache.get(0, 10, 0.25, start).cbar_n[0] == 0.25  # a failed key starts again
 
 
 def test_extension_holds_only_its_own_laws_lock():
@@ -425,7 +422,7 @@ def test_extension_holds_only_its_own_laws_lock():
     started, release = threading.Event(), threading.Event()
 
     def start():
-        return Weights(np.array([1.0])), lambda cbar, renewal: cbar
+        return Weights(np.array([1.0])), 1
 
     def slow_start():
         started.set()
@@ -438,8 +435,8 @@ def test_extension_holds_only_its_own_laws_lock():
     try:
         assert started.wait(timeout=30)
         t0 = time.perf_counter()
-        assert cache.get("b", 20, 0.5, None)[0] == 0.5  # cached read of another law
-        assert cache.get("c", 20, 0.25, start)[0] == 0.25  # another law's build
+        assert cache.get("b", 20, 0.5, None).cbar_n[0] == 0.5  # cached read of another law
+        assert cache.get("c", 20, 0.25, start).cbar_n[0] == 0.25  # another law's build
         assert time.perf_counter() - t0 < 5.0
     finally:
         release.set()
