@@ -48,7 +48,7 @@ from .mixed_poisson import (
 from .nbm import psi_nbm
 from .pollaczek import psi_pk
 from .recursion import convert_cb_to_gd, psi_recursion
-from .simulate import SimConfig, simulate_paths
+from .simulate import SimConfig, SimResult, simulate_paths
 from .tables import ResultTable, max_abs_delta, reproduce_tables
 from . import __version__
 
@@ -151,12 +151,14 @@ class _Model:
             self.kind = "mp"
             self.mixing = _parse_mix(job.mix)
             self.nbm_spec = self.mixing.as_nbm()
+            self._mean = self.mixing.mean
             self._build = partial(mp_claims_pmf, self.mixing)
         elif job.weights is not None:
             if job.p is None:
                 raise ValueError("model nbm needs --weights and --p")
             self.kind = "nbm"
             self.nbm_spec = NbmSpec(job.weights, job.p)
+            self._mean = self.nbm_spec.claim_mean
             self._build = partial(nbm_claims_pmf, self.nbm_spec)
         elif job.pmf_file is not None:
             claims = DiscretePmf.load_csv(job.pmf_file)
@@ -181,35 +183,28 @@ class _Model:
         return f"gd(pmf={self.job.pmf_file})"
 
     def claims(self, x_max: int | None = None) -> DiscretePmf:
-        """Claim pmf on 0..``x_max`` (the E and PK window), or without
-        ``x_max`` to the builder's tail tolerance (the simulator's)."""
+        """Claim pmf on 0..``x_max`` (the E and PK window), or without ``x_max``
+        to the builder's tail tolerance (the simulator's), for a mean below 1
+        only: on a heavy tail the search would otherwise run to the support cap."""
         if self._claims is not None:
             return self._claims
+        if x_max is None and not self._mean < 1.0:
+            raise ValueError(f"net profit condition requires mean < 1, got {self._mean}")
         return self._build(x_max=x_max)
 
 
 # -- job execution ---------------------------------------------------------------
 
 
-def _run_simulation(job: JobSpec, model: _Model, us: list[int]) -> list[float]:
-    """SIM column: one simulator pass per claim law, read at every u.
+def _run_simulation(job: JobSpec, model: _Model) -> SimResult:
+    """SIM: one simulator pass on the claims built to their tail tolerance.
 
-    The paths and the stop rule do not depend on u, so one pass serves
-    every u through ``psi_at(u)``.  While the stop rule cannot
-    certify itself within the stored claim support, the support doubles,
-    up to the claim builder's cap (a RuntimeError).
+    The paths and the stop rule do not depend on u, so the pass serves every
+    u through ``psi_at(u)``.  The stop rule is certified on the drawn law,
+    which puts the declared tail on the last stored point, so it needs no
+    more support than the builder makes.
     """
-    claims = model.claims()
-    while True:
-        cfg = SimConfig(claims=claims, replications=job.reps, seed=job.seed)
-        try:
-            res = simulate_paths(cfg)
-        except ValueError:
-            if claims.tail_mass == 0.0:
-                raise
-            claims = model.claims(x_max=2 * claims.support_max + 1)
-            continue
-        return [res.psi_at(u)[0] for u in us]
+    return simulate_paths(SimConfig(claims=model.claims(), replications=job.reps, seed=job.seed))
 
 
 def _methods_for(job: JobSpec, model: _Model) -> list[str]:
@@ -235,16 +230,18 @@ def run(job: JobSpec) -> ResultTable:
     us = list(range(job.u_max + 1))
     values: dict[str, list[float]] = {}
     extra_se: list[float] | None = None
+    window: DiscretePmf | None = None  # the claims through u_max, built once for E and PK
 
     for method in methods:
         t0 = time.perf_counter()
         col = _METHOD_COLUMN[method]
+        note = ""
+        if method in ("exact", "pk") and window is None:
+            window = model.claims(max(job.u_max, 1))
         if method == "exact":
-            vec = psi_recursion(model.claims(max(job.u_max, 1)), job.u_max)
-            values[col] = [float(v) for v in vec]
+            values[col] = [float(v) for v in psi_recursion(window, job.u_max)]
         elif method == "pk":
-            claims = model.claims(max(job.u_max, 1))
-            values[col] = [psi_pk(claims, u, tail_tol=1e-12) for u in us]
+            values[col] = [psi_pk(window, u, tail_tol=1e-12) for u in us]
         elif method == "nbm":
             values[col] = [psi_nbm(model.nbm_spec, u) for u in us]
         elif method == "mp1":
@@ -256,8 +253,11 @@ def run(job: JobSpec) -> ResultTable:
             values[col] = [p[0] for p in pairs]
             extra_se = [p[1] for p in pairs]
         elif method == "simulate":
-            values[col] = _run_simulation(job, model, us)
-        print(f"{col}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+            res = _run_simulation(job, model)
+            values[col] = [res.psi_at(u)[0] for u in us]
+            if res.censored:
+                note = f" ({res.censored} paths censored at {SimConfig.horizon} steps)"
+        print(f"{col}: {time.perf_counter() - t0:.2f}s{note}", file=sys.stderr)
 
     reference = "E" if "E" in values else ("PK" if "PK" in values else None)
     columns = ["u"]

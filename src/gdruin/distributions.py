@@ -87,8 +87,8 @@ _GK_KRONROD, _GK_GAUSS = np.r_[_QK21, _QK21[-2::-1]][:, 1:].T.copy()
 # Longest claim vector the builders make: the simulator's stop bound costs
 # O(S^2) on a support of S points.
 _SUPPORT_CAP = 1 << 17
-# Shortest claim vector built to a tail tolerance: the recursion and the
-# simulator's stop rule can read 65 surplus levels of it at any tolerance.
+# Shortest claim vector built to a tail tolerance: the recursion can read 65
+# surplus levels of it at any tolerance.
 _MIN_SUPPORT = 64
 
 
@@ -267,13 +267,13 @@ _BUCKETS = 1 << 16  # inverse-cdf table buckets; u * 2^16 is exact
 _TABLE_PIECE = 1 << 12  # cdf values per piece while a table is built
 
 
-def _claim_table(cdf: np.ndarray, support_max: int, dtype) -> np.ndarray:
+def _claim_table(cdf: np.ndarray, dtype) -> np.ndarray:
     """Value drawn by every u in bucket b, [b, b + 1) / 2^16, or -1 where a
     cdf value lies strictly inside the bucket and the value depends on u.
 
-    ``cdf`` must be nondecreasing in [0, 1]: a value above 1.0 has no bucket.
-    The table is built in int32 from pieces of the cdf, so it needs no
-    scratch of the cdf's length.
+    ``cdf`` must be nondecreasing in [0, 1] and end at exactly 1.0, so every
+    u in [0, 1) draws an index below ``cdf.size``.  The table is built in int32
+    from pieces of the cdf, so it needs no scratch of the cdf's length.
     """
     # entry b: searchsorted(cdf, b / 2^16, "right"), the cdf values at or below
     # the left edge; the cdf is sorted, so it is the index past the last value
@@ -288,28 +288,26 @@ def _claim_table(cdf: np.ndarray, support_max: int, dtype) -> np.ndarray:
         table[edge[last]] = lo + last + 1
     np.maximum.accumulate(table, out=table)
     table = table[:_BUCKETS]
-    np.minimum(table, support_max, out=table)
     table[split] = -1
     return table.astype(dtype, copy=False)
 
 
 def _draw_claims(
-    table: np.ndarray, cdf: np.ndarray, support_max: int,
-    u: np.ndarray, index: np.ndarray, out: np.ndarray,
+    table: np.ndarray, cdf: np.ndarray, u: np.ndarray, index: np.ndarray, out: np.ndarray
 ) -> None:
-    """Write clip(searchsorted(cdf, u, "right"), 0, support_max) to ``out``.
+    """Write searchsorted(cdf, u, "right") to ``out``.
 
-    ``table`` is `_claim_table` of the same nondecreasing ``cdf`` in [0, 1].
-    u * 2^16 is exact, so its integer part is u's bucket; only draws in a
-    bucket that holds a cdf value (-1 in the table) are searched.  ``index``
-    is scratch of u's shape and dtype intp.
+    ``table`` is `_claim_table` of the same nondecreasing ``cdf``, which ends at
+    exactly 1.0, so each u in [0, 1) draws an index below ``cdf.size``.  u * 2^16
+    is exact, so its integer part is u's bucket; only draws in a bucket that
+    holds a cdf value (-1 in the table) are searched.  ``index`` is scratch of
+    u's shape and dtype intp.
     """
     np.multiply(u, _BUCKETS, out=index, casting="unsafe")
     np.take(table, index, out=out, mode="clip")
     split = np.flatnonzero(out < 0)
     if split.size:
-        drawn = np.searchsorted(cdf, np.take(u, split), side="right")
-        np.put(out, split, np.minimum(drawn, support_max))
+        np.put(out, split, np.searchsorted(cdf, np.take(u, split), side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +487,11 @@ def _nbm_sf(spec: NbmSpec, y: int) -> float:
     return min(1.0, float(np.dot(tails, masses)))
 
 
+def _nbm_vector(spec: NbmSpec, x_max: int) -> tuple[np.ndarray, float]:
+    """The mixture masses on 0..x_max and the survival P(Y > x_max)."""
+    return _nbm_masses(spec, np.arange(x_max + 1.0)), _nbm_sf(spec, x_max)
+
+
 def _claims(vector, sf, mean: float, x_max: int | None, tail_tol: float) -> DiscretePmf:
     """Claims on 0..x_max with the certified survival sf(x_max) as declared tail, the two
     from ``vector(x_max)``; without ``x_max``, x_max is the first x >= 64 with
@@ -521,9 +524,7 @@ def nbm_claims_pmf(
     y >= 64 with P(Y > y) < ``tail_tol``; the declared tail is the closed form
     P(Y > x_max), and the exact mean E(N)(1-p)/p is stored.
     """
-    def vector(x_max: int):
-        return _nbm_masses(spec, np.arange(x_max + 1.0)), _nbm_sf(spec, x_max)
-
+    vector = partial(_nbm_vector, spec)
     return _claims(vector, partial(_nbm_sf, spec), spec.claim_mean, x_max, tail_tol)
 
 
@@ -560,8 +561,7 @@ def _poisson_sum(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
     deep = t > _EXP_FLOOR
     if deep.any():
         j = np.arange(float(len(coef)))[:, None]
-        logs = j * np.log(t[deep]) - t[deep] - _log_gamma(j + 1.0)
-        out[deep] = coef @ np.exp(logs)
+        out[deep] = coef @ np.exp(_poisson_logpmf(t[deep], j))
     return out.reshape(shape)
 
 
@@ -993,10 +993,10 @@ def _mp_vector(mix: MixingDistribution, x_max: int) -> tuple[np.ndarray, float]:
     quadrature, certified to relative tolerance 1e-10 (:class:`QuadratureError`
     if not).
     """
-    x = np.arange(x_max + 1.0)
     spec, atoms = mix.as_nbm(), _atoms(mix)
     if spec is not None:
-        return _nbm_masses(spec, x), _nbm_sf(spec, x_max)
+        return _nbm_vector(spec, x_max)
+    x = np.arange(x_max + 1.0)
     if atoms is not None:
         rates, masses = atoms
         return masses @ np.exp(_poisson_logpmf(rates[:, None], x)), _mp_sf(mix, x_max)

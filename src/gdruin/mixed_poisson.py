@@ -301,7 +301,7 @@ def _block_law(n: int) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     cdf = _own_pages(cdf)
-    return cdf, _own_pages(_claim_table(cdf, cdf.size - 1, np.int32))
+    return cdf, _own_pages(_claim_table(cdf, np.int32))
 
 
 def _uniform_slices(rng: np.random.Generator, m: int, cols: int, buf: np.ndarray):
@@ -356,7 +356,7 @@ def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
         index, drawn = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int32)
         for lo, hi, unif in _uniform_slices(rng, m, blocks, buf[:size]):
             idx, out = (a[: unif.size].reshape(unif.shape) for a in (index, drawn))
-            _draw_claims(table, cdf, cdf.size - 1, unif, idx, out)
+            _draw_claims(table, cdf, unif, idx, out)
             total[lo:hi] += out.sum(axis=1)
     return total.astype(np.int64)
 

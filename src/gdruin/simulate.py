@@ -19,9 +19,10 @@ ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
 the chance of any further record is below 1e-9 (psi computed by the exact
-recursion, once per claim law while it is alive).  The claim distribution
-must therefore carry enough stored support to certify that bound; build it
-with a small tail tolerance.
+recursion, once per claim law while it is alive).  The walk draws its claims
+from the stored masses, with whatever they leave (the declared tail and
+rounding) on the last point; that drawn law has no tail, so the recursion
+certifies its B at any depth, whatever the claims' tail tolerance.
 
 Replications are processed in fixed chunks, each with its own counter-based
 generator stream derived from (seed, chunk index), so results are
@@ -35,9 +36,8 @@ indices, and two int32 arrays of 65 columns.
   (`distributions._claim_table`, which method 2's NegBin blocks share).
   Bucket b holds the claim that every u in [b, b + 1) / 2^16 draws, or -1
   when a cdf value lies strictly inside it.  u * 2^16 is exact, so a
-  table read gives clip(searchsorted(cdf, u, "right"), 0, support_max),
-  and only the draws in a -1 bucket are searched: O(1) expected per step
-  instead of O(log S).
+  table read gives searchsorted(cdf, u, "right"), and only the draws in a
+  -1 bucket are searched: O(1) expected per step instead of O(log S).
 - The walk is stored as offsets from L, the running maximum at the
   window's start: R_0 = 0 and R_j = Z_j - L, with M its running maximum.
   Step j is a record iff R_j == M_j, with increment M_j - M_{j-1}; the
@@ -151,25 +151,19 @@ class PathStats:
 
 
 def _stop_bound(claims: DiscretePmf) -> int:
-    """Smallest d with psi(d) < 1e-9, certified by the exact recursion.
+    """Smallest d with psi(d) < 1e-9 on the drawn law, certified by the exact recursion.
 
-    A truncated claim vector caps how deep the recursion can certify, so a
-    tail tolerance that is too loose is a ValueError here rather than a biased
-    stopping rule; a complete pmf doubles the depth until psi gets there, or
-    raises RuntimeError, a spent budget, past 2^20 levels.
+    The drawn law puts the declared tail on the last stored point: it has no
+    tail, so the recursion reads it at any depth, and it is stochastically no
+    larger than ``claims``, so its bound is never larger.  The depth doubles
+    until psi gets there, or raises RuntimeError, a spent budget, past 2^20 levels.
     """
+    drawn = DiscretePmf(np.r_[claims.pmf[:-1], claims.pmf[-1] + claims.tail_mass])
     u_max = claims.support_max + 1
     while True:
-        psi = psi_recursion(claims, u_max)
-        hits = np.nonzero(psi < _STOP_TOL)[0]
+        hits = np.nonzero(psi_recursion(drawn, u_max) < _STOP_TOL)[0]
         if hits.size:
             return int(hits[0])
-        if claims.tail_mass > 0.0:
-            raise ValueError(
-                f"psi({u_max}) is still {psi[-1]:.2e} at the edge of the stored claim "
-                f"support; rebuild the claims with a smaller tail tolerance so the "
-                f"stopping rule can certify psi < {_STOP_TOL:.0e}"
-            )
         if u_max > 1 << 20:
             raise RuntimeError(
                 "psi decays too slowly for the stopping rule; no certified bound "
@@ -183,14 +177,18 @@ _walk_laws: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _walk_law(claims: DiscretePmf) -> tuple[int, np.ndarray]:
-    """The stop bound and the read-only claim cdf of ``claims``, computed once per law.
+    """The stop bound and the read-only cdf of the drawn law, once per law.
 
-    A `DiscretePmf` hashes by identity, and the memo holds it weakly.  Two threads
-    that meet a new law at once may both compute it, to the same values.
+    The drawn law is the stored masses with whatever they leave (the declared
+    tail and rounding) on the last point: the cdf ends at exactly 1.0, so every
+    uniform in [0, 1) draws a stored point.  A `DiscretePmf` hashes by identity,
+    and the memo holds it weakly.  Two threads that meet a new law at once may
+    both compute it, to the same values.
     """
     law = _walk_laws.get(claims)
     if law is None:
         cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
+        cdf[-1] = 1.0
         cdf.flags.writeable = False
         law = _walk_laws[claims] = (_stop_bound(claims), cdf)
     return law
@@ -219,7 +217,7 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     claims = cfg.claims
     b, cdf = _walk_law(claims)
     dtype = _walk_dtype(b, claims.support_max)
-    table = _claim_table(cdf, claims.support_max, dtype)
+    table = _claim_table(cdf, dtype)
 
     # per-window buffers, reused by every window of every chunk
     rows = min(_CHUNK, cfg.replications)
@@ -257,7 +255,7 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
             rng.random(out=unif)
             # the claims go to top's memory, which is free until the running max
             draws = top.reshape(-1)[: n * _WINDOW].reshape(n, _WINDOW)
-            _draw_claims(table, cdf, claims.support_max, unif, index_buf[:n], draws)
+            _draw_claims(table, cdf, unif, index_buf[:n], draws)
             np.subtract(draws, 1, out=off[:, 1:])
             off[:, 0] = z - lvl
             np.cumsum(off, axis=1, out=off)
@@ -317,7 +315,7 @@ def simulate_single(claims: DiscretePmf, u: int, rng: np.random.Generator) -> Pa
     stats = PathStats(ruined=False, tau=None, severity=None)
     for t in range(1, SimConfig.horizon + 1):
         y = int(np.searchsorted(cdf, rng.random(), side="right"))
-        z += min(y, claims.support_max) - 1
+        z += y - 1
         if z >= lvl:
             stats.record_times.append(t)
             stats.record_severities.append(z - lvl)

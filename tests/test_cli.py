@@ -29,6 +29,7 @@ from gdruin import (
     psi_nbm,
     simulate_paths,
 )
+from gdruin import simulate
 from gdruin.cli import JobSpec, _build_parser, main, run
 from gdruin.tables import REFERENCE_TABLES, ResultTable, max_abs_delta, reproduce_tables
 
@@ -171,14 +172,21 @@ def test_main_simulate_verb(capsys):
     assert 0.0 <= _csv_rows(out)[2]["SIM"] <= 1.0
 
 
+def test_censored_paths_are_reported_beside_the_simulator_time(monkeypatch, capsys):
+    argv = ["simulate", "--mix", "erlang:2,3", "--u-max", "2", "--reps", "2000", "--seed", "9"]
+    assert main(argv) == 0
+    assert "censored" not in capsys.readouterr().err
+    monkeypatch.setattr(SimConfig, "horizon", 64)
+    assert main(argv) == 0
+    claims = mp_claims_pmf(MixingDistribution.erlang(2, 3.0))
+    res = simulate_paths(SimConfig(claims=claims, replications=2000, seed=9))
+    assert 0 < res.censored < 2000
+    assert f"s ({res.censored} paths censored at 64 steps)\n" in capsys.readouterr().err
+
+
 @pytest.fixture
 def simulator_passes(monkeypatch):
-    """Configs of the simulator passes a job completes.
-
-    A claim law whose support is too short for the stop rule is refused
-    before any path is drawn, and the job doubles the support; such refused
-    calls are not passes.
-    """
+    """Configs of the simulator passes a job completes."""
     passes = []
 
     def counted(cfg):
@@ -205,17 +213,33 @@ def test_all_job_simulates_once_for_every_u(simulator_passes):
     assert [row["SIM"] for row in table.rows] == _sim_readings(claims, 10, 2000, 0)
 
 
-def test_all_job_doubles_the_claim_support_until_the_stop_rule_certifies(simulator_passes):
+def test_all_job_builds_the_claims_and_their_stop_bound_once(simulator_passes, monkeypatch):
     # the stop bound is 118 here, past the 65 points of the default tail 1e-12
+    builds, bounds = [], []
+
+    def build(mix, x_max=None):
+        builds.append(x_max)
+        return mp_claims_pmf(mix, x_max=x_max)
+
+    def counted(claims):
+        bounds.append(stop_bound(claims))
+        return bounds[-1]
+
+    stop_bound = simulate._stop_bound
+    monkeypatch.setattr(gdruin.cli, "mp_claims_pmf", build)
+    monkeypatch.setattr(simulate, "_stop_bound", counted)
     table = run(JobSpec(
         method="all", mix="erlang_mixture:0.6,0.1,0.3;2", u_max=10, reps=2000,
     ))
     assert len(simulator_passes) == 1
+    assert builds == [10, None]  # E's window, then the simulator's claims
+    assert bounds == [118]
+    assert simulator_passes[0].claims.pmf.size == 65
     mix = MixingDistribution.erlang_mixture((0.6, 0.1, 0.3), 2.0)
-    with pytest.raises(ValueError, match="smaller tail tolerance"):
-        _sim_readings(mp_claims_pmf(mix, tail_tol=1e-12), 0, 10, 0)
-    claims = mp_claims_pmf(mix, x_max=129)  # twice the 65 points, less one
-    assert [row["SIM"] for row in table.rows] == _sim_readings(claims, 10, 2000, 0)
+    sim = [row["SIM"] for row in table.rows]
+    assert sim == _sim_readings(mp_claims_pmf(mix, tail_tol=1e-12), 10, 2000, 0)
+    # and on 130 points, whose 65 more hold about 1e-12 of mass: no path draws one
+    assert sim == _sim_readings(mp_claims_pmf(mix, x_max=129), 10, 2000, 0)
 
 
 def test_lognormal_all_job_runs_and_its_exact_column_falls(capsys):
@@ -417,6 +441,13 @@ def test_stop_rule_budget_exits_3(tmp_path, capsys):
     f.write_text("0,0.5000005\n2,0.4999995\n")
     assert main(["simulate", "--pmf-file", str(f), "--u-max", "2", "--reps", "100"]) == 3
     assert "no certified bound below 1e-09 within 2^20 surplus levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mix", ["pareto:1.5,1", "pareto:2,1"])
+def test_simulating_a_mean_claim_of_1_or_more_exits_2(mix, capsys):
+    # refused before the tail search, which would reach the support cap (exit 3)
+    assert main(["simulate", "--mix", mix, "--u-max", "2", "--reps", "100"]) == 2
+    assert "net profit condition requires mean < 1" in capsys.readouterr().err
 
 
 def test_infinite_mean_mixing_exits_2(capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from gdruin import (
+    DiscretePmf,
     MixingDistribution,
     NbmSpec,
     SimConfig,
@@ -118,10 +119,25 @@ def test_stop_bound_is_the_first_negligible_surplus():
     assert psi[res.stop_bound - 1] >= 1e-9
 
 
-def test_truncated_claims_are_rejected_for_stopping():
+def test_truncated_claims_stop_at_the_bound_of_their_drawn_law():
+    # 16 points and a 1e-6 tail: the walk draws the tail on the last point, a law
+    # without a tail, so E certifies its bound far past the stored support
     shallow = geometric_pmf(0.6, tail_tol=1e-6)
-    with pytest.raises(ValueError):
-        simulate_paths(SimConfig(claims=shallow, replications=10, seed=0))
+    assert shallow.pmf.size == 16
+    res = simulate_paths(SimConfig(claims=shallow, replications=10, seed=0))
+    assert res.level_hist.sum() == 10
+    drawn = DiscretePmf(np.r_[shallow.pmf[:-1], shallow.pmf[-1] + shallow.tail_mass])
+    psi = psi_recursion(drawn, 60)
+    assert res.stop_bound == 51
+    assert psi[51] < 1e-9 <= psi[50]
+    assert np.all(psi[:50] >= 1e-9)
+
+
+def test_default_pareto_claims_certify_their_stop_bound_without_a_rebuild():
+    claims = mp_claims_pmf(MixingDistribution.pareto(3.0, 1.0))
+    assert claims.pmf.size == 10_001
+    res = simulate_paths(SimConfig(claims=claims, replications=4, seed=1))
+    assert res.stop_bound == 9537
 
 
 def test_net_profit_is_required():
@@ -134,9 +150,16 @@ def test_net_profit_is_required():
 _EDGES = np.arange(_BUCKETS) / _BUCKETS
 # 0, every bucket edge, one ulp below each, and the largest uniform below 1
 _EDGE_UNIFORMS = np.r_[_EDGES, np.nextafter(_EDGES[1:], 0.0), 1.0 - 2.0**-53]
+
+
+def _ends_at_one(cdf) -> np.ndarray:
+    """The cdf with its last value set to 1.0, as the walk and method 2 draw it."""
+    return np.r_[np.asarray(cdf, dtype=float)[:-1], 1.0]
+
+
 # the tail of the builder's default vector crowds into the top bucket
-_LOGNORMAL_CDF = np.minimum(
-    np.cumsum(mp_claims_pmf(MixingDistribution.lognormal(-1.0, 1.0)).pmf), 1.0
+_LOGNORMAL_CDF = _ends_at_one(
+    np.minimum(np.cumsum(mp_claims_pmf(MixingDistribution.lognormal(-1.0, 1.0)).pmf), 1.0)
 )
 
 
@@ -144,12 +167,12 @@ _LOGNORMAL_CDF = np.minimum(
     cdf=st.lists(
         st.one_of(st.floats(0.0, 1.0), st.integers(0, _BUCKETS).map(lambda k: k / _BUCKETS)),
         min_size=1, max_size=40,
-    ).map(sorted).map(np.array),
+    ).map(sorted).map(_ends_at_one),
     u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50).map(np.array),
 )
 @example(cdf=np.array([1.0, 2.0, 3.0, 32768.0, 65535.0, 65536.0]) / _BUCKETS, u=np.array([]))
-@example(cdf=np.minimum(np.cumsum([0.2, 0.0, 0.0, 0.3, 0.0, 0.5]), 1.0), u=np.array([]))
-@example(cdf=np.array([0.0, 0.0, 0.25, 0.5, 0.5]), u=np.array([]))  # a declared tail
+@example(cdf=_ends_at_one(np.minimum(np.cumsum([0.2, 0.0, 0.0, 0.3, 0.0, 0.5]), 1.0)), u=np.array([]))
+@example(cdf=np.array([0.0, 0.0, 0.25, 0.5, 1.0]), u=np.array([]))  # a declared tail on the last point
 @example(cdf=np.array([0.3, 0.6, 1.0, 1.0]), u=np.array([]))
 @example(cdf=_LOGNORMAL_CDF, u=np.array([]))
 @settings(max_examples=100, deadline=None)
@@ -158,13 +181,11 @@ def test_bucket_lookup_equals_a_search(cdf, u):
     # cdf value with its neighbours below and above
     u = np.r_[u, _EDGE_UNIFORMS, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)]
     u = u[u < 1.0]
-    support_max = cdf.size - 1
     out = np.empty(u.size, dtype=np.int32)
-    table = _claim_table(cdf, support_max, np.int32)
-    _draw_claims(table, cdf, support_max, u, np.empty(u.size, dtype=np.intp), out)
-    np.testing.assert_array_equal(
-        out, np.clip(np.searchsorted(cdf, u, side="right"), 0, support_max)
-    )
+    table = _claim_table(cdf, np.int32)
+    _draw_claims(table, cdf, u, np.empty(u.size, dtype=np.intp), out)
+    np.testing.assert_array_equal(out, np.searchsorted(cdf, u, side="right"))
+    assert out.max() <= cdf.size - 1
 
 
 @pytest.mark.parametrize(
