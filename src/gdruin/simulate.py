@@ -19,10 +19,9 @@ ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
 the chance of any further record is below 1e-9 (psi computed by the exact
-recursion, once per claim law while it is alive).  The walk draws its claims
-from the stored masses, with whatever they leave (the declared tail and
-rounding) on the last point; that drawn law has no tail, so the recursion
-certifies its B at any depth, whatever the claims' tail tolerance.
+recursion, once per claim law while it is alive).  The walk puts what the stored
+masses leave (the declared tail and rounding) on the last point; that drawn law
+has no tail, so the recursion certifies its B at any depth, at any tail tolerance.
 
 Replications are processed in fixed chunks, each with its own counter-based
 generator stream derived from (seed, chunk index), so results are
@@ -150,15 +149,21 @@ class PathStats:
         return len(self.record_times)
 
 
+def _drawn_cdf(claims: DiscretePmf) -> np.ndarray:
+    """Cdf of the law the walk draws: the stored masses, with what they leave (the
+    declared tail and rounding) on the last point, so it ends at exactly 1.0."""
+    return np.r_[np.minimum(np.cumsum(claims.pmf[:-1]), 1.0), 1.0]
+
+
 def _stop_bound(claims: DiscretePmf) -> int:
     """Smallest d with psi(d) < 1e-9 on the drawn law, certified by the exact recursion.
 
-    The drawn law puts the declared tail on the last stored point: it has no
-    tail, so the recursion reads it at any depth, and it is stochastically no
-    larger than ``claims``, so its bound is never larger.  The depth doubles
-    until psi gets there, or raises RuntimeError, a spent budget, past 2^20 levels.
+    The drawn law (`_drawn_cdf`) has no tail, so the recursion reads it at any
+    depth, and up to the rounding of its cdf it is stochastically no larger than
+    ``claims``, so its bound is no larger.  The depth doubles until psi gets
+    there, or raises RuntimeError, a spent budget, past 2^20 levels.
     """
-    drawn = DiscretePmf(np.r_[claims.pmf[:-1], claims.pmf[-1] + claims.tail_mass])
+    drawn = DiscretePmf(np.diff(_drawn_cdf(claims), prepend=0.0))
     u_max = claims.support_max + 1
     while True:
         hits = np.nonzero(psi_recursion(drawn, u_max) < _STOP_TOL)[0]
@@ -177,18 +182,14 @@ _walk_laws: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _walk_law(claims: DiscretePmf) -> tuple[int, np.ndarray]:
-    """The stop bound and the read-only cdf of the drawn law, once per law.
-
-    The drawn law is the stored masses with whatever they leave (the declared
-    tail and rounding) on the last point: the cdf ends at exactly 1.0, so every
-    uniform in [0, 1) draws a stored point.  A `DiscretePmf` hashes by identity,
-    and the memo holds it weakly.  Two threads that meet a new law at once may
-    both compute it, to the same values.
+    """The stop bound and the read-only cdf of the drawn law (`_drawn_cdf`), once
+    per law, so the walk draws the law its bound certifies.  A `DiscretePmf`
+    hashes by identity, and the memo holds it weakly.  Two threads that meet a
+    new law at once may both compute it, to the same values.
     """
     law = _walk_laws.get(claims)
     if law is None:
-        cdf = np.minimum(np.cumsum(claims.pmf), 1.0)
-        cdf[-1] = 1.0
+        cdf = _drawn_cdf(claims)
         cdf.flags.writeable = False
         law = _walk_laws[claims] = (_stop_bound(claims), cdf)
     return law

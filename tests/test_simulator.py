@@ -137,7 +137,9 @@ def test_default_pareto_claims_certify_their_stop_bound_without_a_rebuild():
     claims = mp_claims_pmf(MixingDistribution.pareto(3.0, 1.0))
     assert claims.pmf.size == 10_001
     res = simulate_paths(SimConfig(claims=claims, replications=4, seed=1))
-    assert res.stop_bound == 9537
+    # on the drawn cdf, whose rounded steps near 1 put about 3.3e-16 on each deep
+    # point (the stored masses hold 3.0e-16); on the stored masses it would be 9,537
+    assert res.stop_bound == 9538
 
 
 def test_net_profit_is_required():
