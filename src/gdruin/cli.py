@@ -48,7 +48,7 @@ from .mixed_poisson import (
 from .nbm import psi_nbm
 from .pollaczek import psi_pk
 from .recursion import convert_cb_to_gd, psi_recursion
-from .simulate import SimConfig, SimResult, simulate_paths
+from .simulate import SimConfig, simulate_paths
 from .tables import ResultTable, max_abs_delta, reproduce_tables
 from . import __version__
 
@@ -83,7 +83,7 @@ class JobSpec:
     mix: str | None = None
     n: int = MpApproxConfig.n
     m: int = MpApproxConfig.m
-    seed: int = 0
+    seed: int = MpApproxConfig.seed
     floor: float = MpApproxConfig.pmf_floor
     reps: int = 100_000
 
@@ -196,17 +196,6 @@ class _Model:
 # -- job execution ---------------------------------------------------------------
 
 
-def _run_simulation(job: JobSpec, model: _Model) -> SimResult:
-    """SIM: one simulator pass on the claims built to their tail tolerance.
-
-    The paths and the stop rule do not depend on u, so the pass serves every
-    u through ``psi_at(u)``.  The stop rule is certified on the drawn law,
-    which puts the declared tail on the last stored point, so it needs no
-    more support than the builder makes.
-    """
-    return simulate_paths(SimConfig(claims=model.claims(), replications=job.reps, seed=job.seed))
-
-
 def _methods_for(job: JobSpec, model: _Model) -> list[str]:
     if job.method != "all":
         methods = [job.method]
@@ -253,7 +242,14 @@ def run(job: JobSpec) -> ResultTable:
             values[col] = [p[0] for p in pairs]
             extra_se = [p[1] for p in pairs]
         elif method == "simulate":
-            res = _run_simulation(job, model)
+            # one pass serves every u, on the claims built to their tail tolerance;
+            # the stop rule is certified on the law the walk draws from them
+            res = simulate_paths(SimConfig(model.claims(), job.reps, job.seed))
+            if res.censored == res.config.replications:
+                raise RuntimeError(
+                    f"all {res.censored} paths censored at {SimConfig.horizon} steps "
+                    f"(stop bound {res.config.stop_bound}); no SIM estimate"
+                )
             values[col] = [res.psi_at(u)[0] for u in us]
             if res.censored:
                 note = f" ({res.censored} paths censored at {SimConfig.horizon} steps)"

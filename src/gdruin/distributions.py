@@ -121,12 +121,12 @@ def _read_pairs(path: str) -> list[tuple[float, float]]:
 
 def _whole_number(x, name: str, least: int = 0) -> int:
     """``x`` as an int; ValueError naming ``name`` unless it is a whole number of at
-    least ``least``, 0 or 1 (so also for inf, nan and a bool, which equals 0 or 1)."""
+    least ``least``, 0 or 1 (so also for inf, nan, None and a bool, which equals 0 or 1)."""
     k = None
     if not isinstance(x, (bool, np.bool_)):
         try:
             k = int(x)
-        except (OverflowError, ValueError):  # inf, nan
+        except (OverflowError, TypeError, ValueError):  # inf, nan, None
             pass
     if k is None or k != x or k < least:
         raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer")
@@ -267,12 +267,12 @@ _BUCKETS = 1 << 16  # inverse-cdf table buckets; u * 2^16 is exact
 _TABLE_PIECE = 1 << 12  # cdf values per piece while a table is built
 
 
-def _claim_table(cdf: np.ndarray, dtype) -> np.ndarray:
+def _claim_table(cdf: np.ndarray) -> np.ndarray:
     """Value drawn by every u in bucket b, [b, b + 1) / 2^16, or -1 where a
     cdf value lies strictly inside the bucket and the value depends on u.
 
     ``cdf`` must be nondecreasing in [0, 1] and end at exactly 1.0, so every
-    u in [0, 1) draws an index below ``cdf.size``.  The table is built in int32
+    u in [0, 1) draws an index below ``cdf.size``.  The table is int32, built
     from pieces of the cdf, so it needs no scratch of the cdf's length.
     """
     # entry b: searchsorted(cdf, b / 2^16, "right"), the cdf values at or below
@@ -289,7 +289,7 @@ def _claim_table(cdf: np.ndarray, dtype) -> np.ndarray:
     np.maximum.accumulate(table, out=table)
     table = table[:_BUCKETS]
     table[split] = -1
-    return table.astype(dtype, copy=False)
+    return table
 
 
 def _draw_claims(

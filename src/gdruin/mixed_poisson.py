@@ -22,12 +22,11 @@ q(k, n) = F(k/n) - F((k-1)/n) with p_n = n/(n+1).  Two approximations follow:
   memory for any u.
 
 Only Cbar depends on the mixing law; the NegBin factor depends on (u, n)
-alone.  So method 1's window, per (u, n, pmf_floor), and method 2's seeded
+alone.  So method 1's window, per (u, n, pmf_floor), and method 2's
 draws, per (u, n, m, seed), are kept across laws in one memo of read-only
 arrays under 2^17 values (1 MB), least recently used out first, and the
 laws of a paper table compute each once.  An array over 2^14 values is
-never kept (at n = 500 a window past u = 20: 267,759 values at u = 500),
-and neither are draws with ``seed=None``, which differ from call to call.
+never kept (at n = 500 a window past u = 20: 267,759 values at u = 500).
 
 The coefficients use the limiting substitution Cbar_{0,n} = E(Lambda); the
 raw grid sum survives only inside the equilibrium-weight normalization,
@@ -103,22 +102,21 @@ class MpApproxConfig:
 
     ``n`` is the grid refinement, ``m`` the Monte Carlo sample size of
     method 2, ``pmf_floor`` the series truncation floor, and ``seed``, a
-    nonnegative integer, makes method 2 reproducible (None draws a fresh
-    stream on every call).  The mixing grid has no cap: it stops at a
-    survival of 1e-16 within its first 2^16 points, or else runs on to
-    infinity; past its first 2^14 points its tail sums are in closed form.
+    nonnegative integer, keys method 2's draws.  The mixing grid has no cap:
+    it stops at a survival of 1e-16 within its first 2^16 points, or else
+    runs on to infinity; past its first 2^14 points its tail sums are in
+    closed form.
     """
 
     n: int = 500
     m: int = 1000
     pmf_floor: float = 1e-5
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "n", _whole_number(self.n, "n", least=1))
         object.__setattr__(self, "m", _whole_number(self.m, "m", least=1))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed"))
         if not self.pmf_floor > 0.0:
             raise ValueError("pmf_floor must be positive")
 
@@ -210,7 +208,7 @@ class _FactorMemo:
     """Read-only arrays kept by key under one budget of values, oldest used out first.
 
     It holds the factors of the series that do not depend on the mixing law:
-    method 1's window per (u, n, pmf_floor) and method 2's seeded draws per
+    method 1's window per (u, n, pmf_floor) and method 2's draws per
     (u, n, m, seed), so the laws of a table share them.  A view is kept as a
     copy, so it pins no more memory than the budget counts.  An array over an
     eighth of the budget is not kept: the memo holds at least 8 entries, and
@@ -301,7 +299,7 @@ def _block_law(n: int) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     cdf = _own_pages(cdf)
-    return cdf, _own_pages(_claim_table(cdf, np.int32))
+    return cdf, _own_pages(_claim_table(cdf))
 
 
 def _uniform_slices(rng: np.random.Generator, m: int, cols: int, buf: np.ndarray):
@@ -324,20 +322,16 @@ def _uniform_slices(rng: np.random.Generator, m: int, cols: int, buf: np.ndarray
                 yield lo, hi, unif
 
 
-def _negbin_draws(u: int, n: int, m: int, seed, rng_stream: int) -> np.ndarray:
+def _negbin_draws(u: int, n: int, m: int, seed: int) -> np.ndarray:
     """m draws of NegBin(u, 1/(1+n)): u mod 32 geometric draws plus u // 32 blocks.
 
-    One stream, keyed by (seed, stream index), first gives u mod 32 columns, each
+    One stream, keyed by (seed, u), first gives u mod 32 columns, each
     an inverse-cdf geometric draw, then u // 32 columns, each a NegBin(32, 1/(1+n))
     draw through the bucket table of `_block_law`.  The explicit inverse transforms
     keep output identical across generator library versions.  The uniforms go
     through one reused buffer of at most 2^15 values.
     """
-    if seed is None:
-        ss = np.random.SeedSequence()
-    else:
-        ss = np.random.SeedSequence((seed, rng_stream))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, u))))
     lq = math.log1p(-1.0 / (1.0 + n))  # log of the geometric miss probability
     geometric, blocks = u % _BLOCK, u // _BLOCK
     if blocks:
@@ -368,8 +362,8 @@ def psi_mp_method2(
     u = _whole_number(u, "u")
     if u == 0:
         return float(mp_coefficients(mix, cfg, 0).cbar_n[0]), 0.0
-    draw = partial(_negbin_draws, u, cfg.n, cfg.m, cfg.seed, rng_stream=u)
-    z = draw() if cfg.seed is None else _factors.get(("draws", u, cfg.n, cfg.m, cfg.seed), draw)
+    key = ("draws", u, cfg.n, cfg.m, cfg.seed)
+    z = _factors.get(key, partial(_negbin_draws, u, cfg.n, cfg.m, cfg.seed))
     seq = mp_coefficients(mix, cfg, int(z.max()))
     vals = seq.cbar_n[z]
     est = float(vals.mean())

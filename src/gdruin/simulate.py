@@ -19,9 +19,11 @@ ruin count at any u from ``level_hist`` or ``k_hist[0]``.  The scalar walk
 Paths stop once a new record is provably unlikely: when the gap between the
 running maximum and the current position reaches B = min{d : psi(d) < 1e-9},
 the chance of any further record is below 1e-9 (psi computed by the exact
-recursion, once per claim law while it is alive).  The walk puts what the stored
-masses leave (the declared tail and rounding) on the last point; that drawn law
-has no tail, so the recursion certifies its B at any depth, at any tail tolerance.
+recursion).  The walk puts what the stored masses leave (the declared tail and
+rounding) on the last point; that drawn law has no tail, so the recursion
+certifies its B at any depth, at any tail tolerance.  `SimConfig` builds the
+drawn cdf and B once, as its fields ``cdf`` and ``stop_bound``; both walks read
+them from the config.
 
 Replications are processed in fixed chunks, each with its own counter-based
 generator stream derived from (seed, chunk index), so results are
@@ -41,9 +43,10 @@ indices, and two int32 arrays of 65 columns.
   window's start: R_0 = 0 and R_j = Z_j - L, with M its running maximum.
   Step j is a record iff R_j == M_j, with increment M_j - M_{j-1}; the
   window ends at level L + M_64 and position L + R_64.  A live path starts
-  a window less than the stop bound below L, so the offsets fit in int32
-  unless stop_bound + 64 (support_max + 1) does not (a support past 2^25),
-  where the walk runs in int64.
+  a window less than B below L and moves by -1 to support_max - 1 per step,
+  so every offset is within B + 64 (support_max + 1) of zero.  A claim vector
+  has at most 2^24 points and B is at most max(2^21, support_max + 1) (the
+  recursion's 2^20-level budget), so that is below 2^31 and the walk is int32.
 - Records are a small fraction of the steps, so they are read sparsely:
   one ``flatnonzero`` of R == M, and bincounts over its rows give each
   path's record count and severity sum and the two severity histograms.
@@ -52,7 +55,6 @@ indices, and two int32 arrays of 65 columns.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -82,6 +84,9 @@ __all__ = [
 _CHUNK = 4096
 _WINDOW = 64
 _STOP_TOL = 1e-9
+# Claim points the simulator draws at most, so the int32 walk holds every offset
+# (the stop bound's O(S^2) residual check is out of reach long before 2^25).
+_MAX_SUPPORT = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +94,10 @@ class SimConfig:
     """Simulation request: claims and sampling plan; one run serves every surplus.
 
     Every path stops after at most ``horizon`` steps, a constant of the
-    simulator; a path still short of its stop rule there is censored.
+    simulator; a path still short of its stop rule there is censored.  The
+    drawn law is built once, here: ``cdf`` (`_drawn_cdf`, read-only) and
+    ``stop_bound`` (`_stop_bound`).  Claims on more than 2^24 points are
+    refused first (ValueError).
     """
 
     horizon: ClassVar[int] = 100_000
@@ -97,12 +105,22 @@ class SimConfig:
     claims: DiscretePmf
     replications: int
     seed: int = 0
+    cdf: np.ndarray = field(init=False, repr=False)
+    stop_bound: int = field(init=False)
 
     def __post_init__(self):
         for name, least in (("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _whole_number(getattr(self, name), name, least))
+        if self.claims.pmf.size > _MAX_SUPPORT:
+            raise ValueError(
+                f"the simulator draws claims on at most 2^24 points, got {self.claims.pmf.size}"
+            )
         if not self.claims.mean < 1.0:
             raise ValueError("net profit condition requires mean < 1")
+        cdf = _drawn_cdf(self.claims)
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "stop_bound", _stop_bound(cdf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +129,6 @@ class SimResult:
 
     config: SimConfig
     censored: int
-    stop_bound: int
     k_hist: np.ndarray
     level_hist: np.ndarray
     record_severity_hist: np.ndarray
@@ -155,16 +172,18 @@ def _drawn_cdf(claims: DiscretePmf) -> np.ndarray:
     return np.r_[np.minimum(np.cumsum(claims.pmf[:-1]), 1.0), 1.0]
 
 
-def _stop_bound(claims: DiscretePmf) -> int:
-    """Smallest d with psi(d) < 1e-9 on the drawn law, certified by the exact recursion.
+def _stop_bound(cdf: np.ndarray) -> int:
+    """Smallest d with psi(d) < 1e-9 on the law of ``cdf``, certified by the exact
+    recursion.
 
     The drawn law (`_drawn_cdf`) has no tail, so the recursion reads it at any
     depth, and up to the rounding of its cdf it is stochastically no larger than
-    ``claims``, so its bound is no larger.  The depth doubles until psi gets
-    there, or raises RuntimeError, a spent budget, past 2^20 levels.
+    the claims, so its bound is no larger.  The depth doubles from the support's
+    size until psi gets there, or raises RuntimeError, a spent budget, past 2^20
+    levels.
     """
-    drawn = DiscretePmf(np.diff(_drawn_cdf(claims), prepend=0.0))
-    u_max = claims.support_max + 1
+    drawn = DiscretePmf(np.diff(cdf, prepend=0.0))
+    u_max = cdf.size
     while True:
         hits = np.nonzero(psi_recursion(drawn, u_max) < _STOP_TOL)[0]
         if hits.size:
@@ -177,24 +196,6 @@ def _stop_bound(claims: DiscretePmf) -> int:
         u_max *= 2
 
 
-# Stop bound and claim cdf per claim law, held only while the law is alive.
-_walk_laws: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _walk_law(claims: DiscretePmf) -> tuple[int, np.ndarray]:
-    """The stop bound and the read-only cdf of the drawn law (`_drawn_cdf`), once
-    per law, so the walk draws the law its bound certifies.  A `DiscretePmf`
-    hashes by identity, and the memo holds it weakly.  Two threads that meet a
-    new law at once may both compute it, to the same values.
-    """
-    law = _walk_laws.get(claims)
-    if law is None:
-        cdf = _drawn_cdf(claims)
-        cdf.flags.writeable = False
-        law = _walk_laws[claims] = (_stop_bound(claims), cdf)
-    return law
-
-
 def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if counts.size > hist.size:
         hist = np.pad(hist, (0, counts.size - hist.size))
@@ -202,30 +203,17 @@ def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return hist
 
 
-def _walk_dtype(stop_bound: int, support_max: int):
-    """int32 when a window's offsets from the running maximum fit in it.
-
-    A live path starts a window less than ``stop_bound`` below its running
-    maximum and moves by -1 to support_max - 1 per step, so every offset
-    and increment is within stop_bound + 64 (support_max + 1) of zero.
-    """
-    bound = stop_bound + _WINDOW * (support_max + 1)
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-
-
 def simulate_paths(cfg: SimConfig) -> SimResult:
     """Run all replications and aggregate ruin, record, and severity data."""
-    claims = cfg.claims
-    b, cdf = _walk_law(claims)
-    dtype = _walk_dtype(b, claims.support_max)
-    table = _claim_table(cdf, dtype)
+    b, cdf = cfg.stop_bound, cfg.cdf
+    table = _claim_table(cdf)
 
     # per-window buffers, reused by every window of every chunk
     rows = min(_CHUNK, cfg.replications)
     unif_buf = np.empty((rows, _WINDOW))
     index_buf = np.empty((rows, _WINDOW), dtype=np.intp)
-    off_buf = np.empty((rows, _WINDOW + 1), dtype=dtype)  # Z - L, column 0 = 0
-    top_buf = np.empty((rows, _WINDOW + 1), dtype=dtype)  # running max of Z - L
+    off_buf = np.empty((rows, _WINDOW + 1), dtype=np.int32)  # Z - L, column 0 = 0
+    top_buf = np.empty((rows, _WINDOW + 1), dtype=np.int32)  # running max of Z - L
 
     censored = 0
     mismatches = 0
@@ -295,7 +283,6 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     return SimResult(
         config=cfg,
         censored=censored,
-        stop_bound=b,
         k_hist=k_hist,
         level_hist=level_hist,
         record_severity_hist=sev_hist,
@@ -304,10 +291,11 @@ def simulate_paths(cfg: SimConfig) -> SimResult:
     )
 
 
-def simulate_single(claims: DiscretePmf, u: int, rng: np.random.Generator) -> PathStats:
-    """Scalar reference walk of one path, up to ``SimConfig.horizon`` steps; the
-    vectorized engine mirrors this."""
-    b, cdf = _walk_law(claims)
+def simulate_single(cfg: SimConfig, u: int, rng: np.random.Generator) -> PathStats:
+    """Scalar reference walk of one path of ``cfg``'s law from surplus u, up to
+    ``SimConfig.horizon`` steps; ``cfg.replications`` and ``cfg.seed`` play no
+    part.  The vectorized engine mirrors this."""
+    b, cdf = cfg.stop_bound, cfg.cdf
     z = 0
     lvl = 0
     ruined = False
@@ -393,9 +381,10 @@ def _chi_square(test: str, observed: np.ndarray, expected: np.ndarray) -> GofRep
     )
 
 
-def check_record_count_law(result: SimResult, claims: DiscretePmf) -> GofReport:
-    """Record counts against Geometric(1 - mu): f(k) = (1-mu) mu^k."""
-    mu = claims.mean
+def check_record_count_law(result: SimResult) -> GofReport:
+    """Record counts against Geometric(1 - mu): f(k) = (1-mu) mu^k, mu the mean of
+    the run's claims."""
+    mu = result.config.claims.mean
     obs = result.k_hist.astype(float)
     r = obs.sum()
     kk = np.arange(obs.size, dtype=float)
@@ -405,14 +394,16 @@ def check_record_count_law(result: SimResult, claims: DiscretePmf) -> GofReport:
     return _chi_square("record count ~ Geometric(1-mu)", obs, exp)
 
 
-def check_severity_law(result: SimResult, claims: DiscretePmf) -> list[GofReport]:
+def check_severity_law(result: SimResult) -> list[GofReport]:
     """Record increments against the equilibrium law, two ways.
 
     The pooled histogram of all record severities is compared with
     f_e(x) = P(Y > x)/mu; the first-record histogram, with paths that never
     record counted as an extra cell, is compared with the unconditional law
-    (P(first severity = w) = P(Y > w), no-record probability 1 - mu).
+    (P(first severity = w) = P(Y > w), no-record probability 1 - mu), Y the
+    run's claims.
     """
+    claims = result.config.claims
     mu = claims.mean
 
     obs = result.record_severity_hist.astype(float)

@@ -125,7 +125,7 @@ def reproduce_tables(
     the console log by the CLI, never in the files, so identical seeds give
     byte-identical output.
     """
-    cfg = cfg or MpApproxConfig(seed=0)
+    cfg = cfg or MpApproxConfig()
     out: dict[str, ResultTable] = {}
     for name, mix in TABLE_MIXINGS.items():
         ref = REFERENCE_TABLES[name]

@@ -209,9 +209,9 @@ def test_criterion_8_simulator_distributional_laws(capsys):
         res = simulate_paths(
             SimConfig(claims=claims, replications=100_000, seed=1)
         )
-        counts = check_record_count_law(res, claims)
+        counts = check_record_count_law(res)
         assert counts.p_value > 0.01, (label, counts.p_value)
-        pooled, _first = check_severity_law(res, claims)
+        pooled, _first = check_severity_law(res)
         assert pooled.p_value > 0.01, (label, pooled.p_value)
         assert res.identity_mismatches == 0
     _passed(capsys, 8, "at 1e5 replications the record counts and record "

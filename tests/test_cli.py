@@ -221,8 +221,8 @@ def test_all_job_builds_the_claims_and_their_stop_bound_once(simulator_passes, m
         builds.append(x_max)
         return mp_claims_pmf(mix, x_max=x_max)
 
-    def counted(claims):
-        bounds.append(stop_bound(claims))
+    def counted(cdf):
+        bounds.append(stop_bound(cdf))
         return bounds[-1]
 
     stop_bound = simulate._stop_bound
@@ -441,6 +441,16 @@ def test_stop_rule_budget_exits_3(tmp_path, capsys):
     f.write_text("0,0.5000005\n2,0.4999995\n")
     assert main(["simulate", "--pmf-file", str(f), "--u-max", "2", "--reps", "100"]) == 3
     assert "no certified bound below 1e-09 within 2^20 surplus levels" in capsys.readouterr().err
+
+
+def test_an_all_censored_simulation_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    # the stop bound is 312 here, so no path can finish in 64 steps
+    monkeypatch.setattr(SimConfig, "horizon", 64)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--mix", "lognormal:-1,1", "--u-max", "2", "--reps", "500", "--out", str(out)]
+    assert main(argv) == 3
+    assert "all 500 paths censored at 64 steps (stop bound 312)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mix", ["pareto:1.5,1", "pareto:2,1"])

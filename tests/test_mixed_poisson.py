@@ -652,11 +652,11 @@ def test_method2_covers_the_poisson_case():
         assert abs(est - exact[u]) < 5.0 * se + 1e-3
 
 
-def _reference_draws(u, n, m, seed, rng_stream):
+def _reference_draws(u, n, m, seed):
     """One inverse-cdf geometric draw per cell of the u mod 32 first columns, cast and
     summed as integers, then one search of the normalized NegBin(32, q) window cdf
     per cell of the u // 32 further columns."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rng_stream))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, u))))
     q = 1.0 / (1.0 + n)
     lq = math.log1p(-q)
     total = np.zeros(m, dtype=np.int64)
@@ -680,9 +680,9 @@ def _reference_draws(u, n, m, seed, rng_stream):
      (32, 500, 1000), (63, 50, 7), (64, 500, 1000)],
 )
 def test_negbin_draws_match_the_integer_reference(u, n, m):
-    got = mixed_poisson._negbin_draws(u, n, m, 11, rng_stream=u)
+    got = mixed_poisson._negbin_draws(u, n, m, 11)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, _reference_draws(u, n, m, 11, u))
+    np.testing.assert_array_equal(got, _reference_draws(u, n, m, 11))
 
 
 def test_method2_below_one_block_is_pinned():
@@ -698,7 +698,7 @@ def test_method2_below_one_block_is_pinned():
 def test_negbin_draws_follow_the_negbin_law(u, n):
     m = 20_000
     q = 1.0 / (1.0 + n)
-    z = mixed_poisson._negbin_draws(u, n, m, 5, rng_stream=u)
+    z = mixed_poisson._negbin_draws(u, n, m, 5)
     law = stats.nbinom(u, q)
     mean, var = law.stats()
     kurt = 6.0 / u + q * q / (u * (1.0 - q))  # excess kurtosis of NegBin(u, q)
@@ -714,10 +714,10 @@ def test_negbin_draws_follow_the_negbin_law(u, n):
 def test_negbin_draws_use_a_bounded_buffer():
     # the (m, u) block of uniforms was 4 MB here; the buffer holds 2^15 values
     # first-call set-up: n = 500's block law and the log Gamma values its window reads
-    mixed_poisson._negbin_draws(500, 500, 10, 11, rng_stream=500)
+    mixed_poisson._negbin_draws(500, 500, 10, 11)
     tracemalloc.start()
     try:
-        mixed_poisson._negbin_draws(500, 500, 1000, 11, rng_stream=500)
+        mixed_poisson._negbin_draws(500, 500, 1000, 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -793,12 +793,6 @@ def test_kept_factors_are_read_only_copies(factors):
     assert set(factors._kept) == {("window", 3, 500, 1e-5), ("draws", 3, 500, 1000, 1)}
     for a in factors._kept.values():
         assert not a.flags.writeable and a.base is None and a.flags.owndata
-
-
-def test_unseeded_draws_are_never_kept(factors):
-    cfg = MpApproxConfig(n=500, m=1000)
-    assert psi_mp_method2(ERLANG, 3, cfg) != psi_mp_method2(ERLANG, 3, cfg)
-    assert not factors._kept and factors._held == 0
 
 
 def test_kept_factors_stay_within_the_budget(factors):

@@ -34,12 +34,15 @@ from gdruin import (
 )
 from gdruin import simulate
 from gdruin.distributions import _BUCKETS, _claim_table, _draw_claims
-from gdruin.simulate import _chi2_sf, _walk_dtype
+from gdruin.simulate import _chi2_sf
 
 GEO_CLAIMS = geometric_pmf(0.6, tail_tol=1e-30)
 MP_CLAIMS = mp_claims_pmf(MixingDistribution.erlang(2, 3.0), tail_tol=1e-24)
 NBM_CLAIMS = nbm_claims_pmf(NbmSpec((0.5, 0.5), 0.7), tail_tol=1e-24)
 REPS = 60_000
+# the scalar walk reads the drawn law and stop bound only
+GEO_CFG = SimConfig(claims=GEO_CLAIMS, replications=1)
+MP_CFG = SimConfig(claims=MP_CLAIMS, replications=1)
 
 
 # -- estimates against exact values ----------------------------------------------
@@ -114,9 +117,10 @@ def test_levels_past_the_deepest_path_read_zero():
 
 def test_stop_bound_is_the_first_negligible_surplus():
     res = simulate_paths(SimConfig(claims=GEO_CLAIMS, replications=8, seed=5))
-    psi = psi_recursion(GEO_CLAIMS, res.stop_bound)
-    assert psi[res.stop_bound] < 1e-9
-    assert psi[res.stop_bound - 1] >= 1e-9
+    b = res.config.stop_bound
+    psi = psi_recursion(GEO_CLAIMS, b)
+    assert psi[b] < 1e-9
+    assert psi[b - 1] >= 1e-9
 
 
 def test_truncated_claims_stop_at_the_bound_of_their_drawn_law():
@@ -128,7 +132,7 @@ def test_truncated_claims_stop_at_the_bound_of_their_drawn_law():
     assert res.level_hist.sum() == 10
     drawn = DiscretePmf(np.r_[shallow.pmf[:-1], shallow.pmf[-1] + shallow.tail_mass])
     psi = psi_recursion(drawn, 60)
-    assert res.stop_bound == 51
+    assert res.config.stop_bound == 51
     assert psi[51] < 1e-9 <= psi[50]
     assert np.all(psi[:50] >= 1e-9)
 
@@ -139,12 +143,28 @@ def test_default_pareto_claims_certify_their_stop_bound_without_a_rebuild():
     res = simulate_paths(SimConfig(claims=claims, replications=4, seed=1))
     # on the drawn cdf, whose rounded steps near 1 put about 3.3e-16 on each deep
     # point (the stored masses hold 3.0e-16); on the stored masses it would be 9,537
-    assert res.stop_bound == 9538
+    assert res.config.stop_bound == 9538
 
 
 def test_net_profit_is_required():
     with pytest.raises(ValueError):
         SimConfig(claims=geometric_pmf(0.4), replications=10, seed=0)
+
+
+def test_claims_past_the_support_cap_are_refused_before_any_work(monkeypatch):
+    # the cap keeps every offset of the int32 walk below 2^31; 2^24 points stand in as 16
+    def points(n):  # mean 0.05 n
+        return DiscretePmf(np.r_[0.9, np.full(n - 1, 0.1 / (n - 1))])
+
+    def never(*args):
+        raise AssertionError("the drawn law was built")
+
+    monkeypatch.setattr(simulate, "_MAX_SUPPORT", 16)
+    assert SimConfig(claims=points(16), replications=10).stop_bound > 0
+    monkeypatch.setattr(simulate, "_drawn_cdf", never)
+    monkeypatch.setattr(simulate, "_stop_bound", never)
+    with pytest.raises(ValueError, match=r"at most 2\^24 points, got 17$"):
+        SimConfig(claims=points(17), replications=10)
 
 
 # -- the window engine: bucketed draws, offsets, pinned output ----------------------
@@ -184,23 +204,10 @@ def test_bucket_lookup_equals_a_search(cdf, u):
     u = np.r_[u, _EDGE_UNIFORMS, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)]
     u = u[u < 1.0]
     out = np.empty(u.size, dtype=np.int32)
-    table = _claim_table(cdf, np.int32)
+    table = _claim_table(cdf)
     _draw_claims(table, cdf, u, np.empty(u.size, dtype=np.intp), out)
     np.testing.assert_array_equal(out, np.searchsorted(cdf, u, side="right"))
     assert out.max() <= cdf.size - 1
-
-
-@pytest.mark.parametrize(
-    "stop_bound, support_max, dtype",
-    [
-        (40, 75, np.int32),
-        (63, (1 << 25) - 2, np.int32),  # stop_bound + 64 (support_max + 1) = 2^31 - 1
-        (64, (1 << 25) - 2, np.int64),  # 2^31
-        (0, 1 << 25, np.int64),  # a support past 2^25 needs int64 at any stop bound
-    ],
-)
-def test_walk_dtype_holds_every_offset(stop_bound, support_max, dtype):
-    assert _walk_dtype(stop_bound, support_max) is dtype
 
 
 def _digest(res) -> str:
@@ -210,7 +217,7 @@ def _digest(res) -> str:
         assert hist.dtype == np.int64
         h.update(f"{hist.size}:".encode())
         h.update(hist.astype("<i8").tobytes())
-    h.update(f"{res.censored}:{res.stop_bound}".encode())
+    h.update(f"{res.censored}:{res.config.stop_bound}".encode())
     return h.hexdigest()
 
 
@@ -245,14 +252,6 @@ def test_seeded_output_is_pinned(name, reps, horizon, monkeypatch):
     assert _digest(res) == _PINNED[name, reps, horizon]
 
 
-@pytest.mark.parametrize("horizon", [100_000, 64])
-def test_int64_walk_matches_the_pinned_output(horizon, monkeypatch):
-    monkeypatch.setattr(SimConfig, "horizon", horizon)
-    monkeypatch.setattr(simulate, "_walk_dtype", lambda stop_bound, support_max: np.int64)
-    res = simulate_paths(SimConfig(claims=MP_CLAIMS, replications=4097, seed=5))
-    assert _digest(res) == _PINNED["mp", 4097, horizon]
-
-
 def test_window_memory_is_bounded():
     # a 4096-path window holds its uniforms, their bucket indices and two
     # offset arrays; the engine that searched the cdf peaked at 17 MiB here
@@ -277,12 +276,12 @@ def geo_run():
 
 
 def test_record_counts_follow_the_geometric_law(geo_run):
-    report = check_record_count_law(geo_run, GEO_CLAIMS)
+    report = check_record_count_law(geo_run)
     assert report.p_value > 0.01
 
 
 def test_record_severities_follow_the_ladder_law(geo_run):
-    pooled, first = check_severity_law(geo_run, GEO_CLAIMS)
+    pooled, first = check_severity_law(geo_run)
     assert pooled.p_value > 0.01
     assert first.p_value > 0.01
 
@@ -306,7 +305,7 @@ def test_single_path_bookkeeping():
     rng = np.random.default_rng(42)
     seen_ruin = 0
     for _ in range(200):
-        stats = simulate_single(GEO_CLAIMS, 2, rng)
+        stats = simulate_single(GEO_CFG, 2, rng)
         assert stats.record_count == len(stats.record_severities)
         assert all(s >= 0 for s in stats.record_severities)
         assert stats.record_times == sorted(stats.record_times)
@@ -324,27 +323,29 @@ def test_first_passage_is_a_final_level_of_at_least_u(u):
     # the reading psi_at makes of one pass, checked on the walk that tracks passage at u
     rng = np.random.default_rng(u)
     for _ in range(150):
-        stats = simulate_single(MP_CLAIMS, u, rng)
+        stats = simulate_single(MP_CFG, u, rng)
         reached = stats.record_count > 0 if u == 0 else sum(stats.record_severities) >= u
         assert stats.ruined == reached
 
 
-def test_single_walks_take_the_stop_bound_once_per_claim_law(monkeypatch):
+def test_one_config_takes_the_stop_bound_once(monkeypatch):
     bounds = []
 
-    def counted(claims):
-        bounds.append(claims)
-        return stop_bound(claims)
+    def counted(cdf):
+        bounds.append(stop_bound(cdf))
+        return bounds[-1]
 
     stop_bound = simulate._stop_bound
     monkeypatch.setattr(simulate, "_stop_bound", counted)
-    claims = geometric_pmf(0.6, tail_tol=1e-30)  # a law no other test has walked
+    cfg = SimConfig(claims=GEO_CLAIMS, replications=500, seed=3)
+    simulate_paths(cfg)
     rng = np.random.default_rng(3)
     h = hashlib.sha256()
-    for _ in range(200):
-        s = simulate_single(claims, 2, rng)
-        h.update(repr((s.ruined, s.tau, s.severity, s.record_times, s.record_severities)).encode())
-    assert bounds == [claims]
+    for i in range(1000):
+        s = simulate_single(cfg, 2, rng)
+        if i < 200:
+            h.update(repr((s.ruined, s.tau, s.severity, s.record_times, s.record_severities)).encode())
+    assert bounds == [cfg.stop_bound]
     # recorded from the walk that took the bound on every call
     assert h.hexdigest() == "4c8015116fc6eb2ed5efca79b177892a3bc2b273dfd6b17fc161d6e9f0179faf"
 
@@ -352,7 +353,7 @@ def test_single_walks_take_the_stop_bound_once_per_claim_law(monkeypatch):
 def test_single_paths_agree_with_vector_engine_in_law():
     rng = np.random.default_rng(7)
     n = 3000
-    ruined = sum(simulate_single(GEO_CLAIMS, 2, rng).ruined for _ in range(n))
+    ruined = sum(simulate_single(GEO_CFG, 2, rng).ruined for _ in range(n))
     ref = psi_geometric_closed(0.6, 2)
     se = (ref * (1 - ref) / n) ** 0.5
     assert abs(ruined / n - ref) < 4.0 * se
